@@ -51,7 +51,6 @@ _GLOBAL_DEFAULTS = {
     "out": "text",
     "tol_rank": None,
     "tol_feas": 1e-9,
-    "parallel": 1,
     "exhaustive_cap": DEFAULT_EXHAUSTIVE_CAP,
 }
 
@@ -60,7 +59,6 @@ def _global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", choices=["text", "json", "csv"], default=argparse.SUPPRESS)
     p.add_argument("--tol-rank", type=float, dest="tol_rank", default=argparse.SUPPRESS)
     p.add_argument("--tol-feas", type=float, dest="tol_feas", default=argparse.SUPPRESS)
-    p.add_argument("--parallel", type=int, default=argparse.SUPPRESS)
     p.add_argument("--exhaustive-cap", type=int, dest="exhaustive_cap", default=argparse.SUPPRESS)
     p.add_argument("--config", default=argparse.SUPPRESS, help="JSON file mirroring flags")
 
@@ -240,7 +238,6 @@ def _run_command(ns: argparse.Namespace) -> int:
     kw = {
         "rank_tol": opt.get("tol_rank"),
         "feas_tol": float(opt.get("tol_feas")),
-        "parallel": int(opt.get("parallel")),
     }
 
     if command in ("admissible", "minimal"):
@@ -269,7 +266,6 @@ def _run_command(ns: argparse.Namespace) -> int:
             feas_tol=float(opt.get("tol_feas")),
             rank_tol=opt.get("tol_rank"),
             exhaustive_cap=cap,
-            parallel=int(opt.get("parallel")),
         )
         result = run_study(cfg)
         _print_study(result, opt)
@@ -287,7 +283,7 @@ def _run_command(ns: argparse.Namespace) -> int:
     if command == "estimate-time":
         report = worst_estimation_time(
             sys_model, constraint, _require_T(opt), mode=mode, cap=cap,
-            rank_tol=kw["rank_tol"], parallel=kw["parallel"],
+            rank_tol=kw["rank_tol"],
         )
     elif command == "control-time":
         x0 = _load_vec(opt.get("x0", "ones"), sys_model.n)
@@ -319,7 +315,7 @@ def _run_command(ns: argparse.Namespace) -> int:
         poly = serialize.load_polytope(poly_path)
         reachable, report = polytope_reachable(
             sys_model, constraint, _require_T(opt), poly, mode=mode, cap=cap,
-            tol=kw["feas_tol"], parallel=kw["parallel"],
+            tol=kw["feas_tol"],
         )
     elif command in ("lqr-maxmin", "lqr-fixed"):
         wpath = opt.get("weights")
@@ -329,10 +325,7 @@ def _run_command(ns: argparse.Namespace) -> int:
             weights = LqrWeights.identity(sys_model.n, sys_model.m, _require_T(opt))
         x0 = _load_vec(opt.get("x0", "ones"), sys_model.n)
         fn = worst_lqr if command == "lqr-maxmin" else worst_fixed_input_lqr
-        report = fn(
-            sys_model, constraint, weights, x0, mode=mode, cap=cap,
-            parallel=kw["parallel"],
-        )
+        report = fn(sys_model, constraint, weights, x0, mode=mode, cap=cap)
     else:  # pragma: no cover
         raise CliError(f"unknown command {command}")
 

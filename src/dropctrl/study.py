@@ -9,7 +9,8 @@ are computed, and the relative performance degradation
 is recorded.  Samples rotate equally through three system-generation
 recipes.  Randomness is fully reproducible: each sample gets its own
 PCG64 stream spawned as SeedSequence(seed, spawn_key=(sample_index,)),
-so results are independent of execution order and parallelism.
+so results are independent of execution order.  The nominal is the
+worst case over the dropout-free channel, whose only word is 1...1.
 """
 
 from __future__ import annotations
@@ -20,20 +21,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lqr import LqrWeights, degraded_cost, lqr_cost, lti_gains, riccati_backward
-from .automata import build_k_constraint_automaton, enumerate_admissible, minimal_signals_bfs
+from .lqr import LqrWeights
+from .automata import (
+    Automaton,
+    build_k_constraint_automaton,
+    enumerate_admissible,
+    minimal_signals_bfs,
+)
 from .signals import Signal, minimal_filter
-from .solvers import OPTIMAL, min_energy, min_fuel, min_fuel_energy, min_inf_norm
 from .systems import (
     SwitchedLinearSystem,
     controllability_matrix,
-    first_full_rank_time,
     numerical_rank,
     observability_matrix,
 )
 from .worstcase import (
     DEFAULT_EXHAUSTIVE_CAP,
+    EXHAUSTIVE,
     MINIMAL,
+    WorstCaseReport,
     worst_control_time,
     worst_energy,
     worst_estimation_time,
@@ -46,6 +52,7 @@ from .worstcase import (
 __all__ = [
     "GENERATION_METHODS",
     "GENERATOR_NAME",
+    "NO_DROPOUTS",
     "StudyConfig",
     "SampleRow",
     "StudyResult",
@@ -59,6 +66,12 @@ GENERATION_METHODS = ("orthogonal_diag", "gaussian", "gaussian_x10")
 GENERATOR_NAME = "numpy-pcg64/seedseq-spawn-per-sample"
 
 STUDY_PROBLEMS = ("I", "II", "III", "V", "VI")
+
+# the dropout-free channel: every packet arrives, so it admits only 1...1
+NO_DROPOUTS = Automaton([0], [(0, 0, "1")], [0])
+
+# what an infeasible report failed at; V and VI have no infeasible outcome
+_INFEASIBLE_TASK = {"I": "estimation", "II": "transfer", "III": "input_design"}
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -157,7 +170,6 @@ class StudyConfig:
     feas_tol: float = 1e-9
     rank_tol: float | None = None
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
-    parallel: int = 1
 
     def __post_init__(self):
         if self.problem not in STUDY_PROBLEMS:
@@ -186,6 +198,7 @@ class StudyResult:
     config: StudyConfig
     generator: str
     avg_rpd: float | None
+    # wall time of one run of each candidate generator at the study's (k, T)
     avg_time_fast: float
     avg_time_filter: float
     discarded_samples: int
@@ -204,106 +217,62 @@ def _sample_rng(seed: int, sample_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _nominal_steps_estimation(sys, T, rank_tol) -> float | None:
-    t = first_full_rank_time(sys, Signal.ones(T), tol=rank_tol)
-    return None if t is None else float(t + 1)
-
-
-def _nominal_steps_control(sys, T, x0, feas_tol, rank_tol) -> float | None:
-    v = x0.copy()
-    for t in range(T):
-        v = sys.A @ v
-        prefix = Signal.ones(t + 1)
-        res = min_inf_norm(
-            controllability_matrix(sys, prefix), -v, feas_tol=feas_tol, rank_tol=rank_tol
+def _analysis(cfg: StudyConfig, sys: SwitchedLinearSystem):
+    """The study problem's worst-case analysis as run(constraint, mode) -> report."""
+    x = np.ones(sys.n)
+    cap = cfg.exhaustive_cap
+    tols = {"feas_tol": cfg.feas_tol, "rank_tol": cfg.rank_tol}
+    if cfg.problem == "I":
+        return lambda c, mode: worst_estimation_time(
+            sys, c, cfg.T, mode, rank_tol=cfg.rank_tol, cap=cap
         )
-        if res.status == OPTIMAL and res.value <= 1.0 + feas_tol:
-            return float(t + 1)
+    if cfg.problem == "II":
+        return lambda c, mode: worst_control_time(sys, c, cfg.T, x, mode, cap=cap, **tols)
+    if cfg.problem == "III":
+        if cfg.gamma2 == 0.0:
+            return lambda c, mode: worst_fuel(
+                sys, c, cfg.T, x, mode, input_bound=cfg.input_bound, cap=cap, **tols
+            )
+        if cfg.gamma1 == 0.0:
+            return lambda c, mode: worst_energy(sys, c, cfg.T, x, mode, cap=cap, **tols)
+        return lambda c, mode: worst_fuel_energy(
+            sys, c, cfg.T, x, cfg.gamma1, cfg.gamma2, mode, cap=cap, **tols
+        )
+    weights = LqrWeights.identity(sys.n, sys.m, cfg.T)
+    analysis = worst_lqr if cfg.problem == "V" else worst_fixed_input_lqr
+    return lambda c, mode: analysis(sys, c, weights, x, mode, cap=cap)
+
+
+def _discard_reason(problem: str, stage: str, report: WorstCaseReport) -> str | None:
+    if report.info.get("failed_signals"):
+        return "solver_failure"
+    if not report.feasible and problem in _INFEASIBLE_TASK:
+        return f"{stage}_{_INFEASIBLE_TASK[problem]}_infeasible"
     return None
 
 
-def _input_norm_solver(cfg: StudyConfig):
-    if cfg.gamma2 == 0.0:
-        return lambda C, xf: min_fuel(
-            C, xf, input_bound=cfg.input_bound, feas_tol=cfg.feas_tol, rank_tol=cfg.rank_tol
-        )
-    if cfg.gamma1 == 0.0:
-        return lambda C, xf: min_energy(C, xf, feas_tol=cfg.feas_tol, rank_tol=cfg.rank_tol)
-    return lambda C, xf: min_fuel_energy(
-        C, xf, cfg.gamma1, cfg.gamma2, feas_tol=cfg.feas_tol, rank_tol=cfg.rank_tol
-    )
+def _value(problem: str, report: WorstCaseReport) -> float:
+    return float(report.info["worst_steps"] if problem in ("I", "II") else report.worst_value)
 
 
 def _evaluate_sample(cfg: StudyConfig, sys: SwitchedLinearSystem):
-    """Return (nominal, worst, argmax, discard_reason, report)."""
-    T = cfg.T
-    ones_vec = np.ones(sys.n)
-    if cfg.problem == "I":
-        nominal = _nominal_steps_estimation(sys, T, cfg.rank_tol)
-        if nominal is None:
-            return None, None, None, "nominal_estimation_infeasible", None
-        rep = worst_estimation_time(
-            sys, cfg.k, T, mode=cfg.mode, rank_tol=cfg.rank_tol,
-            cap=cfg.exhaustive_cap, parallel=cfg.parallel,
-        )
-        if not rep.feasible:
-            return nominal, None, str(rep.argmax_signal), "worst_estimation_infeasible", rep
-        return nominal, float(rep.info["worst_steps"]), str(rep.argmax_signal), None, rep
-    if cfg.problem == "II":
-        nominal = _nominal_steps_control(sys, T, ones_vec, cfg.feas_tol, cfg.rank_tol)
-        if nominal is None:
-            return None, None, None, "nominal_transfer_infeasible", None
-        rep = worst_control_time(
-            sys, cfg.k, T, ones_vec, mode=cfg.mode, feas_tol=cfg.feas_tol,
-            rank_tol=cfg.rank_tol, cap=cfg.exhaustive_cap, parallel=cfg.parallel,
-        )
-        if not rep.feasible:
-            return nominal, None, str(rep.argmax_signal), "worst_transfer_infeasible", rep
-        return nominal, float(rep.info["worst_steps"]), str(rep.argmax_signal), None, rep
-    if cfg.problem == "III":
-        solver = _input_norm_solver(cfg)
-        nom_res = solver(controllability_matrix(sys, Signal.ones(T)), ones_vec)
-        if nom_res.status != OPTIMAL:
-            return None, None, None, "nominal_input_design_infeasible", None
-        nominal = float(nom_res.value)
-        if cfg.gamma2 == 0.0:
-            rep = worst_fuel(
-                sys, cfg.k, T, ones_vec, mode=cfg.mode, input_bound=cfg.input_bound,
-                feas_tol=cfg.feas_tol, rank_tol=cfg.rank_tol,
-                cap=cfg.exhaustive_cap, parallel=cfg.parallel,
-            )
-        elif cfg.gamma1 == 0.0:
-            rep = worst_energy(
-                sys, cfg.k, T, ones_vec, mode=cfg.mode, feas_tol=cfg.feas_tol,
-                rank_tol=cfg.rank_tol, cap=cfg.exhaustive_cap, parallel=cfg.parallel,
-            )
-        else:
-            rep = worst_fuel_energy(
-                sys, cfg.k, T, ones_vec, cfg.gamma1, cfg.gamma2, mode=cfg.mode,
-                feas_tol=cfg.feas_tol, rank_tol=cfg.rank_tol,
-                cap=cfg.exhaustive_cap, parallel=cfg.parallel,
-            )
-        if rep.info.get("failed_signals"):
-            return nominal, None, str(rep.argmax_signal), "solver_failure", rep
-        if not rep.feasible:
-            return nominal, None, str(rep.argmax_signal), "worst_input_design_infeasible", rep
-        return nominal, float(rep.worst_value), str(rep.argmax_signal), None, rep
-    weights = LqrWeights.identity(sys.n, sys.m, T)
-    if cfg.problem == "V":
-        nominal = lqr_cost(riccati_backward(sys, Signal.ones(T), weights), ones_vec)
-        rep = worst_lqr(
-            sys, cfg.k, weights, ones_vec, mode=cfg.mode,
-            cap=cfg.exhaustive_cap, parallel=cfg.parallel,
-        )
-        return nominal, float(rep.worst_value), str(rep.argmax_signal), None, rep
-    # problem VI
-    gains = lti_gains(sys, weights)
-    nominal = degraded_cost(sys, gains, Signal.ones(T), weights, ones_vec)
-    rep = worst_fixed_input_lqr(
-        sys, cfg.k, weights, ones_vec, mode=cfg.mode,
-        cap=cfg.exhaustive_cap, parallel=cfg.parallel,
-    )
-    return nominal, float(rep.worst_value), str(rep.argmax_signal), None, rep
+    """Return (nominal, worst, argmax, discard_reason, report).
+
+    The nominal is the same analysis over the dropout-free channel; the
+    worst case is skipped when the nominal is discarded.
+    """
+    run = _analysis(cfg, sys)
+    nominal_report = run(NO_DROPOUTS, EXHAUSTIVE)
+    reason = _discard_reason(cfg.problem, "nominal", nominal_report)
+    if reason is not None:
+        return None, None, None, reason, None
+    nominal = _value(cfg.problem, nominal_report)
+    report = run(cfg.k, cfg.mode)
+    argmax = str(report.argmax_signal)
+    reason = _discard_reason(cfg.problem, "worst", report)
+    if reason is not None:
+        return nominal, None, argmax, reason, report
+    return nominal, _value(cfg.problem, report), argmax, None, report
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:
@@ -312,9 +281,14 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     reports: list = []
     reject_reasons: list[str] = []
     rpds: list[float] = []
-    times_fast: list[float] = []
-    times_filter: list[float] = []
     discarded = 0
+    # candidate generation depends only on (k, T), so it is timed once
+    t0 = time.perf_counter()
+    minimal_signals_bfs(cfg.k, cfg.T)
+    time_fast = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    minimal_filter(enumerate_admissible(build_k_constraint_automaton(cfg.k), cfg.T))
+    time_filter = time.perf_counter() - t0
     for i in range(cfg.samples):
         method = GENERATION_METHODS[i % len(GENERATION_METHODS)]
         rng = _sample_rng(cfg.seed, i)
@@ -324,14 +298,6 @@ def run_study(cfg: StudyConfig) -> StudyResult:
                 screen_horizon=max(cfg.n, cfg.T),
                 rank_tol=cfg.rank_tol, reject_log=reject_reasons,
             )
-            t0 = time.perf_counter()
-            minimal_signals_bfs(cfg.k, cfg.T)
-            times_fast.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            minimal_filter(
-                enumerate_admissible(build_k_constraint_automaton(cfg.k), cfg.T)
-            )
-            times_filter.append(time.perf_counter() - t0)
             nominal, worst, argmax, reason, report = _evaluate_sample(cfg, sys)
             reports.append(report)
             if reason is None:
@@ -355,8 +321,8 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         config=cfg,
         generator=GENERATOR_NAME,
         avg_rpd=(sum(rpds) / len(rpds)) if rpds else None,
-        avg_time_fast=(sum(times_fast) / len(times_fast)) if times_fast else 0.0,
-        avg_time_filter=(sum(times_filter) / len(times_filter)) if times_filter else 0.0,
+        avg_time_fast=time_fast,
+        avg_time_filter=time_filter,
         discarded_samples=discarded,
         rows=rows,
         reject_reasons=reject_reasons,

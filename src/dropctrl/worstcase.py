@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -127,15 +126,10 @@ def _scan(
     mode: str,
     signals: SignalSet,
     evaluate: Callable[[Signal], tuple[float, str]],
-    parallel: int = 1,
     info: dict | None = None,
 ) -> WorstCaseReport:
     start = time.perf_counter()
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(evaluate, signals))
-    else:
-        results = [evaluate(s) for s in signals]
+    results = [evaluate(s) for s in signals]
     per_signal = [
         PerSignal(signal=s, value=v, status=st) for s, (v, st) in zip(signals, results)
     ]
@@ -164,7 +158,6 @@ def worst_estimation_time(
     mode: str = MINIMAL,
     rank_tol: float | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    parallel: int = 1,
 ) -> WorstCaseReport:
     """Problem I: worst first time the masked observability matrix reaches rank n."""
     signals = candidate_signals(constraint, T, mode, cap)
@@ -173,7 +166,7 @@ def worst_estimation_time(
         t = first_full_rank_time(sys, s, tol=rank_tol)
         return (math.inf, INFEASIBLE) if t is None else (float(t), OPTIMAL)
 
-    report = _scan("I", mode, signals, evaluate, parallel)
+    report = _scan("I", mode, signals, evaluate)
     if report.feasible:
         report.info["worst_t_index"] = int(report.worst_value)
         report.info["worst_steps"] = int(report.worst_value) + 1
@@ -189,7 +182,6 @@ def worst_control_time(
     feas_tol: float = 1e-9,
     rank_tol: float | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    parallel: int = 1,
 ) -> WorstCaseReport:
     """Problem II: worst minimum time to park the state at the origin.
 
@@ -220,7 +212,7 @@ def worst_control_time(
                 return float(t), OPTIMAL
         return math.inf, INFEASIBLE
 
-    report = _scan("II", mode, signals, evaluate, parallel)
+    report = _scan("II", mode, signals, evaluate)
     if report.feasible:
         report.info["worst_t_index"] = int(report.worst_value)
         report.info["worst_steps"] = int(report.worst_value) + 1
@@ -235,7 +227,6 @@ def _worst_input_norm(
     T: int,
     mode: str,
     cap: int,
-    parallel: int,
     info: dict,
 ) -> WorstCaseReport:
     signals = candidate_signals(constraint, T, mode, cap)
@@ -246,7 +237,7 @@ def _worst_input_norm(
             return math.inf, res.status
         return float(res.value), res.status
 
-    report = _scan(problem, mode, signals, evaluate, parallel, info)
+    report = _scan(problem, mode, signals, evaluate, info)
     failed = [str(e.signal) for e in report.per_signal if e.status == MAX_ITERATIONS]
     if failed:
         report.info["failed_signals"] = failed
@@ -263,7 +254,6 @@ def worst_fuel(
     feas_tol: float = 1e-9,
     rank_tol: float | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    parallel: int = 1,
 ) -> WorstCaseReport:
     """Problem III with a pure 1-norm objective (per-signal LP)."""
     x_f = np.asarray(x_f, dtype=float).ravel()
@@ -275,7 +265,6 @@ def worst_fuel(
         T,
         mode,
         cap,
-        parallel,
         {"objective": "fuel", "input_bound": input_bound},
     )
 
@@ -289,7 +278,6 @@ def worst_energy(
     feas_tol: float = 1e-9,
     rank_tol: float | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    parallel: int = 1,
 ) -> WorstCaseReport:
     """Problem III with a pure 2-norm objective (per-signal least-norm)."""
     x_f = np.asarray(x_f, dtype=float).ravel()
@@ -301,7 +289,6 @@ def worst_energy(
         T,
         mode,
         cap,
-        parallel,
         {"objective": "energy"},
     )
 
@@ -317,7 +304,6 @@ def worst_fuel_energy(
     feas_tol: float = 1e-9,
     rank_tol: float | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    parallel: int = 1,
 ) -> WorstCaseReport:
     """Problem III with the combined weighted 1-norm + 2-norm objective."""
     x_f = np.asarray(x_f, dtype=float).ravel()
@@ -331,7 +317,6 @@ def worst_fuel_energy(
         T,
         mode,
         cap,
-        parallel,
         {"objective": "fuel+energy", "gamma1": gamma1, "gamma2": gamma2},
     )
 
@@ -344,7 +329,6 @@ def polytope_reachable(
     mode: str = MINIMAL,
     tol: float = 1e-9,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    parallel: int = 1,
 ) -> tuple[bool, WorstCaseReport]:
     """Problem IV: is every vertex inside every unit-energy reachable ellipsoid?
 
@@ -376,7 +360,7 @@ def polytope_reachable(
         return worst, OPTIMAL
 
     signals = candidate_signals(constraint, T, mode, cap)
-    report = _scan("IV", mode, signals, evaluate, parallel, {"tolerance": tol})
+    report = _scan("IV", mode, signals, evaluate, {"tolerance": tol})
     reachable = report.worst_value <= 1.0 + tol
     report.info["reachable"] = reachable
     report.feasible = reachable
@@ -390,7 +374,6 @@ def worst_lqr(
     x0,
     mode: str = MINIMAL,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    parallel: int = 1,
 ) -> WorstCaseReport:
     """Problem V: worst optimal cost x0' P(0) x0 of the per-signal recursion."""
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -399,7 +382,7 @@ def worst_lqr(
     def evaluate(s: Signal) -> tuple[float, str]:
         return lqr_cost(riccati_backward(sys, s, weights), x0), OPTIMAL
 
-    return _scan("V", mode, signals, evaluate, parallel)
+    return _scan("V", mode, signals, evaluate)
 
 
 def worst_fixed_input_lqr(
@@ -409,7 +392,6 @@ def worst_fixed_input_lqr(
     x0,
     mode: str = MINIMAL,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    parallel: int = 1,
 ) -> WorstCaseReport:
     """Problem VI: worst degraded cost of the ideal-loop gains under dropouts.
 
@@ -430,4 +412,4 @@ def worst_fixed_input_lqr(
             "minimal-signal search for the fixed-gain degraded cost is heuristic; "
             "run exhaustive mode for a certified worst case"
         )
-    return _scan("VI", mode, signals, evaluate, parallel, info)
+    return _scan("VI", mode, signals, evaluate, info)

@@ -12,6 +12,8 @@ from dropctrl import (
     rpd,
     run_study,
 )
+from dropctrl import worstcase
+from dropctrl.solvers import INFEASIBLE, MAX_ITERATIONS, SolveResult
 from dropctrl.study import _sample_rng, haar_orthogonal
 
 
@@ -107,11 +109,17 @@ def test_study_timings_recorded():
     assert res.avg_time_filter > 0.0
 
 
-def test_study_rows_independent_of_parallelism():
-    base = run_study(StudyConfig(problem="V", k=1, n=3, m=2, samples=5, T=5, seed=21))
-    threaded = run_study(StudyConfig(problem="V", k=1, n=3, m=2, samples=5, T=5, seed=21, parallel=3))
-    key = lambda rows: [(r.sample_id, r.rpd_percent, r.nominal, r.worst, r.argmax_signal, r.status) for r in rows]
-    assert key(base.rows) == key(threaded.rows)
+@pytest.mark.parametrize(
+    "status, reason",
+    [(MAX_ITERATIONS, "solver_failure"), (INFEASIBLE, "nominal_input_design_infeasible")],
+)
+def test_study_nominal_fuel_discard_reason(monkeypatch, status, reason):
+    # a nominal solve that fails is a solver failure, not an infeasible target
+    monkeypatch.setattr(worstcase, "min_fuel", lambda *a, **kw: SolveResult(status))
+    res = run_study(StudyConfig(problem="III", k=1, n=3, m=2, samples=3, T=6, seed=5))
+    for row, rep in zip(res.rows, res.reports):
+        assert row.status == f"discarded:{reason}"
+        assert (row.nominal, row.worst, row.argmax_signal, rep) == (None, None, None, None)
 
 
 def test_study_keeps_full_reports():
