@@ -170,25 +170,8 @@ def build_k_minimal_automaton(k: int) -> Automaton:
 def minimal_signals_bfs(k: int, T: int) -> SignalSet:
     """Minimal signals of length T for at most k consecutive dropouts.
 
-    Breadth-first path expansion on the compact automaton from node 1;
-    words are collected at exactly length T and longer overshoots dropped.
-    Equals minimal_filter over the full admissible language.
+    Breadth-first enumeration of the compact automaton's language, whose
+    words are exactly the minimal signals.  Equals minimal_filter over the
+    full admissible language.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    a = build_k_minimal_automaton(k)
-    out: set[str] = set()
-    queue: deque[tuple[int, str]] = deque([(1, "")])
-    seen: set[tuple[int, str]] = {(1, "")}
-    while queue:
-        node, word = queue.popleft()
-        if len(word) == T:
-            out.add(word)
-        if len(word) >= T:
-            continue
-        for dst, label in a.out_edges(node):
-            state = (dst, word + label)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    return SignalSet(Signal(w) for w in out)
+    return enumerate_admissible(build_k_minimal_automaton(k), T)

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .automata import (
 )
 from .lqr import LqrWeights
 from .signals import minimal_filter
-from .study import GENERATOR_NAME, StudyConfig, run_study
+from .study import SampleRow, StudyConfig, run_study
 from .worstcase import (
     DEFAULT_EXHAUSTIVE_CAP,
     polytope_reachable,
@@ -47,27 +48,20 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-_GLOBAL_DEFAULTS = {
-    "out": "text",
-    "tol_rank": None,
-    "tol_feas": 1e-9,
-    "exhaustive_cap": DEFAULT_EXHAUSTIVE_CAP,
-}
-
-
 def _global_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", choices=["text", "json", "csv"], default=argparse.SUPPRESS)
-    p.add_argument("--tol-rank", type=float, dest="tol_rank", default=argparse.SUPPRESS)
-    p.add_argument("--tol-feas", type=float, dest="tol_feas", default=argparse.SUPPRESS)
-    p.add_argument("--exhaustive-cap", type=int, dest="exhaustive_cap", default=argparse.SUPPRESS)
-    p.add_argument("--config", default=argparse.SUPPRESS, help="JSON file mirroring flags")
+    p.add_argument("--out", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--tol-rank", type=float)
+    p.add_argument("--tol-feas", type=float, default=1e-9)
+    p.add_argument("--exhaustive-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
+    p.add_argument("--config", help="JSON object of flag values; explicit flags win")
 
 
-def _constraint_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--automaton", default=argparse.SUPPRESS)
-    p.add_argument("--T", type=int, dest="T", default=argparse.SUPPRESS)
-    p.add_argument("--mode", choices=["minimal", "exhaustive"], default=argparse.SUPPRESS)
+def _constraint_flags(p: argparse.ArgumentParser, T_required: bool = True) -> None:
+    constraint = p.add_mutually_exclusive_group(required=True)
+    constraint.add_argument("--k", type=int)
+    constraint.add_argument("--automaton")
+    p.add_argument("--T", type=int, required=T_required)
+    p.add_argument("--mode", choices=["minimal", "exhaustive"], default="minimal")
 
 
 def build_parser() -> _Parser:
@@ -84,89 +78,75 @@ def build_parser() -> _Parser:
 
     p = cmd("minimal", help="enumerate the minimal signals of length T")
     _constraint_flags(p)
-    p.add_argument("--method", choices=["bfs", "filter"], default=argparse.SUPPRESS)
+    p.add_argument("--method", choices=["bfs", "filter"])
 
     p = cmd("estimate-time", help="worst time to recover the state from outputs")
     _constraint_flags(p)
-    p.add_argument("--system", default=argparse.SUPPRESS)
+    p.add_argument("--system", required=True)
 
     p = cmd("control-time", help="worst time to park the state at the origin")
     _constraint_flags(p)
-    p.add_argument("--system", default=argparse.SUPPRESS)
-    p.add_argument("--x0", default=argparse.SUPPRESS)
+    p.add_argument("--system", required=True)
+    p.add_argument("--x0", default="ones")
 
     for name, extra in (("fuel", True), ("energy", False)):
         p = cmd(name, help=f"worst minimum-{name} input design")
         _constraint_flags(p)
-        p.add_argument("--system", default=argparse.SUPPRESS)
-        p.add_argument("--xf", default=argparse.SUPPRESS)
+        p.add_argument("--system", required=True)
+        p.add_argument("--xf", default="ones")
         if extra:
-            p.add_argument("--input-bound", type=float, dest="input_bound", default=argparse.SUPPRESS)
+            p.add_argument("--input-bound", type=float)
 
     p = cmd("fuel-energy", help="worst combined 1-norm + 2-norm input design")
     _constraint_flags(p)
-    p.add_argument("--system", default=argparse.SUPPRESS)
-    p.add_argument("--xf", default=argparse.SUPPRESS)
-    p.add_argument("--gamma1", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--gamma2", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--system", required=True)
+    p.add_argument("--xf", default="ones")
+    p.add_argument("--gamma1", type=float, default=1.0)
+    p.add_argument("--gamma2", type=float, default=1.0)
 
     p = cmd("reach", help="check a polytope against all unit-energy reachable sets")
     _constraint_flags(p)
-    p.add_argument("--system", default=argparse.SUPPRESS)
-    p.add_argument("--polytope", default=argparse.SUPPRESS)
+    p.add_argument("--system", required=True)
+    p.add_argument("--polytope", required=True)
 
     for name in ("lqr-maxmin", "lqr-fixed"):
         p = cmd(name, help=f"worst {'re-optimized' if name == 'lqr-maxmin' else 'fixed-gain'} quadratic cost")
-        _constraint_flags(p)
-        p.add_argument("--system", default=argparse.SUPPRESS)
-        p.add_argument("--x0", default=argparse.SUPPRESS)
-        p.add_argument("--weights", default=argparse.SUPPRESS, help="JSON with Q/R/Qf/T")
+        _constraint_flags(p, T_required=False)
+        p.add_argument("--system", required=True)
+        p.add_argument("--x0", default="ones")
+        p.add_argument("--weights", help="JSON with Q/R/Qf/T; without it --T is required")
 
     p = cmd("study", help="randomized validation study")
-    p.add_argument("--problem", choices=["I", "II", "III", "V", "VI"], default=argparse.SUPPRESS)
-    p.add_argument("--k", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--states", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--inputs", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--samples", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--T", type=int, dest="T", default=argparse.SUPPRESS)
-    p.add_argument("--mode", choices=["minimal", "exhaustive"], default=argparse.SUPPRESS)
-    p.add_argument("--gamma1", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--gamma2", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--max-discard-frac", type=float, dest="max_discard_frac", default=argparse.SUPPRESS)
+    p.add_argument("--problem", choices=["I", "II", "III", "V", "VI"], required=True)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--states", type=int, default=10)
+    p.add_argument("--inputs", type=int, default=7)
+    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--T", type=int, default=12)
+    p.add_argument("--mode", choices=["minimal", "exhaustive"], default="minimal")
+    p.add_argument("--gamma1", type=float, default=1.0)
+    p.add_argument("--gamma2", type=float, default=0.0)
+    p.add_argument("--max-discard-frac", type=float, default=0.5)
     return root
 
 
-class _Options:
-    """Flag resolution: explicit argv > config file > defaults."""
-
-    def __init__(self, ns: argparse.Namespace):
-        self.ns = vars(ns)
-        self.config = {}
-        path = self.ns.get("config")
-        if path:
-            with open(path) as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise CliError(f"config file {path} must hold a JSON object")
-            self.config = {str(k).replace("-", "_"): v for k, v in doc.items()}
-
-    def get(self, name, default=None):
-        if name in self.ns:
-            return self.ns[name]
-        if name in self.config:
-            return self.config[name]
-        if name in _GLOBAL_DEFAULTS:
-            return _GLOBAL_DEFAULTS[name]
-        return default
+def _config_tokens(argv: list[str]) -> list[str]:
+    """The --config file's entries as `--key=value` flags (null entries are left out)."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CliError(f"config file {path} must hold a JSON object")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in doc.items() if value is not None]
 
 
-def _resolve_constraint(opt: _Options):
-    k = opt.get("k")
-    path = opt.get("automaton")
-    if (k is None) == (path is None):
-        raise CliError("give exactly one of --k or --automaton")
-    return int(k) if k is not None else serialize.load_automaton(path)
+def _constraint(ns: argparse.Namespace):
+    return ns.k if ns.k is not None else serialize.load_automaton(ns.automaton)
 
 
 def _load_vec(source: str, n: int) -> np.ndarray:
@@ -178,8 +158,7 @@ def _load_vec(source: str, n: int) -> np.ndarray:
     return v
 
 
-def _print_signals(strings, opt: _Options, T: int) -> None:
-    out = opt.get("out")
+def _print_signals(strings, out: str, T: int) -> None:
     if out == "json":
         print(json.dumps({"T": T, "count": len(strings), "signals": list(strings)}))
     elif out == "csv":
@@ -191,8 +170,7 @@ def _print_signals(strings, opt: _Options, T: int) -> None:
             print(s)
 
 
-def _print_report(report, opt: _Options) -> None:
-    out = opt.get("out")
+def _print_report(report, out: str) -> None:
     if out == "json":
         print(json.dumps(serialize.report_to_dict(report)))
     elif out == "csv":
@@ -223,118 +201,100 @@ def _signal_strings(constraint, T: int, minimal: bool, method: str | None, cap: 
     return minimal_filter(enumerate_admissible(automaton, T, cap=cap)).to_strings()
 
 
-def _require_T(opt: _Options) -> int:
-    T = opt.get("T")
-    if T is None:
-        raise CliError("--T is required")
-    return int(T)
-
-
 def _run_command(ns: argparse.Namespace) -> int:
-    opt = _Options(ns)
     command = ns.command
-    mode = opt.get("mode", "minimal")
-    cap = int(opt.get("exhaustive_cap"))
+    mode = ns.mode
+    cap = ns.exhaustive_cap
     kw = {
-        "rank_tol": opt.get("tol_rank"),
-        "feas_tol": float(opt.get("tol_feas")),
+        "rank_tol": ns.tol_rank,
+        "feas_tol": ns.tol_feas,
     }
 
     if command in ("admissible", "minimal"):
-        constraint = _resolve_constraint(opt)
+        minimal = command == "minimal"
         strings = _signal_strings(
-            constraint, _require_T(opt), command == "minimal", opt.get("method"), cap
+            _constraint(ns), ns.T, minimal, ns.method if minimal else None, cap
         )
-        _print_signals(strings, opt, _require_T(opt))
+        _print_signals(strings, ns.out, ns.T)
         return 0
 
     if command == "study":
-        problem = opt.get("problem")
-        if problem is None:
-            raise CliError("--problem is required")
         cfg = StudyConfig(
-            problem=problem,
-            k=int(opt.get("k", 1)),
-            n=int(opt.get("states", 10)),
-            m=int(opt.get("inputs", 7)),
-            samples=int(opt.get("samples", 50)),
-            T=int(opt.get("T", 12)),
-            seed=int(opt.get("seed", 0)),
-            mode=opt.get("mode", "minimal"),
-            gamma1=float(opt.get("gamma1", 1.0)),
-            gamma2=float(opt.get("gamma2", 0.0)),
-            feas_tol=float(opt.get("tol_feas")),
-            rank_tol=opt.get("tol_rank"),
+            problem=ns.problem,
+            k=ns.k,
+            n=ns.states,
+            m=ns.inputs,
+            samples=ns.samples,
+            T=ns.T,
+            seed=ns.seed,
+            mode=mode,
+            gamma1=ns.gamma1,
+            gamma2=ns.gamma2,
+            feas_tol=ns.tol_feas,
+            rank_tol=ns.tol_rank,
             exhaustive_cap=cap,
         )
         result = run_study(cfg)
-        _print_study(result, opt)
-        threshold = float(opt.get("max_discard_frac", 0.5))
-        if result.discarded_samples > threshold * cfg.samples:
+        _print_study(result, ns.out)
+        if result.discarded_samples > ns.max_discard_frac * cfg.samples:
             return 2
         return 0
 
-    system_path = opt.get("system")
-    if system_path is None:
-        raise CliError("--system is required")
-    sys_model = serialize.load_system(system_path)
-    constraint = _resolve_constraint(opt)
+    sys_model = serialize.load_system(ns.system)
+    constraint = _constraint(ns)
 
     if command == "estimate-time":
         report = worst_estimation_time(
-            sys_model, constraint, _require_T(opt), mode=mode, cap=cap,
+            sys_model, constraint, ns.T, mode=mode, cap=cap,
             rank_tol=kw["rank_tol"],
         )
     elif command == "control-time":
-        x0 = _load_vec(opt.get("x0", "ones"), sys_model.n)
+        x0 = _load_vec(ns.x0, sys_model.n)
         report = worst_control_time(
-            sys_model, constraint, _require_T(opt), x0, mode=mode, cap=cap, **kw
+            sys_model, constraint, ns.T, x0, mode=mode, cap=cap, **kw
         )
     elif command == "fuel":
-        xf = _load_vec(opt.get("xf", "ones"), sys_model.n)
+        xf = _load_vec(ns.xf, sys_model.n)
         report = worst_fuel(
-            sys_model, constraint, _require_T(opt), xf, mode=mode, cap=cap,
-            input_bound=opt.get("input_bound"), **kw,
+            sys_model, constraint, ns.T, xf, mode=mode, cap=cap,
+            input_bound=ns.input_bound, **kw,
         )
     elif command == "energy":
-        xf = _load_vec(opt.get("xf", "ones"), sys_model.n)
+        xf = _load_vec(ns.xf, sys_model.n)
         report = worst_energy(
-            sys_model, constraint, _require_T(opt), xf, mode=mode, cap=cap, **kw
+            sys_model, constraint, ns.T, xf, mode=mode, cap=cap, **kw
         )
     elif command == "fuel-energy":
-        xf = _load_vec(opt.get("xf", "ones"), sys_model.n)
+        xf = _load_vec(ns.xf, sys_model.n)
         report = worst_fuel_energy(
-            sys_model, constraint, _require_T(opt), xf,
-            float(opt.get("gamma1", 1.0)), float(opt.get("gamma2", 1.0)),
+            sys_model, constraint, ns.T, xf,
+            ns.gamma1, ns.gamma2,
             mode=mode, cap=cap, **kw,
         )
     elif command == "reach":
-        poly_path = opt.get("polytope")
-        if poly_path is None:
-            raise CliError("--polytope is required")
-        poly = serialize.load_polytope(poly_path)
+        poly = serialize.load_polytope(ns.polytope)
         reachable, report = polytope_reachable(
-            sys_model, constraint, _require_T(opt), poly, mode=mode, cap=cap,
+            sys_model, constraint, ns.T, poly, mode=mode, cap=cap,
             tol=kw["feas_tol"],
         )
     elif command in ("lqr-maxmin", "lqr-fixed"):
-        wpath = opt.get("weights")
-        if wpath is not None:
-            weights = serialize.load_weights(wpath)
+        if ns.weights is not None:
+            weights = serialize.load_weights(ns.weights)
+        elif ns.T is None:
+            raise CliError("--T is required without --weights")
         else:
-            weights = LqrWeights.identity(sys_model.n, sys_model.m, _require_T(opt))
-        x0 = _load_vec(opt.get("x0", "ones"), sys_model.n)
+            weights = LqrWeights.identity(sys_model.n, sys_model.m, ns.T)
+        x0 = _load_vec(ns.x0, sys_model.n)
         fn = worst_lqr if command == "lqr-maxmin" else worst_fixed_input_lqr
         report = fn(sys_model, constraint, weights, x0, mode=mode, cap=cap)
     else:  # pragma: no cover
         raise CliError(f"unknown command {command}")
 
-    _print_report(report, opt)
+    _print_report(report, ns.out)
     return 0
 
 
-def _print_study(result, opt: _Options) -> None:
-    out = opt.get("out")
+def _print_study(result, out: str) -> None:
     if out == "json":
         doc = {
             "generator": result.generator,
@@ -344,18 +304,7 @@ def _print_study(result, opt: _Options) -> None:
             "avg_time_filter": result.avg_time_filter,
             "discarded_samples": result.discarded_samples,
             "retained_samples": result.retained,
-            "rows": [
-                {
-                    "sample_id": r.sample_id,
-                    "method": r.method,
-                    "rpd_percent": r.rpd_percent,
-                    "nominal": r.nominal,
-                    "worst": r.worst,
-                    "argmax_signal": r.argmax_signal,
-                    "status": r.status,
-                }
-                for r in result.rows
-            ],
+            "rows": [asdict(r) for r in result.rows],
             "reports": [
                 None if rep is None else serialize.report_to_dict(rep)
                 for rep in result.reports
@@ -363,18 +312,10 @@ def _print_study(result, opt: _Options) -> None:
         }
         print(json.dumps(doc))
     elif out == "csv":
-        print("sample_id,method,rpd_percent,nominal,worst,argmax_signal,status")
+        # str of a float is its repr, so CSV values round-trip exactly
+        print(",".join(f.name for f in fields(SampleRow)))
         for r in result.rows:
-            cells = [
-                str(r.sample_id),
-                r.method,
-                "" if r.rpd_percent is None else repr(r.rpd_percent),
-                "" if r.nominal is None else repr(r.nominal),
-                "" if r.worst is None else repr(r.worst),
-                r.argmax_signal or "",
-                r.status,
-            ]
-            print(",".join(cells))
+            print(",".join("" if v is None else str(v) for v in astuple(r)))
     else:
         print(f"problem {result.config.problem}: {result.retained} retained, "
               f"{result.discarded_samples} discarded (generator {result.generator})")
@@ -386,8 +327,11 @@ def _print_study(result, opt: _Options) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
+        # config entries go straight after the subcommand, so explicit flags,
+        # parsed later, win; argparse checks both alike
+        ns = parser.parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
         return _run_command(ns)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -125,12 +125,11 @@ def random_system(
         A = _draw_state_matrix(n, method, rng)
         B = rng.standard_normal((n, m))
         C = rng.standard_normal((p, n))
-        reason = None
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+        try:
+            sys = SwitchedLinearSystem(A, B, C)
+        except ValueError:  # the shapes are right, so A is singular
             reason = "singular_A"
         else:
-            sys = SwitchedLinearSystem(A, B, C)
             if numerical_rank(controllability_matrix(sys, ones), rank_tol) < n:
                 reason = "uncontrollable"
             elif numerical_rank(observability_matrix(sys, ones), rank_tol) < n:
@@ -174,6 +173,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.problem not in STUDY_PROBLEMS:
             raise ValueError(f"problem must be one of {STUDY_PROBLEMS}")
+        if self.mode not in (MINIMAL, EXHAUSTIVE):
+            raise ValueError(f"mode must be {MINIMAL!r} or {EXHAUSTIVE!r}, got {self.mode!r}")
         if self.samples < 1:
             raise ValueError("sample_count must be >= 1")
         if min(self.n, self.m, self.k, self.T) < 1:

@@ -200,6 +200,41 @@ def test_config_file_supplies_flags(capsys, tmp_path):
     assert json.loads(out)["signals"] == ["010", "101"]
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"parallel": 4}, "unrecognized arguments"),
+        ({"out": "xml"}, "invalid choice: 'xml'"),
+        ({"k": 4.0}, "invalid int value: '4.0'"),
+    ],
+)
+def test_config_values_get_flag_checks(capsys, tmp_path, doc, message):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "admissible", "--k", "1", "--T", "3", "--config", str(cfgp))
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_config_null_leaves_flag_default(capsys, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"k": 1, "T": 3, "out": None}))
+    code, out, _ = run_cli(capsys, "admissible", "--config", str(cfgp))
+    assert code == 0
+    assert out.split() == ["010", "011", "101", "110", "111"]
+
+
+@pytest.mark.parametrize("command", ["admissible", "minimal"])
+def test_empty_language_listing(capsys, tmp_path, command):
+    # every word of this automaton has even length, so none has length 3
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"nodes": [1], "start": [1], "edges": [{"from": 1, "to": 1, "label": "10"}]}))
+    code, out, _ = run_cli(capsys, command, "--automaton", str(path), "--T", "3", "--out", "json")
+    assert code == 0
+    assert json.loads(out) == {"T": 3, "count": 0, "signals": []}
+
+
 def test_exhaustive_cap_flag(capsys):
     code, _, err = run_cli(
         capsys, "admissible", "--k", "2", "--T", "12", "--exhaustive-cap", "5"

@@ -12,7 +12,7 @@ from dropctrl import (
     rpd,
     run_study,
 )
-from dropctrl import worstcase
+from dropctrl import study, worstcase
 from dropctrl.solvers import INFEASIBLE, MAX_ITERATIONS, SolveResult
 from dropctrl.study import _sample_rng, haar_orthogonal
 
@@ -61,6 +61,26 @@ def test_random_system_reject_bound():
         # impossible screen: 1 input/output cannot excite 4 states in 1 step
         random_system(4, 1, 1, "gaussian", rng, screen_horizon=1, max_rejects=5, reject_log=log)
     assert len(log) == 5
+
+
+def test_random_system_rejects_singular_A(monkeypatch):
+    draw = study._draw_state_matrix
+    draws = []
+
+    def singular_first(n, method, rng):
+        A = draw(n, method, rng)
+        draws.append(A)
+        if len(draws) == 1:
+            A = A.copy()
+            A[:, 0] = 0.0
+        return A
+
+    monkeypatch.setattr(study, "_draw_state_matrix", singular_first)
+    log = []
+    sys = random_system(4, 2, 2, "gaussian", np.random.default_rng(5), reject_log=log)
+    assert log[0] == "singular_A"
+    assert len(draws) == len(log) + 1
+    assert np.array_equal(sys.A, draws[-1])
 
 
 def test_study_problem_I_structural():
@@ -139,5 +159,7 @@ def test_study_config_validation():
         StudyConfig(problem="I", samples=0)
     with pytest.raises(ValueError):
         StudyConfig(problem="I", n=0)
+    with pytest.raises(ValueError, match="mode"):
+        StudyConfig(problem="I", mode="bogus")
     cfg = StudyConfig(problem="I")
     assert cfg.p == cfg.m
