@@ -50,8 +50,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--tol-rank", type=float)
-    p.add_argument("--tol-feas", type=float, default=1e-9)
     p.add_argument("--exhaustive-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
     p.add_argument("--config", help="JSON object of flag values; explicit flags win")
 
@@ -205,10 +203,6 @@ def _run_command(ns: argparse.Namespace) -> int:
     command = ns.command
     mode = ns.mode
     cap = ns.exhaustive_cap
-    kw = {
-        "rank_tol": ns.tol_rank,
-        "feas_tol": ns.tol_feas,
-    }
 
     if command in ("admissible", "minimal"):
         minimal = command == "minimal"
@@ -230,8 +224,6 @@ def _run_command(ns: argparse.Namespace) -> int:
             mode=mode,
             gamma1=ns.gamma1,
             gamma2=ns.gamma2,
-            feas_tol=ns.tol_feas,
-            rank_tol=ns.tol_rank,
             exhaustive_cap=cap,
         )
         result = run_study(cfg)
@@ -244,38 +236,29 @@ def _run_command(ns: argparse.Namespace) -> int:
     constraint = _constraint(ns)
 
     if command == "estimate-time":
-        report = worst_estimation_time(
-            sys_model, constraint, ns.T, mode=mode, cap=cap,
-            rank_tol=kw["rank_tol"],
-        )
+        report = worst_estimation_time(sys_model, constraint, ns.T, mode=mode, cap=cap)
     elif command == "control-time":
         x0 = _load_vec(ns.x0, sys_model.n)
-        report = worst_control_time(
-            sys_model, constraint, ns.T, x0, mode=mode, cap=cap, **kw
-        )
+        report = worst_control_time(sys_model, constraint, ns.T, x0, mode=mode, cap=cap)
     elif command == "fuel":
         xf = _load_vec(ns.xf, sys_model.n)
         report = worst_fuel(
             sys_model, constraint, ns.T, xf, mode=mode, cap=cap,
-            input_bound=ns.input_bound, **kw,
+            input_bound=ns.input_bound,
         )
     elif command == "energy":
         xf = _load_vec(ns.xf, sys_model.n)
-        report = worst_energy(
-            sys_model, constraint, ns.T, xf, mode=mode, cap=cap, **kw
-        )
+        report = worst_energy(sys_model, constraint, ns.T, xf, mode=mode, cap=cap)
     elif command == "fuel-energy":
         xf = _load_vec(ns.xf, sys_model.n)
         report = worst_fuel_energy(
             sys_model, constraint, ns.T, xf,
-            ns.gamma1, ns.gamma2,
-            mode=mode, cap=cap, **kw,
+            ns.gamma1, ns.gamma2, mode=mode, cap=cap,
         )
     elif command == "reach":
         poly = serialize.load_polytope(ns.polytope)
         reachable, report = polytope_reachable(
-            sys_model, constraint, ns.T, poly, mode=mode, cap=cap,
-            tol=kw["feas_tol"],
+            sys_model, constraint, ns.T, poly, mode=mode, cap=cap
         )
     elif command in ("lqr-maxmin", "lqr-fixed"):
         if ns.weights is not None:

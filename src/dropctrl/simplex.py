@@ -22,6 +22,9 @@ import numpy as np
 __all__ = ["LpResult", "solve_standard_lp"]
 
 _PIVOT_TOL = 1e-9
+# phase 1 calls the LP infeasible when the artificial sum left exceeds this
+# times max(1, sum |b|) of the equilibrated rows
+_PHASE1_TOL = 1e-9
 
 
 @dataclass
@@ -83,17 +86,14 @@ def _run_simplex(T: np.ndarray, basis: list[int], allowed: int, max_iter: int) -
     return "iteration_limit", it
 
 
-def solve_standard_lp(
-    c, A, b, *, max_iter: int | None = None, feas_tol: float = 1e-9
-) -> LpResult:
+def solve_standard_lp(c, A, b) -> LpResult:
     c = np.asarray(c, dtype=float).ravel()
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
     m, n = A.shape
     if c.size != n or b.size != m:
         raise ValueError("inconsistent LP dimensions")
-    if max_iter is None:
-        max_iter = 500 * (m + n + 10)
+    max_iter = 500 * (m + n + 10)  # per phase
     c_orig, A_orig, b_orig = c, A, b
 
     # equilibrate: unit row and column inf-norms keep the fixed pivot
@@ -127,7 +127,7 @@ def solve_standard_lp(
     if status != "optimal":
         return LpResult(status=status, iterations=it1)
     phase1_value = -T[-1, -1]
-    if phase1_value > feas_tol * max(1.0, float(np.abs(b).sum())):
+    if phase1_value > _PHASE1_TOL * max(1.0, float(np.abs(b).sum())):
         return LpResult(status="infeasible", iterations=it1)
 
     # drive artificials out of the basis; rows that cannot pivot are redundant

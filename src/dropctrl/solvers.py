@@ -23,6 +23,8 @@ __all__ = [
     "OPTIMAL",
     "INFEASIBLE",
     "MAX_ITERATIONS",
+    "FEAS_TOL",
+    "check_weights",
     "min_energy",
     "min_fuel",
     "min_inf_norm",
@@ -32,6 +34,14 @@ __all__ = [
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 MAX_ITERATIONS = "max_iterations"
+
+# relative residual an equality target may keep (times ||target||); the
+# worst-case analyses read the same cut for their value thresholds
+FEAS_TOL = 1e-9
+
+# operator-splitting iteration cap and scaled stopping tolerance
+_ADMM_MAX_ITER = 200_000
+_ADMM_TOL = 1e-9
 
 
 @dataclass
@@ -56,13 +66,13 @@ def _prep(Cmat, rhs):
     return C, v
 
 
-def _in_range(C: np.ndarray, v: np.ndarray, tol: float | None = None) -> bool:
+def _in_range(C: np.ndarray, v: np.ndarray) -> bool:
     if not np.linalg.norm(v):
         return True
-    return numerical_rank(np.hstack([C, v[:, None]]), tol) == numerical_rank(C, tol)
+    return numerical_rank(np.hstack([C, v[:, None]])) == numerical_rank(C)
 
 
-def min_energy(Cmat, x_f, feas_tol: float = 1e-9, rank_tol: float | None = None) -> SolveResult:
+def min_energy(Cmat, x_f) -> SolveResult:
     """Minimum 2-norm u with C u = x_f, via the pseudoinverse."""
     C, xf = _prep(Cmat, x_f)
     nxf = float(np.linalg.norm(xf))
@@ -70,22 +80,42 @@ def min_energy(Cmat, x_f, feas_tol: float = 1e-9, rank_tol: float | None = None)
         return SolveResult(OPTIMAL, u=np.zeros(C.shape[1]), value=0.0, residual=0.0)
     u = np.linalg.pinv(C, rcond=1e-13) @ xf
     residual = float(np.linalg.norm(C @ u - xf))
-    if residual > feas_tol * nxf or not _in_range(C, xf, rank_tol):
+    if residual > FEAS_TOL * nxf or not _in_range(C, xf):
         return SolveResult(INFEASIBLE, residual=residual)
     return SolveResult(OPTIMAL, u=u, value=float(np.linalg.norm(u)), residual=residual)
 
 
-def min_fuel(
-    Cmat,
-    x_f,
-    input_bound: float | None = None,
-    feas_tol: float = 1e-9,
-    rank_tol: float | None = None,
-) -> SolveResult:
+def _solve_lp(c, A, b, C: np.ndarray, target: np.ndarray, scale: float) -> SolveResult:
+    """Solve the LP scaled by 1/scale whose first 2q columns are u+ and u-.
+
+    The result is unscaled; the duality gap comes from the simplex dual
+    certificate and the residual is taken against the caller's target.
+    """
+    q = C.shape[1]
+    lp = solve_standard_lp(c, A, b)
+    if lp.status == "infeasible":
+        return SolveResult(INFEASIBLE, iterations=lp.iterations)
+    if lp.status != "optimal":
+        return SolveResult(MAX_ITERATIONS, iterations=lp.iterations)
+    u = scale * (lp.x[:q] - lp.x[q : 2 * q])
+    value = scale * lp.value
+    dual_value = scale * float(b @ lp.dual)
+    gap = abs(value - dual_value) / max(1.0, abs(value))
+    residual = float(np.linalg.norm(C @ u - target))
+    return SolveResult(
+        OPTIMAL,
+        u=u,
+        value=value,
+        residual=residual,
+        duality_gap=gap,
+        iterations=lp.iterations,
+    )
+
+
+def min_fuel(Cmat, x_f, input_bound: float | None = None) -> SolveResult:
     """Minimum 1-norm u with C u = x_f and optionally |u_i| <= input_bound.
 
-    Split u into positive/negative parts and solve the equality-form LP;
-    the reported duality gap comes from the simplex dual certificate.
+    Split u into positive/negative parts and solve the equality-form LP.
     """
     if input_bound is not None and input_bound <= 0:
         raise ValueError("input_bound must be positive")
@@ -94,7 +124,7 @@ def min_fuel(
     scale = float(np.linalg.norm(xf))
     if scale == 0.0:
         return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0, duality_gap=0.0)
-    if not _in_range(C, xf, rank_tol):
+    if not _in_range(C, xf):
         return SolveResult(INFEASIBLE)
     xf_s = xf / scale
     bound_s = None if input_bound is None else input_bound / scale
@@ -113,37 +143,17 @@ def min_fuel(
         )
         b = np.concatenate([xf_s, np.full(q, bound_s)])
         c = np.concatenate([np.ones(2 * q), np.zeros(q)])
-
-    lp = solve_standard_lp(c, A, b, feas_tol=feas_tol)
-    if lp.status == "infeasible":
-        return SolveResult(INFEASIBLE, iterations=lp.iterations)
-    if lp.status != "optimal":
-        return SolveResult(MAX_ITERATIONS, iterations=lp.iterations)
-    u = scale * (lp.x[:q] - lp.x[q : 2 * q])
-    value = scale * lp.value
-    dual_value = scale * float(b @ lp.dual)
-    gap = abs(value - dual_value) / max(1.0, abs(value))
-    residual = float(np.linalg.norm(C @ u - xf))
-    return SolveResult(
-        OPTIMAL,
-        u=u,
-        value=value,
-        residual=residual,
-        duality_gap=gap,
-        iterations=lp.iterations,
-    )
+    return _solve_lp(c, A, b, C, xf, scale)
 
 
-def min_inf_norm(
-    Cmat, b, feas_tol: float = 1e-9, rank_tol: float | None = None
-) -> SolveResult:
+def min_inf_norm(Cmat, b) -> SolveResult:
     """Minimum infinity-norm u with C u = b (LP with a shared peak variable)."""
     C, rhs = _prep(Cmat, b)
     n, q = C.shape
     scale = float(np.linalg.norm(rhs))
     if scale == 0.0:
         return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0, duality_gap=0.0)
-    if not _in_range(C, rhs, rank_tol):
+    if not _in_range(C, rhs):
         return SolveResult(INFEASIBLE)
     rhs_s = rhs / scale
     # columns: u+ (q), u- (q), peak t (1), slack w (q)
@@ -156,24 +166,7 @@ def min_inf_norm(
     bb = np.concatenate([rhs_s, np.zeros(q)])
     c = np.zeros(3 * q + 1)
     c[2 * q] = 1.0
-    lp = solve_standard_lp(c, A, bb, feas_tol=feas_tol)
-    if lp.status == "infeasible":
-        return SolveResult(INFEASIBLE, iterations=lp.iterations)
-    if lp.status != "optimal":
-        return SolveResult(MAX_ITERATIONS, iterations=lp.iterations)
-    u = scale * (lp.x[:q] - lp.x[q : 2 * q])
-    value = scale * lp.value
-    dual_value = scale * float(bb @ lp.dual)
-    gap = abs(value - dual_value) / max(1.0, abs(value))
-    residual = float(np.linalg.norm(C @ u - rhs))
-    return SolveResult(
-        OPTIMAL,
-        u=u,
-        value=value,
-        residual=residual,
-        duality_gap=gap,
-        iterations=lp.iterations,
-    )
+    return _solve_lp(c, A, bb, C, rhs, scale)
 
 
 def _shrink(v: np.ndarray, l1: float, l2: float) -> np.ndarray:
@@ -188,16 +181,13 @@ def _shrink(v: np.ndarray, l1: float, l2: float) -> np.ndarray:
     return v
 
 
-def min_fuel_energy(
-    Cmat,
-    x_f,
-    gamma1: float,
-    gamma2: float,
-    feas_tol: float = 1e-9,
-    rank_tol: float | None = None,
-    max_iter: int = 200_000,
-    tol: float = 1e-9,
-) -> SolveResult:
+def check_weights(gamma1: float, gamma2: float) -> None:
+    """Reject fuel+energy weights unless gamma1, gamma2 >= 0 and gamma1 + gamma2 > 0."""
+    if gamma1 < 0 or gamma2 < 0 or gamma1 + gamma2 <= 0:
+        raise ValueError("need gamma1, gamma2 >= 0 with gamma1 + gamma2 > 0")
+
+
+def min_fuel_energy(Cmat, x_f, gamma1: float, gamma2: float) -> SolveResult:
     """Minimize gamma1*||u||_1 + gamma2*||u||_2 subject to C u = x_f.
 
     Operator splitting between the affine constraint set (projection via a
@@ -205,14 +195,13 @@ def min_fuel_energy(
     with over-relaxation and residual-balanced penalty adaptation.  The
     reported u is the projected, exactly feasible iterate.
     """
-    if gamma1 < 0 or gamma2 < 0 or gamma1 + gamma2 <= 0:
-        raise ValueError("need gamma1, gamma2 >= 0 with gamma1 + gamma2 > 0")
+    check_weights(gamma1, gamma2)
     C, xf = _prep(Cmat, x_f)
     q = C.shape[1]
     scale = float(np.linalg.norm(xf))
     if scale == 0.0:
         return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0)
-    if not _in_range(C, xf, rank_tol):
+    if not _in_range(C, xf):
         return SolveResult(INFEASIBLE)
 
     P = np.linalg.pinv(C, rcond=1e-13)
@@ -230,7 +219,7 @@ def min_fuel_energy(
     w = np.zeros(q)
     obj_window: list[float] = []
     u = u_part
-    for it in range(1, max_iter + 1):
+    for it in range(1, _ADMM_MAX_ITER + 1):
         u = project(z - w)
         u_relaxed = alpha * u + (1.0 - alpha) * z
         z_new = _shrink(u_relaxed + w, gamma1 / rho, gamma2 / rho)
@@ -243,7 +232,7 @@ def min_fuel_energy(
         if len(obj_window) > 25:
             obj_window.pop(0)
         ref = max(1.0, float(np.linalg.norm(u)))
-        if primal <= tol * ref and dual <= tol * ref:
+        if primal <= _ADMM_TOL * ref and dual <= _ADMM_TOL * ref:
             stable = max(obj_window) - min(obj_window) <= 1e-7 * max(1.0, obj)
             if stable:
                 break
@@ -261,7 +250,7 @@ def min_fuel_energy(
             u=u_final,
             value=objective(u_final),
             residual=float(np.linalg.norm(C @ u_final - xf)),
-            iterations=max_iter,
+            iterations=_ADMM_MAX_ITER,
         )
 
     u_final = scale * u

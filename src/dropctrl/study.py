@@ -29,6 +29,7 @@ from .automata import (
     minimal_signals_bfs,
 )
 from .signals import Signal, minimal_filter
+from .solvers import check_weights
 from .systems import (
     SwitchedLinearSystem,
     controllability_matrix,
@@ -109,7 +110,6 @@ def random_system(
     rng: np.random.Generator,
     max_rejects: int = 100,
     screen_horizon: int | None = None,
-    rank_tol: float | None = None,
     reject_log: list | None = None,
 ) -> SwitchedLinearSystem:
     """Draw a controllable and observable system with an invertible A.
@@ -130,9 +130,9 @@ def random_system(
         except ValueError:  # the shapes are right, so A is singular
             reason = "singular_A"
         else:
-            if numerical_rank(controllability_matrix(sys, ones), rank_tol) < n:
+            if numerical_rank(controllability_matrix(sys, ones)) < n:
                 reason = "uncontrollable"
-            elif numerical_rank(observability_matrix(sys, ones), rank_tol) < n:
+            elif numerical_rank(observability_matrix(sys, ones)) < n:
                 reason = "unobservable"
             else:
                 return sys
@@ -145,9 +145,9 @@ def random_system(
             )
 
 
-def rpd(worst: float, nominal: float, tol: float = 1e-12) -> float:
-    """Relative performance degradation in percent; nominal must be positive."""
-    if not math.isfinite(nominal) or nominal <= tol:
+def rpd(worst: float, nominal: float) -> float:
+    """Relative performance degradation in percent; nominal must exceed 1e-12."""
+    if not math.isfinite(nominal) or nominal <= 1e-12:
         raise ValueError(f"nominal value {nominal} is not usably positive")
     return 100.0 * (worst - nominal) / nominal
 
@@ -165,9 +165,6 @@ class StudyConfig:
     mode: str = MINIMAL
     gamma1: float = 1.0
     gamma2: float = 0.0
-    input_bound: float | None = None
-    feas_tol: float = 1e-9
-    rank_tol: float | None = None
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
 
     def __post_init__(self):
@@ -176,7 +173,8 @@ class StudyConfig:
         if self.mode not in (MINIMAL, EXHAUSTIVE):
             raise ValueError(f"mode must be {MINIMAL!r} or {EXHAUSTIVE!r}, got {self.mode!r}")
         if self.samples < 1:
-            raise ValueError("sample_count must be >= 1")
+            raise ValueError("samples must be >= 1")
+        check_weights(self.gamma1, self.gamma2)
         if min(self.n, self.m, self.k, self.T) < 1:
             raise ValueError("dimensions, k and T must be positive")
         if self.p is None:
@@ -222,22 +220,17 @@ def _analysis(cfg: StudyConfig, sys: SwitchedLinearSystem):
     """The study problem's worst-case analysis as run(constraint, mode) -> report."""
     x = np.ones(sys.n)
     cap = cfg.exhaustive_cap
-    tols = {"feas_tol": cfg.feas_tol, "rank_tol": cfg.rank_tol}
     if cfg.problem == "I":
-        return lambda c, mode: worst_estimation_time(
-            sys, c, cfg.T, mode, rank_tol=cfg.rank_tol, cap=cap
-        )
+        return lambda c, mode: worst_estimation_time(sys, c, cfg.T, mode, cap=cap)
     if cfg.problem == "II":
-        return lambda c, mode: worst_control_time(sys, c, cfg.T, x, mode, cap=cap, **tols)
+        return lambda c, mode: worst_control_time(sys, c, cfg.T, x, mode, cap=cap)
     if cfg.problem == "III":
         if cfg.gamma2 == 0.0:
-            return lambda c, mode: worst_fuel(
-                sys, c, cfg.T, x, mode, input_bound=cfg.input_bound, cap=cap, **tols
-            )
+            return lambda c, mode: worst_fuel(sys, c, cfg.T, x, mode, cap=cap)
         if cfg.gamma1 == 0.0:
-            return lambda c, mode: worst_energy(sys, c, cfg.T, x, mode, cap=cap, **tols)
+            return lambda c, mode: worst_energy(sys, c, cfg.T, x, mode, cap=cap)
         return lambda c, mode: worst_fuel_energy(
-            sys, c, cfg.T, x, cfg.gamma1, cfg.gamma2, mode, cap=cap, **tols
+            sys, c, cfg.T, x, cfg.gamma1, cfg.gamma2, mode, cap=cap
         )
     weights = LqrWeights.identity(sys.n, sys.m, cfg.T)
     analysis = worst_lqr if cfg.problem == "V" else worst_fixed_input_lqr
@@ -296,8 +289,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         try:
             sys = random_system(
                 cfg.n, cfg.m, cfg.p, method, rng,
-                screen_horizon=max(cfg.n, cfg.T),
-                rank_tol=cfg.rank_tol, reject_log=reject_reasons,
+                screen_horizon=max(cfg.n, cfg.T), reject_log=reject_reasons,
             )
             nominal, worst, argmax, reason, report = _evaluate_sample(cfg, sys)
             reports.append(report)

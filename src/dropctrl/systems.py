@@ -173,9 +173,7 @@ def numerical_rank(M, tol: float | None = None) -> int:
     return int(np.count_nonzero(sv > tol))
 
 
-def first_full_rank_time(
-    sys: SwitchedLinearSystem, s: Signal, tol: float | None = None
-) -> int | None:
+def first_full_rank_time(sys: SwitchedLinearSystem, s: Signal) -> int | None:
     """Least t with the observability matrix over s(0..t) of full column rank.
 
     Returns None when no prefix achieves rank n (estimation infeasible for
@@ -190,7 +188,7 @@ def first_full_rank_time(
             rows.append(M)
             successes += 1
             # rank cannot reach n before p * successes >= n
-            if successes * sys.p >= n and numerical_rank(np.vstack(rows), tol) == n:
+            if successes * sys.p >= n and numerical_rank(np.vstack(rows)) == n:
                 return t
         if t < len(s) - 1:
             M = M @ sys.A

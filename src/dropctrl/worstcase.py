@@ -27,6 +27,7 @@ from .automata import (
 from .lqr import LqrWeights, degraded_cost, lqr_cost, lti_gains, riccati_backward
 from .signals import Signal, SignalSet, minimal_filter
 from .solvers import (
+    FEAS_TOL,
     INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
@@ -156,14 +157,13 @@ def worst_estimation_time(
     constraint: Automaton | int,
     T: int,
     mode: str = MINIMAL,
-    rank_tol: float | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
     """Problem I: worst first time the masked observability matrix reaches rank n."""
     signals = candidate_signals(constraint, T, mode, cap)
 
     def evaluate(s: Signal) -> tuple[float, str]:
-        t = first_full_rank_time(sys, s, tol=rank_tol)
+        t = first_full_rank_time(sys, s)
         return (math.inf, INFEASIBLE) if t is None else (float(t), OPTIMAL)
 
     report = _scan("I", mode, signals, evaluate)
@@ -179,8 +179,6 @@ def worst_control_time(
     T: int,
     x0,
     mode: str = MINIMAL,
-    feas_tol: float = 1e-9,
-    rank_tol: float | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
     """Problem II: worst minimum time to park the state at the origin.
@@ -202,13 +200,8 @@ def worst_control_time(
     def evaluate(s: Signal) -> tuple[float, str]:
         for t in range(T):
             prefix = Signal(s.bits[: t + 1])
-            res = min_inf_norm(
-                controllability_matrix(sys, prefix),
-                targets[t],
-                feas_tol=feas_tol,
-                rank_tol=rank_tol,
-            )
-            if res.status == OPTIMAL and res.value <= 1.0 + feas_tol:
+            res = min_inf_norm(controllability_matrix(sys, prefix), targets[t])
+            if res.status == OPTIMAL and res.value <= 1.0 + FEAS_TOL:
                 return float(t), OPTIMAL
         return math.inf, INFEASIBLE
 
@@ -251,15 +244,13 @@ def worst_fuel(
     x_f,
     mode: str = MINIMAL,
     input_bound: float | None = None,
-    feas_tol: float = 1e-9,
-    rank_tol: float | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
     """Problem III with a pure 1-norm objective (per-signal LP)."""
     x_f = np.asarray(x_f, dtype=float).ravel()
     return _worst_input_norm(
         "III",
-        lambda C: min_fuel(C, x_f, input_bound=input_bound, feas_tol=feas_tol, rank_tol=rank_tol),
+        lambda C: min_fuel(C, x_f, input_bound=input_bound),
         sys,
         constraint,
         T,
@@ -275,15 +266,13 @@ def worst_energy(
     T: int,
     x_f,
     mode: str = MINIMAL,
-    feas_tol: float = 1e-9,
-    rank_tol: float | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
     """Problem III with a pure 2-norm objective (per-signal least-norm)."""
     x_f = np.asarray(x_f, dtype=float).ravel()
     return _worst_input_norm(
         "III",
-        lambda C: min_energy(C, x_f, feas_tol=feas_tol, rank_tol=rank_tol),
+        lambda C: min_energy(C, x_f),
         sys,
         constraint,
         T,
@@ -301,17 +290,13 @@ def worst_fuel_energy(
     gamma1: float,
     gamma2: float,
     mode: str = MINIMAL,
-    feas_tol: float = 1e-9,
-    rank_tol: float | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
     """Problem III with the combined weighted 1-norm + 2-norm objective."""
     x_f = np.asarray(x_f, dtype=float).ravel()
     return _worst_input_norm(
         "III",
-        lambda C: min_fuel_energy(
-            C, x_f, gamma1, gamma2, feas_tol=feas_tol, rank_tol=rank_tol
-        ),
+        lambda C: min_fuel_energy(C, x_f, gamma1, gamma2),
         sys,
         constraint,
         T,
@@ -327,7 +312,6 @@ def polytope_reachable(
     T: int,
     poly: Polytope,
     mode: str = MINIMAL,
-    tol: float = 1e-9,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> tuple[bool, WorstCaseReport]:
     """Problem IV: is every vertex inside every unit-energy reachable ellipsoid?
@@ -335,7 +319,7 @@ def polytope_reachable(
     The per-signal value is the largest quadratic form v' W^+ v over the
     vertices; a vertex with a component outside the Gramian's range is
     unreachable and scores +infinity.  Containment holds when the worst
-    value is at most 1 (+ tol).
+    value is at most 1 + FEAS_TOL.
     """
     V = poly.vertices
     if V.shape[1] != sys.n:
@@ -360,8 +344,8 @@ def polytope_reachable(
         return worst, OPTIMAL
 
     signals = candidate_signals(constraint, T, mode, cap)
-    report = _scan("IV", mode, signals, evaluate, {"tolerance": tol})
-    reachable = report.worst_value <= 1.0 + tol
+    report = _scan("IV", mode, signals, evaluate, {"tolerance": FEAS_TOL})
+    reachable = report.worst_value <= 1.0 + FEAS_TOL
     report.info["reachable"] = reachable
     report.feasible = reachable
     return reachable, report

@@ -206,6 +206,7 @@ def test_config_file_supplies_flags(capsys, tmp_path):
         ({"parallel": 4}, "unrecognized arguments"),
         ({"out": "xml"}, "invalid choice: 'xml'"),
         ({"k": 4.0}, "invalid int value: '4.0'"),
+        ({"tol_feas": 1e-8}, "unrecognized arguments"),
     ],
 )
 def test_config_values_get_flag_checks(capsys, tmp_path, doc, message):
@@ -243,9 +244,13 @@ def test_exhaustive_cap_flag(capsys):
     assert "cap" in err
 
 
-def test_unknown_argument_exit_1(capsys):
-    code, _, err = run_cli(capsys, "minimal", "--k", "1", "--T", "4", "--bogus")
+@pytest.mark.parametrize(
+    "extra", [["--bogus"], ["--tol-rank", "1e-6"], ["--tol-feas", "1e-8"]], ids=" ".join
+)
+def test_unknown_argument_exit_1(capsys, extra):
+    code, _, err = run_cli(capsys, "minimal", "--k", "1", "--T", "4", *extra)
     assert code == 1
+    assert "unrecognized arguments" in err
 
 
 def test_study_discard_threshold_exit_2(capsys):

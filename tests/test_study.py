@@ -161,5 +161,9 @@ def test_study_config_validation():
         StudyConfig(problem="I", n=0)
     with pytest.raises(ValueError, match="mode"):
         StudyConfig(problem="I", mode="bogus")
+    with pytest.raises(ValueError, match="gamma"):
+        StudyConfig(problem="III", gamma1=-1, gamma2=1)
+    with pytest.raises(ValueError, match="gamma"):
+        StudyConfig(problem="III", gamma1=0, gamma2=-1)
     cfg = StudyConfig(problem="I")
     assert cfg.p == cfg.m
