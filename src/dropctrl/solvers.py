@@ -2,9 +2,11 @@
 
 Each routine targets   C u = x_f   for a signal-masked controllability
 matrix C and returns a SolveResult rather than raising on unreachable
-targets.  The 1-norm and infinity-norm problems are linear programs run
-through the in-house simplex; the 2-norm problem is closed form via the
-pseudoinverse; the combined 1-norm + 2-norm objective is handled by an
+targets.  One thin SVD of C, cut where numerical_rank cuts, decides the
+range test: x_f is reachable when its part off C's range is at most
+FEAS_TOL * ||x_f||.  The 1-norm and infinity-norm problems are linear
+programs run through the in-house simplex; the 2-norm problem is closed
+form from the SVD; the combined 1-norm + 2-norm objective is handled by an
 operator-splitting iteration whose proximal step composes soft
 thresholding with a radial shrink.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import solve_standard_lp
-from .systems import numerical_rank
+from .systems import _rank_cut
 
 __all__ = [
     "SolveResult",
@@ -35,8 +37,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 MAX_ITERATIONS = "max_iterations"
 
-# relative residual an equality target may keep (times ||target||); the
-# worst-case analyses read the same cut for their value thresholds
+# part of an equality target that may lie off C's range (times ||target||);
+# the worst-case analyses read the same cut for their value thresholds
 FEAS_TOL = 1e-9
 
 # operator-splitting iteration cap and scaled stopping tolerance
@@ -66,21 +68,27 @@ def _prep(Cmat, rhs):
     return C, v
 
 
-def _in_range(C: np.ndarray, v: np.ndarray) -> bool:
-    if not np.linalg.norm(v):
-        return True
-    return numerical_rank(np.hstack([C, v[:, None]])) == numerical_rank(C)
+def _factor(C: np.ndarray):
+    """One thin SVD of C: U_r, s_r, V_r for the singular values above the rank cut."""
+    U, s, Vt = np.linalg.svd(C, full_matrices=False)
+    r = int(np.count_nonzero(s > _rank_cut(C.shape, s)))
+    return U[:, :r], s[:r], Vt[:r].T
+
+
+def _range_test(U: np.ndarray, v: np.ndarray):
+    """U'v, and whether v (or each row of v) is off span(U) by at most FEAS_TOL * ||v||."""
+    c = v @ U
+    return c, np.linalg.norm(v - c @ U.T, axis=-1) <= FEAS_TOL * np.linalg.norm(v, axis=-1)
 
 
 def min_energy(Cmat, x_f) -> SolveResult:
-    """Minimum 2-norm u with C u = x_f, via the pseudoinverse."""
+    """Minimum 2-norm u = V_r (U_r' x_f / s_r) with C u = x_f; the residual is a report."""
     C, xf = _prep(Cmat, x_f)
-    nxf = float(np.linalg.norm(xf))
-    if nxf == 0.0:
-        return SolveResult(OPTIMAL, u=np.zeros(C.shape[1]), value=0.0, residual=0.0)
-    u = np.linalg.pinv(C, rcond=1e-13) @ xf
+    U, s, V = _factor(C)
+    coeff, reached = _range_test(U, xf)
+    u = V @ (coeff / s)
     residual = float(np.linalg.norm(C @ u - xf))
-    if residual > FEAS_TOL * nxf or not _in_range(C, xf):
+    if not reached:
         return SolveResult(INFEASIBLE, residual=residual)
     return SolveResult(OPTIMAL, u=u, value=float(np.linalg.norm(u)), residual=residual)
 
@@ -88,9 +96,12 @@ def min_energy(Cmat, x_f) -> SolveResult:
 def _solve_lp(c, A, b, C: np.ndarray, target: np.ndarray, scale: float) -> SolveResult:
     """Solve the LP scaled by 1/scale whose first 2q columns are u+ and u-.
 
-    The result is unscaled; the duality gap comes from the simplex dual
-    certificate and the residual is taken against the caller's target.
+    A target off C's range is infeasible without an LP.  The result is
+    unscaled; the duality gap comes from the simplex dual certificate and
+    the residual is taken against the caller's target.
     """
+    if not _range_test(_factor(C)[0], target)[1]:
+        return SolveResult(INFEASIBLE)
     q = C.shape[1]
     lp = solve_standard_lp(c, A, b)
     if lp.status == "infeasible":
@@ -124,8 +135,6 @@ def min_fuel(Cmat, x_f, input_bound: float | None = None) -> SolveResult:
     scale = float(np.linalg.norm(xf))
     if scale == 0.0:
         return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0, duality_gap=0.0)
-    if not _in_range(C, xf):
-        return SolveResult(INFEASIBLE)
     xf_s = xf / scale
     bound_s = None if input_bound is None else input_bound / scale
 
@@ -153,8 +162,6 @@ def min_inf_norm(Cmat, b) -> SolveResult:
     scale = float(np.linalg.norm(rhs))
     if scale == 0.0:
         return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0, duality_gap=0.0)
-    if not _in_range(C, rhs):
-        return SolveResult(INFEASIBLE)
     rhs_s = rhs / scale
     # columns: u+ (q), u- (q), peak t (1), slack w (q)
     A = np.block(
@@ -190,8 +197,8 @@ def check_weights(gamma1: float, gamma2: float) -> None:
 def min_fuel_energy(Cmat, x_f, gamma1: float, gamma2: float) -> SolveResult:
     """Minimize gamma1*||u||_1 + gamma2*||u||_2 subject to C u = x_f.
 
-    Operator splitting between the affine constraint set (projection via a
-    precomputed pseudoinverse) and the norm objective (proximal shrink),
+    Operator splitting between the affine constraint set (projection with
+    C's right singular vectors V_r) and the norm objective (proximal shrink),
     with over-relaxation and residual-balanced penalty adaptation.  The
     reported u is the projected, exactly feasible iterate.
     """
@@ -201,14 +208,14 @@ def min_fuel_energy(Cmat, x_f, gamma1: float, gamma2: float) -> SolveResult:
     scale = float(np.linalg.norm(xf))
     if scale == 0.0:
         return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0)
-    if not _in_range(C, xf):
+    U, s, V = _factor(C)
+    coeff, reached = _range_test(U, xf / scale)
+    if not reached:
         return SolveResult(INFEASIBLE)
-
-    P = np.linalg.pinv(C, rcond=1e-13)
-    u_part = P @ (xf / scale)
+    u_part = V @ (coeff / s)
 
     def project(v):
-        return v - P @ (C @ v) + u_part
+        return v - V @ (V.T @ v) + u_part
 
     def objective(v):
         return gamma1 * float(np.abs(v).sum()) + gamma2 * float(np.linalg.norm(v))

@@ -175,10 +175,10 @@ class StudyConfig:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         check_weights(self.gamma1, self.gamma2)
-        if min(self.n, self.m, self.k, self.T) < 1:
-            raise ValueError("dimensions, k and T must be positive")
         if self.p is None:
             self.p = self.m
+        if min(self.n, self.m, self.p, self.k, self.T) < 1:
+            raise ValueError("dimensions, k and T must be positive")
 
 
 @dataclass

@@ -162,6 +162,11 @@ def reachability_gramian(sys: SwitchedLinearSystem, s: Signal) -> Gramian:
     return Gramian(W=(W + W.T) / 2.0, horizon=len(s))
 
 
+def _rank_cut(shape: tuple[int, ...], sv: np.ndarray) -> float:
+    """The default rank cut max(dim) * eps * s_max for descending singular values sv."""
+    return max(shape) * np.finfo(float).eps * sv[0]
+
+
 def numerical_rank(M, tol: float | None = None) -> int:
     """Count of singular values above tol (default max(dim) * eps * s_max)."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -169,7 +174,7 @@ def numerical_rank(M, tol: float | None = None) -> int:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
     if tol is None:
-        tol = max(M.shape) * np.finfo(float).eps * sv[0]
+        tol = _rank_cut(M.shape, sv)
     return int(np.count_nonzero(sv > tol))
 
 

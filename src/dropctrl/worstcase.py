@@ -31,6 +31,8 @@ from .solvers import (
     INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
+    _factor,
+    _range_test,
     min_energy,
     min_fuel,
     min_fuel_energy,
@@ -40,7 +42,6 @@ from .systems import (
     SwitchedLinearSystem,
     controllability_matrix,
     first_full_rank_time,
-    reachability_gramian,
 )
 
 __all__ = [
@@ -316,32 +317,22 @@ def polytope_reachable(
 ) -> tuple[bool, WorstCaseReport]:
     """Problem IV: is every vertex inside every unit-energy reachable ellipsoid?
 
-    The per-signal value is the largest quadratic form v' W^+ v over the
-    vertices; a vertex with a component outside the Gramian's range is
-    unreachable and scores +infinity.  Containment holds when the worst
-    value is at most 1 + FEAS_TOL.
+    The per-signal value is the largest least input energy over the
+    vertices, v' W^+ v = ||s_r^-1 U_r' v||^2, read from one SVD of the
+    controllability matrix C rather than from W = CC', whose condition
+    number is cond(C)^2; a vertex off C's range is unreachable and scores
+    +infinity.  Containment holds when the worst value is at most 1 + FEAS_TOL.
     """
     V = poly.vertices
     if V.shape[1] != sys.n:
         raise ValueError(f"vertices must have dimension {sys.n}")
 
     def evaluate(s: Signal) -> tuple[float, str]:
-        W = reachability_gramian(sys, s).W
-        eigvals, eigvecs = np.linalg.eigh(W)
-        lam_max = float(eigvals[-1]) if eigvals.size else 0.0
-        cut = max(lam_max, 1.0) * len(eigvals) * np.finfo(float).eps
-        in_range = eigvals > cut
-        worst = 0.0
-        for v in V:
-            nv = float(np.linalg.norm(v))
-            if nv == 0.0:
-                continue
-            coeff = eigvecs.T @ v
-            if np.linalg.norm(coeff[~in_range]) > 1e-9 * nv:
-                return math.inf, "unreachable_vertex"
-            form = float(np.sum(coeff[in_range] ** 2 / eigvals[in_range]))
-            worst = max(worst, form)
-        return worst, OPTIMAL
+        U, sv, _ = _factor(controllability_matrix(sys, s))
+        coeff, reached = _range_test(U, V)
+        if not reached.all():
+            return math.inf, "unreachable_vertex"
+        return float(np.max(np.sum((coeff / sv) ** 2, axis=1))), OPTIMAL
 
     signals = candidate_signals(constraint, T, mode, cap)
     report = _scan("IV", mode, signals, evaluate, {"tolerance": FEAS_TOL})

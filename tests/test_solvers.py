@@ -7,10 +7,13 @@ import pytest
 from dropctrl import (
     INFEASIBLE,
     OPTIMAL,
+    Polytope,
+    SwitchedLinearSystem,
     min_energy,
     min_fuel,
     min_fuel_energy,
     min_inf_norm,
+    polytope_reachable,
 )
 
 
@@ -266,3 +269,50 @@ def test_min_fuel_energy_feasibility_and_residual():
         min_fuel_energy(C, xf, 0.0, 0.0)
     with pytest.raises(ValueError):
         min_fuel_energy(C, xf, -1.0, 1.0)
+
+
+def count_decompositions(monkeypatch):
+    counts = dict.fromkeys(("svd", "pinv", "eigh", "eigvalsh"), 0)
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        min_energy,
+        min_fuel,
+        min_inf_norm,
+        lambda C, xf: min_fuel_energy(C, xf, 1.0, 1.0),
+    ],
+    ids=["energy", "fuel", "inf_norm", "fuel_energy"],
+)
+@pytest.mark.parametrize("reachable", [True, False])
+def test_one_svd_per_solve(monkeypatch, solve, reachable):
+    rng = np.random.default_rng(61)
+    C = rng.standard_normal((3, 6))
+    if not reachable:
+        C[2] = 0.0
+    xf = np.array([1.0, -0.5, 2.0])
+    counts = count_decompositions(monkeypatch)
+    res = solve(C, xf)
+    assert res.status == (OPTIMAL if reachable else INFEASIBLE)
+    assert counts == {"svd": 1, "pinv": 0, "eigh": 0, "eigvalsh": 0}
+
+
+def test_polytope_one_svd_per_signal(monkeypatch):
+    rng = np.random.default_rng(67)
+    sys = SwitchedLinearSystem(
+        rng.standard_normal((3, 3)), rng.standard_normal((3, 1)), np.eye(3)
+    )
+    poly = Polytope(rng.standard_normal((4, 3)))
+    counts = count_decompositions(monkeypatch)
+    _, rep = polytope_reachable(sys, 1, 6, poly)
+    assert counts == {"svd": len(rep.per_signal), "pinv": 0, "eigh": 0, "eigvalsh": 0}

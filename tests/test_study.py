@@ -159,6 +159,8 @@ def test_study_config_validation():
         StudyConfig(problem="I", samples=0)
     with pytest.raises(ValueError):
         StudyConfig(problem="I", n=0)
+    with pytest.raises(ValueError, match="positive"):
+        StudyConfig(problem="I", n=3, m=2, p=0, samples=2, T=4, seed=1)
     with pytest.raises(ValueError, match="mode"):
         StudyConfig(problem="I", mode="bogus")
     with pytest.raises(ValueError, match="gamma"):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, Generator, SeedSequence
 
 from dropctrl import (
     Automaton,
@@ -14,6 +15,7 @@ from dropctrl import (
     controllability_matrix,
     min_energy,
     polytope_reachable,
+    random_system,
     reachability_gramian,
     worst_control_time,
     worst_energy,
@@ -268,3 +270,42 @@ def test_argmax_tie_break_is_lexicographic():
     rep = worst_energy(eye, 1, 3, [1.0], mode="exhaustive")
     attainers = [str(e.signal) for e in rep.per_signal if e.value == rep.worst_value]
     assert str(rep.argmax_signal) == min(attainers)
+
+
+# the study's badly scaled recipe at n=3: the all-ones C has kappa 4.5e7 to
+# 4.5e9 at T=8, where a rank or residual cut placed near rounding wrongly
+# reports +inf
+def x10_plant(seed):
+    rng = Generator(PCG64(SeedSequence(seed, spawn_key=(1000, 2))))
+    return random_system(3, 2, 2, "gaussian_x10", rng, screen_horizon=8)
+
+
+@pytest.mark.parametrize("seed, k", [(3, 1), (3, 2), (9, 2), (27, 1), (27, 2)])
+def test_energy_minimal_equals_exhaustive_on_ill_conditioned_plants(seed, k):
+    sys = x10_plant(seed)
+    fast = worst_energy(sys, k, 8, np.ones(3), mode="minimal").worst_value
+    full = worst_energy(sys, k, 8, np.ones(3), mode="exhaustive").worst_value
+    assert math.isfinite(full)
+    assert full == pytest.approx(fast, rel=1e-8)
+
+
+def test_min_energy_reaches_target_of_ill_conditioned_plant():
+    C = controllability_matrix(x10_plant(9), Signal.ones(8))
+    sv = np.linalg.svd(C, compute_uv=False)
+    assert sv[0] / sv[-1] > 1e9  # singular values 2.6e10, 3.0e7 and 5.9
+    res = min_energy(C, np.ones(3))
+    assert res.status == "optimal"
+    u_ref, *_ = np.linalg.lstsq(C, np.ones(3), rcond=None)
+    assert res.value == pytest.approx(np.linalg.norm(u_ref), rel=1e-6)
+
+
+def test_polytope_finite_on_ill_conditioned_plant():
+    sys = x10_plant(9)
+    poly = Polytope(0.01 * np.vstack([np.eye(3), -np.eye(3)]))
+    ok, rep = polytope_reachable(sys, 1, 8, poly)
+    assert ok and math.isfinite(rep.worst_value)
+    for entry in rep.per_signal:
+        C = controllability_matrix(sys, entry.signal)
+        expected = max(min_energy(C, v).value ** 2 for v in poly.vertices)
+        assert entry.status == "optimal"
+        assert entry.value == pytest.approx(expected, rel=1e-8)
