@@ -16,6 +16,7 @@ from dropctrl import (
     enumerate_admissible,
     is_admissible,
     is_minimal_k,
+    minimal_admissible,
     minimal_filter,
     minimal_signals_bfs,
 )
@@ -35,10 +36,12 @@ print("\nsupport order: 0101 below 0111?", dominates(Signal("0101"), Signal("011
 minimal = minimal_filter(language)
 print(f"minimal words (dominance filter): {' '.join(minimal.to_strings())}")
 print(f"minimal words (compact automaton): {' '.join(minimal_signals_bfs(k, T).to_strings())}")
+print(f"minimal words (pair construction): {' '.join(minimal_admissible(auto, T).to_strings())}")
 print("surround test agrees:",
       all(is_minimal_k(s, k) for s in minimal))
 
-# the compact generator pays off as the horizon grows
+# direct generators pay off as the horizon grows; the pair construction
+# works on any automaton, the compact one only for the k family
 compact = build_k_minimal_automaton(3)
 print("\ncompact automaton for k=3:")
 for e in compact.edges:
@@ -48,7 +51,12 @@ for kk, TT in ((3, 14), (3, 20)):
     t0 = time.perf_counter()
     fast = minimal_signals_bfs(kk, TT)
     t_fast = time.perf_counter() - t0
-    line = f"k={kk} T={TT}: {len(fast)} minimal words, bfs {t_fast*1e3:.2f} ms"
+    t0 = time.perf_counter()
+    pairs = minimal_admissible(build_k_constraint_automaton(kk), TT)
+    t_pairs = time.perf_counter() - t0
+    assert pairs == fast
+    line = (f"k={kk} T={TT}: {len(fast)} minimal words, bfs {t_fast*1e3:.2f} ms, "
+            f"pair construction {t_pairs*1e3:.2f} ms")
     if TT <= 14:
         t0 = time.perf_counter()
         slow = minimal_filter(enumerate_admissible(build_k_constraint_automaton(kk), TT))

@@ -17,6 +17,7 @@ from .automata import (
     build_k_minimal_automaton,
     enumerate_admissible,
     is_admissible,
+    minimal_admissible,
     minimal_signals_bfs,
 )
 from .lqr import (

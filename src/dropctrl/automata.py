@@ -1,16 +1,18 @@
-"""Dropout-constraint automata and admissible-language enumeration.
+"""Dropout-constraint automata, admissible languages and their minimal words.
 
 An automaton is a directed graph whose edges carry nonempty bit strings.
 A signal is admissible when some walk from a start node spells it out
-exactly.  Two constructions are provided for the "at most k consecutive
-dropouts" family: the counter automaton generating the full admissible
-language, and the compact k+1-node automaton whose paths are exactly the
-minimal signals, enumerated breadth-first.
+exactly.  `minimal_admissible` generates the minimal admissible signals
+of any automaton directly, by a subset construction over pairs of state
+sets, without enumerating the language.  Two constructions are provided
+for the "at most k consecutive dropouts" family: the counter automaton
+generating the full admissible language, and the paper's compact
+k+1-node automaton whose paths are exactly the minimal signals,
+enumerated breadth-first.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -22,6 +24,7 @@ __all__ = [
     "CapExceeded",
     "is_admissible",
     "enumerate_admissible",
+    "minimal_admissible",
     "build_k_constraint_automaton",
     "build_k_minimal_automaton",
     "minimal_signals_bfs",
@@ -105,17 +108,19 @@ def is_admissible(a: Automaton, s: Signal) -> bool:
 def enumerate_admissible(a: Automaton, T: int, cap: int | None = None) -> SignalSet:
     """All admissible signals of length T; empty set if the language is empty.
 
-    `cap` bounds the number of distinct words tracked during expansion and
-    raises CapExceeded beyond it (guard for exponential languages).
+    `cap` bounds the number of words: CapExceeded is raised as soon as the
+    depth-first walk has found more than `cap`, so the guard against
+    exponential languages costs work in proportion to `cap`, not to the
+    language.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    # frontier of (node, emitted prefix); words complete at exactly length T
+    # (node, emitted prefix) pairs; words complete at exactly length T
     seen: set[tuple[int, str]] = {(v, "") for v in a.start_nodes}
-    queue = deque(seen)
+    stack = list(seen)
     out: set[str] = set()
-    while queue:
-        node, prefix = queue.popleft()
+    while stack:
+        node, prefix = stack.pop()
         if len(prefix) == T:
             out.add(prefix)
             if cap is not None and len(out) > cap:
@@ -128,8 +133,67 @@ def enumerate_admissible(a: Automaton, T: int, cap: int | None = None) -> Signal
             state = (dst, word)
             if state not in seen:
                 seen.add(state)
-                queue.append(state)
+                stack.append(state)
     return SignalSet(Signal(w) for w in out)
+
+
+def _minimal_words(a: Automaton, T: int) -> tuple[str, ...]:
+    """The minimal admissible words of length T, in lexicographic order."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    # unit-step transitions; a label of several bits passes through
+    # intermediate states (edge index, bits spelled), which never accept
+    step: dict[tuple, set] = {}
+    for i, e in enumerate(a.edges):
+        src = e.src
+        for j, bit in enumerate(e.label, 1):
+            dst = e.dst if j == len(e.label) else (i, j)
+            step.setdefault((src, bit), set()).add(dst)
+            src = dst
+
+    def move(states: frozenset, bit: str) -> frozenset:
+        return frozenset(d for s in states for d in step.get((s, bit), ()))
+
+    # Forward: the live pairs (E, L) after each number of bits, and each
+    # pair's successors under 0 and under 1.  Below w0 lies what lies below
+    # w, extended by 0; below w1, what lies below w extended by either bit,
+    # and w0.  Once E is inside L, every completion of w also completes a
+    # word below it, so the pair is dead and is cut.
+    start = (frozenset(a.start_nodes), frozenset())
+    levels = [{start}]
+    succ: dict[tuple, tuple] = {}
+    for _ in range(T):
+        live = set()
+        for E, L in levels[-1]:
+            E0, L0 = move(E, "0"), move(L, "0")
+            succ[E, L] = pairs = ((E0, L0), (move(E, "1"), L0 | move(L, "1") | E0))
+            live.update(p for p in pairs if not p[0] <= p[1])
+        levels.append(live)
+    # Backward: the completions of every live pair of a level, once each,
+    # 0 before 1, so that the words come out in lexicographic order.
+    done = {(E, L): ("",) for E, L in levels.pop() if E & a.nodes and not L & a.nodes}
+    for level in reversed(levels):
+        done = {
+            p: tuple(bit + w for bit, q in zip("01", succ[p]) for w in done.get(q, ()))
+            for p in level
+        }
+    return done[start]
+
+
+def minimal_admissible(a: Automaton, T: int) -> SignalSet:
+    """Minimal admissible signals of length T, generated without the language.
+
+    A subset construction over pairs (E, L): E is the set of states
+    reached by spelling the prefix w, L the set reached by spelling some w'
+    strictly below w in the support order.  A word is minimal when E holds
+    a node and L none.  Labels of several bits are split into unit steps
+    through intermediate states, which never accept.  The completions of
+    each (E, L, remaining length) are computed once within the call and
+    dead pairs are cut, so the work follows the size of the output; the
+    walk is iterative, so T is not bounded by the recursion limit.
+    Equals minimal_filter(enumerate_admissible(a, T)).
+    """
+    return SignalSet(Signal(w) for w in _minimal_words(a, T))
 
 
 def build_k_constraint_automaton(k: int) -> Automaton:

@@ -21,6 +21,7 @@ from .automata import (
     CapExceeded,
     build_k_constraint_automaton,
     enumerate_admissible,
+    minimal_admissible,
     minimal_signals_bfs,
 )
 from .lqr import LqrWeights
@@ -50,7 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--exhaustive-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
+    p.add_argument(
+        "--exhaustive-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
+        help="most words an exhaustive enumeration may hold (minimal mode ignores it)",
+    )
     p.add_argument("--config", help="JSON object of flag values; explicit flags win")
 
 
@@ -76,7 +80,10 @@ def build_parser() -> _Parser:
 
     p = cmd("minimal", help="enumerate the minimal signals of length T")
     _constraint_flags(p)
-    p.add_argument("--method", choices=["bfs", "filter"])
+    p.add_argument(
+        "--method", choices=["bfs", "filter"],
+        help="list through an oracle: the compact k-automaton or filtering the language",
+    )
 
     p = cmd("estimate-time", help="worst time to recover the state from outputs")
     _constraint_flags(p)
@@ -185,18 +192,21 @@ def _print_report(report, out: str) -> None:
         print(f"wallclock: {report.wallclock:.6f}s")
 
 
-def _signal_strings(constraint, T: int, minimal: bool, method: str | None, cap: int):
-    if isinstance(constraint, int):
-        automaton = build_k_constraint_automaton(constraint)
-    else:
-        automaton = constraint
-        if minimal and method == "bfs":
+def _signal_strings(ns: argparse.Namespace) -> tuple[str, ...]:
+    """The listed words; an empty language lists nothing."""
+    constraint = _constraint(ns)
+    method = getattr(ns, "method", None)
+    if method == "bfs":
+        if not isinstance(constraint, int):
             raise CliError("--method bfs needs --k (automaton constraints use --method filter)")
-    if not minimal:
-        return enumerate_admissible(automaton, T, cap=cap).to_strings()
-    if isinstance(constraint, int) and (method is None or method == "bfs"):
-        return minimal_signals_bfs(constraint, T).to_strings()
-    return minimal_filter(enumerate_admissible(automaton, T, cap=cap)).to_strings()
+        return minimal_signals_bfs(constraint, ns.T).to_strings()
+    if isinstance(constraint, int):
+        constraint = build_k_constraint_automaton(constraint)
+    if ns.command == "minimal" and method is None:
+        # the minimal candidates every analysis scans
+        return minimal_admissible(constraint, ns.T).to_strings()
+    words = enumerate_admissible(constraint, ns.T, cap=ns.exhaustive_cap)
+    return (minimal_filter(words) if method == "filter" else words).to_strings()
 
 
 def _run_command(ns: argparse.Namespace) -> int:
@@ -205,11 +215,7 @@ def _run_command(ns: argparse.Namespace) -> int:
     cap = ns.exhaustive_cap
 
     if command in ("admissible", "minimal"):
-        minimal = command == "minimal"
-        strings = _signal_strings(
-            _constraint(ns), ns.T, minimal, ns.method if minimal else None, cap
-        )
-        _print_signals(strings, ns.out, ns.T)
+        _print_signals(_signal_strings(ns), ns.out, ns.T)
         return 0
 
     if command == "study":

@@ -22,10 +22,10 @@ from .automata import (
     Automaton,
     build_k_constraint_automaton,
     enumerate_admissible,
-    minimal_signals_bfs,
+    minimal_admissible,
 )
 from .lqr import LqrWeights, degraded_cost, lqr_cost, lti_gains, riccati_backward
-from .signals import Signal, SignalSet, minimal_filter
+from .signals import Signal, SignalSet
 from .solvers import (
     FEAS_TOL,
     INFEASIBLE,
@@ -105,19 +105,23 @@ def candidate_signals(
     mode: str = MINIMAL,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> SignalSet:
-    """Resolve the signal set to scan: minimal candidates or the full language."""
+    """Resolve the signal set to scan: minimal candidates or the full language.
+
+    An integer k stands for build_k_constraint_automaton(k).  Minimal mode
+    generates the minimal words directly (minimal_admissible); exhaustive
+    mode enumerates the language.  `cap` bounds exhaustive enumeration
+    only and raises CapExceeded beyond it.
+    """
     if mode not in (MINIMAL, EXHAUSTIVE):
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(constraint, int):
-        if mode == MINIMAL:
-            ss = minimal_signals_bfs(constraint, T)
-        else:
-            ss = enumerate_admissible(build_k_constraint_automaton(constraint), T, cap=cap)
-    elif isinstance(constraint, Automaton):
-        admissible = enumerate_admissible(constraint, T, cap=cap)
-        ss = minimal_filter(admissible) if mode == MINIMAL else admissible
-    else:
+        constraint = build_k_constraint_automaton(constraint)
+    elif not isinstance(constraint, Automaton):
         raise TypeError("constraint must be an Automaton or an integer k")
+    if mode == MINIMAL:
+        ss = minimal_admissible(constraint, T)
+    else:
+        ss = enumerate_admissible(constraint, T, cap=cap)
     if len(ss) == 0:
         raise ValueError(f"the constraint admits no signals of length {T}")
     return ss

@@ -32,6 +32,7 @@ from dropctrl import (
     min_fuel,
     min_fuel_energy,
     min_inf_norm,
+    minimal_admissible,
     minimal_filter,
     minimal_signals_bfs,
     reachability_gramian,
@@ -125,6 +126,7 @@ def test_criterion_2_oracle_equivalence(capsys):
             bfs = minimal_signals_bfs(k, T)
             filt = minimal_filter(enumerate_admissible(build_k_constraint_automaton(k), T))
             assert bfs == filt, (k, T)
+            assert minimal_admissible(build_k_constraint_automaton(k), T) == bfs, (k, T)
             chars = SignalSet(
                 Signal(bits)
                 for bits in itertools.product((0, 1), repeat=T)
@@ -134,7 +136,7 @@ def test_criterion_2_oracle_equivalence(capsys):
     elapsed = time.perf_counter() - start
     ok = elapsed < 60.0
     with capsys.disabled():
-        announce("2", ok, f"bfs = filter = surround-characterization for k in 1..3, T in 1..14 ({elapsed:.2f}s)")
+        announce("2", ok, f"bfs = filter = pair construction = surround-characterization for k in 1..3, T in 1..14 ({elapsed:.2f}s)")
     assert ok
 
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from dropctrl import (
@@ -13,9 +14,11 @@ from dropctrl import (
     enumerate_admissible,
     is_admissible,
     is_minimal_k,
+    minimal_admissible,
     minimal_filter,
     minimal_signals_bfs,
 )
+from dropctrl.automata import _minimal_words
 
 
 def brute_force_language(k, T):
@@ -195,6 +198,65 @@ def test_flipping_characterization():
         assert flippable == (word not in minimal), word
 
 
+def random_automaton(rng, nodes=4, edges=7):
+    labels = ["".join(rng.choice(["0", "1"], size=rng.integers(1, 4))) for _ in range(edges)]
+    edge_list = [
+        Edge(int(rng.integers(nodes)), int(rng.integers(nodes)), label) for label in labels
+    ]
+    starts = rng.choice(nodes, size=rng.integers(1, nodes + 1), replace=False)
+    return Automaton(range(nodes), edge_list, starts.tolist())
+
+
+def test_minimal_admissible_equals_filter_on_random_automata():
+    rng = np.random.default_rng(7)
+    multibit = several_starts = empty = 0
+    for _ in range(300):
+        a = random_automaton(rng)
+        multibit += any(len(e.label) > 1 for e in a.edges)
+        several_starts += len(a.start_nodes) > 1
+        for T in (1, 3, 6, 9):
+            expected = minimal_filter(enumerate_admissible(a, T))
+            assert minimal_admissible(a, T) == expected, (a.edges, a.start_nodes, T)
+            empty += len(expected) == 0
+    # the 1,200 cases cover every shape the pair construction special-cases
+    assert multibit > 200 and several_starts > 200 and empty > 50
+
+
+def test_minimal_admissible_handcrafted():
+    # labels of several bits: "000" lies below "100", so only "000" is minimal
+    a = Automaton([1, 2], [(1, 2, "100"), (1, 2, "000"), (2, 1, "1")], [1])
+    assert minimal_admissible(a, 3).to_strings() == ("000",)
+    assert minimal_admissible(a, 4).to_strings() == ("0001",)
+    # words spelled only through an intermediate state are not admissible
+    b = Automaton([1, 2], [(1, 2, "01")], [1])
+    assert len(minimal_admissible(b, 1)) == 0
+    assert minimal_admissible(b, 2).to_strings() == ("01",)
+    # a single start node with an empty language
+    c = Automaton([1], [(1, 1, "10")], [1])
+    assert len(minimal_admissible(c, 3)) == 0
+
+
+def test_minimal_admissible_is_generated_in_lexicographic_order():
+    for k, T in ((1, 12), (2, 16), (3, 14)):
+        words = _minimal_words(build_k_constraint_automaton(k), T)
+        assert list(words) == sorted(set(words)), (k, T)
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        words = _minimal_words(random_automaton(rng), 8)
+        assert list(words) == sorted(set(words))
+
+
+def test_minimal_admissible_long_horizon():
+    # one word of 3,000 bits: the horizon is not bounded by recursion depth
+    ones = Automaton([1], [(1, 1, "1")], [1])
+    assert minimal_admissible(ones, 3000).to_strings() == ("1" * 3000,)
+
+
+@pytest.mark.parametrize("k,T", [(1, 20), (1, 30), (2, 24), (3, 28)])
+def test_minimal_admissible_equals_bfs_at_large_shapes(k, T):
+    assert minimal_admissible(build_k_constraint_automaton(k), T) == minimal_signals_bfs(k, T)
+
+
 def test_bad_parameters():
     with pytest.raises(ValueError):
         build_k_constraint_automaton(0)
@@ -204,6 +266,8 @@ def test_bad_parameters():
         minimal_signals_bfs(1, 0)
     with pytest.raises(ValueError):
         enumerate_admissible(build_k_constraint_automaton(1), 0)
+    with pytest.raises(ValueError, match="T must be >= 1"):
+        minimal_admissible(build_k_constraint_automaton(1), 0)
 
 
 def test_edge_validation():

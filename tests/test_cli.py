@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dropctrl import minimal_signals_bfs
 from dropctrl.cli import main
 
 
@@ -73,6 +74,33 @@ def test_automaton_with_bfs_method_is_an_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "minimal", "--automaton", str(path), "--T", "2", "--method", "bfs")
     assert code == 1
     assert "bfs" in err
+
+
+def test_minimal_automaton_listing_needs_no_language(capsys, tmp_path):
+    # the k=1 counter automaton: its T=30 language has 2.2M words, more
+    # than the default cap, but the minimal words are generated directly
+    doc = {
+        "nodes": [1, 2],
+        "start": [1, 2],
+        "edges": [
+            {"from": 1, "to": 1, "label": "1"},
+            {"from": 1, "to": 2, "label": "0"},
+            {"from": 2, "to": 1, "label": "1"},
+        ],
+    }
+    path = tmp_path / "k1.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "minimal", "--automaton", str(path), "--T", "30")
+    assert code == 0, err
+    assert tuple(out.split()) == minimal_signals_bfs(1, 30).to_strings()
+    assert len(out.split()) == 4410
+    # the cap bounds exhaustive enumeration only
+    cap = ["--exhaustive-cap", "64"]
+    code, out, _ = run_cli(capsys, "minimal", "--automaton", str(path), "--T", "30", *cap)
+    assert code == 0 and len(out.split()) == 4410
+    code, _, err = run_cli(capsys, "admissible", "--automaton", str(path), "--T", "30", *cap)
+    assert code == 1
+    assert "cap" in err
 
 
 def test_missing_flags_exit_1(capsys):

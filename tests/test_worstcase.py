@@ -5,15 +5,19 @@ import pytest
 from numpy.random import PCG64, Generator, SeedSequence
 
 from dropctrl import (
+    EXHAUSTIVE,
+    MINIMAL,
     Automaton,
     CapExceeded,
     LqrWeights,
     Polytope,
     Signal,
     SwitchedLinearSystem,
+    build_k_constraint_automaton,
     candidate_signals,
     controllability_matrix,
     min_energy,
+    minimal_signals_bfs,
     polytope_reachable,
     random_system,
     reachability_gramian,
@@ -55,6 +59,21 @@ def test_candidate_signals_modes():
 def test_exhaustive_cap_enforced():
     with pytest.raises(CapExceeded):
         candidate_signals(2, 14, "exhaustive", cap=64)
+
+
+def test_cap_bounds_exhaustive_enumeration_only():
+    a = build_k_constraint_automaton(1)
+    minimal = candidate_signals(a, 30, MINIMAL, cap=64)
+    assert len(minimal) == 4410
+    assert minimal == minimal_signals_bfs(1, 30)
+    with pytest.raises(CapExceeded):
+        candidate_signals(a, 30, EXHAUSTIVE, cap=64)
+    even = Automaton([1], [(1, 1, "10")], [1])  # no word of odd length
+    for mode in (MINIMAL, EXHAUSTIVE):
+        with pytest.raises(ValueError, match="admits no signals"):
+            candidate_signals(even, 3, mode, cap=64)
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            candidate_signals(a, 0, mode)
 
 
 def test_estimation_worked_example():
