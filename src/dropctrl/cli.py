@@ -63,7 +63,12 @@ def _constraint_flags(p: argparse.ArgumentParser, T_required: bool = True) -> No
     constraint.add_argument("--k", type=int)
     constraint.add_argument("--automaton")
     p.add_argument("--T", type=int, required=T_required)
+
+
+def _analysis_flags(p: argparse.ArgumentParser, T_required: bool = True) -> None:
+    _constraint_flags(p, T_required)
     p.add_argument("--mode", choices=["minimal", "exhaustive"], default="minimal")
+    p.add_argument("--system", required=True)
 
 
 def build_parser() -> _Parser:
@@ -86,38 +91,32 @@ def build_parser() -> _Parser:
     )
 
     p = cmd("estimate-time", help="worst time to recover the state from outputs")
-    _constraint_flags(p)
-    p.add_argument("--system", required=True)
+    _analysis_flags(p)
 
     p = cmd("control-time", help="worst time to park the state at the origin")
-    _constraint_flags(p)
-    p.add_argument("--system", required=True)
+    _analysis_flags(p)
     p.add_argument("--x0", default="ones")
 
     for name, extra in (("fuel", True), ("energy", False)):
         p = cmd(name, help=f"worst minimum-{name} input design")
-        _constraint_flags(p)
-        p.add_argument("--system", required=True)
+        _analysis_flags(p)
         p.add_argument("--xf", default="ones")
         if extra:
             p.add_argument("--input-bound", type=float)
 
     p = cmd("fuel-energy", help="worst combined 1-norm + 2-norm input design")
-    _constraint_flags(p)
-    p.add_argument("--system", required=True)
+    _analysis_flags(p)
     p.add_argument("--xf", default="ones")
     p.add_argument("--gamma1", type=float, default=1.0)
     p.add_argument("--gamma2", type=float, default=1.0)
 
     p = cmd("reach", help="check a polytope against all unit-energy reachable sets")
-    _constraint_flags(p)
-    p.add_argument("--system", required=True)
+    _analysis_flags(p)
     p.add_argument("--polytope", required=True)
 
     for name in ("lqr-maxmin", "lqr-fixed"):
         p = cmd(name, help=f"worst {'re-optimized' if name == 'lqr-maxmin' else 'fixed-gain'} quadratic cost")
-        _constraint_flags(p, T_required=False)
-        p.add_argument("--system", required=True)
+        _analysis_flags(p, T_required=False)
         p.add_argument("--x0", default="ones")
         p.add_argument("--weights", help="JSON with Q/R/Qf/T; without it --T is required")
 
@@ -211,12 +210,12 @@ def _signal_strings(ns: argparse.Namespace) -> tuple[str, ...]:
 
 def _run_command(ns: argparse.Namespace) -> int:
     command = ns.command
-    mode = ns.mode
     cap = ns.exhaustive_cap
 
     if command in ("admissible", "minimal"):
         _print_signals(_signal_strings(ns), ns.out, ns.T)
         return 0
+    mode = ns.mode
 
     if command == "study":
         cfg = StudyConfig(
@@ -311,7 +310,10 @@ def _print_study(result, out: str) -> None:
         if result.avg_rpd is not None:
             print(f"avg RPD: {result.avg_rpd:.6g}%")
         print(f"avg minimal-signal time (bfs): {result.avg_time_fast:.6f}s")
-        print(f"avg minimal-signal time (filter): {result.avg_time_filter:.6f}s")
+        if result.avg_time_filter is None:
+            print("avg minimal-signal time (filter): skipped, the language exceeds --exhaustive-cap")
+        else:
+            print(f"avg minimal-signal time (filter): {result.avg_time_filter:.6f}s")
 
 
 def main(argv=None) -> int:

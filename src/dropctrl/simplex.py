@@ -1,16 +1,21 @@
-"""Dense two-phase simplex for small equality-form linear programs.
+"""Certified primal-dual interior-point solver for small equality-form LPs.
 
 Solves   min c'x   subject to   A x = b,  x >= 0
 
-with Bland's anti-cycling rule throughout, so the pivot sequence (and
-therefore the reported vertex) is deterministic.  Phase 1 minimizes the
-sum of artificial variables; redundant rows discovered there are removed.
-The artificial block doubles as a running copy of the basis inverse, from
-which a dual vector y (A'y <= c, b'y = c'x at optimality) is read off and
-returned as a certificate.
+with Mehrotra's predictor-corrector (S. Mehrotra, "On the implementation
+of a primal-dual interior point method", SIAM J. Optim. 2(4), 1992) on the
+dense normal equations A D A' dy = r, after scaling rows, then columns, to
+unit infinity-norm.  A result is "optimal" only when a certificate backs
+it in the caller's units: ||A x - b|| <= TOL ||b||, dual infeasibility
+||(A'y - c)+|| <= TOL ||c|| and a duality gap |c'x - b'y| <= TOL |c'x|.
+Once the iterates settle which x_j exceed their s_j, that support B is
+tried first: x_B moved onto A_B x_B = b, x_N = 0, and y solving
+A_B' y = c_B, so basic optima, zero optima included, come back exact.
+Anything else is "iteration_limit".
 
-Problem sizes here are tiny (a few hundred columns), so a full dense
-tableau is simpler and fast enough; no sparsity, no factorization updates.
+Nothing here detects infeasibility or unboundedness: every program the
+package builds is feasible and bounded (see solvers._solve_lp), and any
+other program ends as "iteration_limit".
 """
 
 from __future__ import annotations
@@ -21,69 +26,30 @@ import numpy as np
 
 __all__ = ["LpResult", "solve_standard_lp"]
 
-_PIVOT_TOL = 1e-9
-# phase 1 calls the LP infeasible when the artificial sum left exceeds this
-# times max(1, sum |b|) of the equilibrated rows
-_PHASE1_TOL = 1e-9
+# relative primal residual, dual infeasibility and duality gap of a certificate
+_TOL = 1e-9
+_MAX_ITER = 100
+# fraction of the step to the boundary of x > 0, s > 0
+_STEP = 0.99
+_EPS = np.finfo(float).eps
 
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
+    status: str  # "optimal" | "iteration_limit"
     x: np.ndarray | None = None
     value: float | None = None
     dual: np.ndarray | None = None  # one multiplier per input row
     iterations: int = 0
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
+def _lstsq(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.linalg.lstsq(M, v, rcond=None)[0]
 
 
-def _bland_entering(cost_row: np.ndarray, allowed: int) -> int:
-    idx = np.nonzero(cost_row[:allowed] < -_PIVOT_TOL)[0]
-    return int(idx[0]) if idx.size else -1
-
-
-def _bland_leaving(T: np.ndarray, basis: list[int], col: int) -> int:
-    m = T.shape[0] - 1
-    coeffs = T[:m, col]
-    rhs = T[:m, -1]
-    best_ratio = None
-    best_row = -1
-    best_basic = None
-    for i in range(m):
-        if coeffs[i] > _PIVOT_TOL:
-            ratio = max(rhs[i], 0.0) / coeffs[i]
-            if (
-                best_ratio is None
-                or ratio < best_ratio - _PIVOT_TOL
-                or (abs(ratio - best_ratio) <= _PIVOT_TOL and basis[i] < best_basic)
-            ):
-                best_ratio = ratio
-                best_row = i
-                best_basic = basis[i]
-    return best_row
-
-
-def _run_simplex(T: np.ndarray, basis: list[int], allowed: int, max_iter: int) -> tuple[str, int]:
-    it = 0
-    while it < max_iter:
-        col = _bland_entering(T[-1], allowed)
-        if col < 0:
-            return "optimal", it
-        row = _bland_leaving(T, basis, col)
-        if row < 0:
-            return "unbounded", it
-        _pivot(T, row, col)
-        basis[row] = col
-        it += 1
-    return "iteration_limit", it
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    shrinking = dv < 0
+    return min(1.0, float((-v[shrinking] / dv[shrinking]).min())) if shrinking.any() else 1.0
 
 
 def solve_standard_lp(c, A, b) -> LpResult:
@@ -93,78 +59,77 @@ def solve_standard_lp(c, A, b) -> LpResult:
     m, n = A.shape
     if c.size != n or b.size != m:
         raise ValueError("inconsistent LP dimensions")
-    max_iter = 500 * (m + n + 10)  # per phase
-    c_orig, A_orig, b_orig = c, A, b
 
-    # equilibrate: unit row and column inf-norms keep the fixed pivot
-    # tolerance meaningful when blocks span many orders of magnitude
+    # unit row, then column, infinity-norms; scaled x, y map back times the scales
     row_norm = np.abs(A).max(axis=1)
-    row_scale = np.where(row_norm > 0, 1.0 / np.maximum(row_norm, 1e-300), 1.0)
-    A = A * row_scale[:, None]
-    b = b * row_scale
-    col_norm = np.abs(A).max(axis=0)
-    col_scale = np.where(col_norm > 0, 1.0 / np.maximum(col_norm, 1e-300), 1.0)
-    A = A * col_scale[None, :]
-    c = c * col_scale
+    row_scale = 1.0 / np.where(row_norm > 0, row_norm, 1.0)
+    col_norm = np.abs(A * row_scale[:, None]).max(axis=0)
+    col_scale = 1.0 / np.where(col_norm > 0, col_norm, 1.0)
+    As = A * np.outer(row_scale, col_scale)
+    bs, cs = b * row_scale, c * col_scale
 
-    signs = np.where(b < 0, -1.0, 1.0)
-    A = A * signs[:, None]
-    b = b * signs
-    signs = signs * row_scale  # fold both into the dual unscaling
+    def certified(x_s, y_s):
+        """The caller's (x, y, c'x) when the scaled pair certifies in the caller's units."""
+        x, y = np.maximum(x_s, 0.0) * col_scale, y_s * row_scale
+        value = float(c @ x)
+        if (
+            np.linalg.norm(A @ x - b) <= _TOL * (np.linalg.norm(b) or 1.0)
+            and np.linalg.norm(np.maximum(A.T @ y - c, 0.0)) <= _TOL * (np.linalg.norm(c) or 1.0)
+            and abs(value - float(b @ y)) <= _TOL * abs(value)
+        ):
+            return x, y, value
+        return None
 
-    # tableau [A | I_artificial | rhs]; cost row holds reduced costs, last
-    # entry is -objective
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
-    basis = list(range(n, n + m))
+    # Mehrotra's starting point: least-norm x and least-squares y, shifted inside
+    AAt = As @ As.T
+    x = As.T @ _lstsq(AAt, bs)
+    y = _lstsq(AAt, As @ cs)
+    s = cs - As.T @ y
+    x += max(-1.5 * x.min(), 0.0)
+    s += max(-1.5 * s.min(), 0.0)
+    xs = float(x @ s)
+    dx, ds = (0.5 * xs / s.sum(), 0.5 * xs / x.sum()) if xs > 0 else (1.0, 1.0)
+    x, s = x + dx, s + ds
 
-    # phase 1: minimize the artificial sum
-    T[-1, :n] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
-    status, it1 = _run_simplex(T, basis, allowed=n + m, max_iter=max_iter)
-    if status != "optimal":
-        return LpResult(status=status, iterations=it1)
-    phase1_value = -T[-1, -1]
-    if phase1_value > _PHASE1_TOL * max(1.0, float(np.abs(b).sum())):
-        return LpResult(status="infeasible", iterations=it1)
+    support = None
+    for it in range(1, _MAX_ITER + 1):
+        rp = bs - As @ x
+        rd = cs - As.T @ y - s
+        d = x / s
+        M = (As * d) @ As.T
 
-    # drive artificials out of the basis; rows that cannot pivot are redundant
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= n:
-            candidates = np.nonzero(np.abs(T[i, :n]) > _PIVOT_TOL)[0]
-            if candidates.size:
-                _pivot(T, i, int(candidates[0]))
-                basis[i] = int(candidates[0])
-            else:
-                keep[i] = False
-    if not keep.all():
-        rows = list(np.nonzero(keep)[0])
-        T = T[rows + [m]]
-        basis = [basis[i] for i in rows]
+        def direction(rxs):
+            # S dx + X ds = rxs, A dx = rp, A'dy + ds = rd
+            rhs = rp - As @ (rxs / s - d * rd)
+            try:
+                dy = np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError:  # rows that are not independent
+                dy = _lstsq(M, rhs)
+            ds = rd - As.T @ dy
+            return (rxs - x * ds) / s, dy, ds
 
-    # phase 2: real objective, artificial columns barred from entering
-    mk = len(basis)
-    cB = np.array([c[j] for j in basis])
-    T[-1, : n + m] = 0.0
-    T[-1, :n] = c - cB @ T[:mk, :n]
-    T[-1, n : n + m] = -(cB @ T[:mk, n : n + m])
-    T[-1, -1] = -(cB @ T[:mk, -1])
-    status, it2 = _run_simplex(T, basis, allowed=n, max_iter=max_iter)
-    if status != "optimal":
-        return LpResult(status=status, iterations=it1 + it2)
+        dx_a, _, ds_a = direction(-x * s)
+        ap, ad = _max_step(x, dx_a), _max_step(s, ds_a)
+        mu = float(x @ s) / n
+        sigma = (float((x + ap * dx_a) @ (s + ad * ds_a)) / n / mu) ** 3
+        dx, dy, ds = direction(sigma * mu - x * s - dx_a * ds_a)
+        ap, ad = _STEP * _max_step(x, dx), _STEP * _max_step(s, ds)
+        x, y, s = x + ap * dx, y + ad * dy, s + ad * ds
+        if not all(np.isfinite(v).all() for v in (x, y, s)):
+            break
 
-    x = np.zeros(n)
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] = max(T[i, -1], 0.0)
-    x = x * col_scale  # back to the caller's variables
-    value = float(c_orig @ x)
-
-    # dual from the artificial block: y' = c_B' B^{-1}, then undo the row
-    # flips and row scaling folded into `signs`
-    cB = np.array([c[j] for j in basis])
-    y = (cB @ T[: len(basis), n : n + m]) * signs
-    return LpResult(status="optimal", x=x, value=value, dual=y, iterations=it1 + it2)
+        found = certified(x, y)
+        # complementarity below the rounding of the objective: no progress is left
+        stalled = x @ s <= _EPS * (np.abs(cs) @ x)
+        prev, support = support, x > s
+        if found is not None or stalled or np.array_equal(prev, support):
+            AB = As[:, support]
+            vx = np.zeros(n)
+            vx[support] = x[support] + _lstsq(AB, bs - AB @ x[support])
+            found = certified(vx, _lstsq(AB.T, cs[support])) or found
+        if found is not None:
+            x, y, value = found
+            return LpResult("optimal", x=x, value=value, dual=y, iterations=it)
+        if stalled:
+            break
+    return LpResult("iteration_limit", iterations=it)

@@ -5,8 +5,11 @@ matrix C and returns a SolveResult rather than raising on unreachable
 targets.  One thin SVD of C, cut where numerical_rank cuts, decides the
 range test: x_f is reachable when its part off C's range is at most
 FEAS_TOL * ||x_f||.  The 1-norm and infinity-norm problems are linear
-programs run through the in-house simplex; the 2-norm problem is closed
-form from the SVD; the combined 1-norm + 2-norm objective is handled by an
+programs in the rows U_r'C of that SVD, so their rows have full rank and,
+past the range test, every program is feasible and bounded; the
+interior-point solver in simplex.py certifies them, and a result without
+its certificate is MAX_ITERATIONS.  The 2-norm problem is closed form from
+the SVD; the combined 1-norm + 2-norm objective is handled by an
 operator-splitting iteration whose proximal step composes soft
 thresholding with a radial shrink.
 """
@@ -93,87 +96,84 @@ def min_energy(Cmat, x_f) -> SolveResult:
     return SolveResult(OPTIMAL, u=u, value=float(np.linalg.norm(u)), residual=residual)
 
 
-def _solve_lp(c, A, b, C: np.ndarray, target: np.ndarray, scale: float) -> SolveResult:
-    """Solve the LP scaled by 1/scale whose first 2q columns are u+ and u-.
+def _solve_lp(C: np.ndarray, target: np.ndarray, program) -> SolveResult:
+    """Solve program(U_r'C, U_r'target / ||target||), the LP whose first 2q columns are u+ and u-.
 
-    A target off C's range is infeasible without an LP.  The result is
-    unscaled; the duality gap comes from the simplex dual certificate and
-    the residual is taken against the caller's target.
+    A target off C's range is infeasible without an LP; on it, U_r'C has
+    full row rank and the LP is feasible and bounded.  An LP result counts
+    only with its certificate and a residual C u - target within
+    FEAS_TOL * ||target||; anything else is MAX_ITERATIONS.  duality_gap
+    is the certified gap relative to the value.
     """
-    if not _range_test(_factor(C)[0], target)[1]:
-        return SolveResult(INFEASIBLE)
     q = C.shape[1]
+    scale = float(np.linalg.norm(target))
+    if scale == 0.0:
+        return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0, duality_gap=0.0)
+    U = _factor(C)[0]
+    coeff, reached = _range_test(U, target)
+    if not reached:
+        return SolveResult(INFEASIBLE)
+    c, A, b = program(U.T @ C, coeff / scale)
     lp = solve_standard_lp(c, A, b)
-    if lp.status == "infeasible":
-        return SolveResult(INFEASIBLE, iterations=lp.iterations)
-    if lp.status != "optimal":
-        return SolveResult(MAX_ITERATIONS, iterations=lp.iterations)
-    u = scale * (lp.x[:q] - lp.x[q : 2 * q])
-    value = scale * lp.value
-    dual_value = scale * float(b @ lp.dual)
-    gap = abs(value - dual_value) / max(1.0, abs(value))
-    residual = float(np.linalg.norm(C @ u - target))
-    return SolveResult(
-        OPTIMAL,
-        u=u,
-        value=value,
-        residual=residual,
-        duality_gap=gap,
-        iterations=lp.iterations,
-    )
+    if lp.status == "optimal":
+        u = scale * (lp.x[:q] - lp.x[q : 2 * q])
+        residual = float(np.linalg.norm(C @ u - target))
+        if residual <= FEAS_TOL * scale:
+            gap = abs(lp.value - float(b @ lp.dual)) / abs(lp.value) if lp.value else 0.0
+            return SolveResult(OPTIMAL, u, scale * lp.value, residual, gap, lp.iterations)
+    return SolveResult(MAX_ITERATIONS, iterations=lp.iterations)
 
 
 def min_fuel(Cmat, x_f, input_bound: float | None = None) -> SolveResult:
     """Minimum 1-norm u with C u = x_f and optionally |u_i| <= input_bound.
 
     Split u into positive/negative parts and solve the equality-form LP.
+    With a bound, the program is feasible exactly when the least peak input
+    is at most the bound, so min_inf_norm decides that first: a certified
+    peak above input_bound * (1 + FEAS_TOL) is INFEASIBLE, and a peak that
+    is not certified is returned as it is.
     """
     if input_bound is not None and input_bound <= 0:
         raise ValueError("input_bound must be positive")
     C, xf = _prep(Cmat, x_f)
-    n, q = C.shape
-    scale = float(np.linalg.norm(xf))
-    if scale == 0.0:
-        return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0, duality_gap=0.0)
-    xf_s = xf / scale
-    bound_s = None if input_bound is None else input_bound / scale
+    q = C.shape[1]
+    if input_bound is None:
+        return _solve_lp(C, xf, lambda Cr, b: (np.ones(2 * q), np.hstack([Cr, -Cr]), b))
+    peak = min_inf_norm(C, xf)
+    if peak.status != OPTIMAL:
+        return peak
+    if peak.value > input_bound * (1.0 + FEAS_TOL):
+        return SolveResult(INFEASIBLE, iterations=peak.iterations)
+    # a peak within the tolerance above the bound widens the box to it
+    bound = max(input_bound, peak.value)
 
-    if bound_s is None:
-        A = np.hstack([C, -C])
-        b = xf_s
-        c = np.ones(2 * q)
-    else:
+    def program(Cr, b):
         # extra rows u+_i + u-_i + w_i = bound keep |u_i| within the box
-        A = np.block(
-            [
-                [C, -C, np.zeros((n, q))],
-                [np.eye(q), np.eye(q), np.eye(q)],
-            ]
-        )
-        b = np.concatenate([xf_s, np.full(q, bound_s)])
+        A = np.block([[Cr, -Cr, np.zeros((Cr.shape[0], q))], [np.eye(q), np.eye(q), np.eye(q)]])
         c = np.concatenate([np.ones(2 * q), np.zeros(q)])
-    return _solve_lp(c, A, b, C, xf, scale)
+        return c, A, np.concatenate([b, np.full(q, bound / np.linalg.norm(xf))])
+
+    return _solve_lp(C, xf, program)
 
 
 def min_inf_norm(Cmat, b) -> SolveResult:
     """Minimum infinity-norm u with C u = b (LP with a shared peak variable)."""
     C, rhs = _prep(Cmat, b)
-    n, q = C.shape
-    scale = float(np.linalg.norm(rhs))
-    if scale == 0.0:
-        return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0, duality_gap=0.0)
-    rhs_s = rhs / scale
-    # columns: u+ (q), u- (q), peak t (1), slack w (q)
-    A = np.block(
-        [
-            [C, -C, np.zeros((n, 1)), np.zeros((n, q))],
-            [np.eye(q), np.eye(q), -np.ones((q, 1)), np.eye(q)],
-        ]
-    )
-    bb = np.concatenate([rhs_s, np.zeros(q)])
-    c = np.zeros(3 * q + 1)
-    c[2 * q] = 1.0
-    return _solve_lp(c, A, bb, C, rhs, scale)
+    q = C.shape[1]
+
+    def program(Cr, br):
+        # columns: u+ (q), u- (q), peak t (1), slack w (q)
+        A = np.block(
+            [
+                [Cr, -Cr, np.zeros((Cr.shape[0], q + 1))],
+                [np.eye(q), np.eye(q), -np.ones((q, 1)), np.eye(q)],
+            ]
+        )
+        c = np.zeros(3 * q + 1)
+        c[2 * q] = 1.0
+        return c, A, np.concatenate([br, np.zeros(q)])
+
+    return _solve_lp(C, rhs, program)
 
 
 def _shrink(v: np.ndarray, l1: float, l2: float) -> np.ndarray:

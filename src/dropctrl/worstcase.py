@@ -4,9 +4,11 @@ Every problem evaluates a per-signal measure and takes the maximum over a
 candidate set: either the minimal signals (fast mode, justified by the
 antitone behaviour of each measure in the support order) or the full
 admissible language (exhaustive mode, the ground truth).  Infeasible
-per-signal outcomes count as +infinity.  Reports are deterministic: the
-candidate set is iterated in lexicographic order and the first attaining
-signal (the lexicographically smallest) is reported as the argmax.
+per-signal outcomes count as +infinity; signals whose solver failed
+(MAX_ITERATIONS) are listed in info["failed_signals"].  Reports are
+deterministic: the candidate set is iterated in lexicographic order and
+the first attaining signal (the lexicographically smallest) is reported
+as the argmax.
 """
 
 from __future__ import annotations
@@ -145,6 +147,10 @@ def _scan(
         if entry.value > worst:
             worst = entry.value
             argmax = entry.signal
+    info = dict(info or {})
+    failed = [str(e.signal) for e in per_signal if e.status == MAX_ITERATIONS]
+    if failed:
+        info["failed_signals"] = failed
     return WorstCaseReport(
         problem=problem,
         mode=mode,
@@ -153,7 +159,7 @@ def _scan(
         per_signal=per_signal,
         wallclock=time.perf_counter() - start,
         feasible=math.isfinite(worst),
-        info=dict(info or {}),
+        info=info,
     )
 
 
@@ -191,7 +197,9 @@ def worst_control_time(
     Candidate horizons are scanned in increasing order; horizon t is
     feasible for a signal when the unit-box input program reaching
     x(t+1) = 0 exists, i.e. the least infinity-norm solution of
-    C u = -A^{t+1} x0 over the prefix s(0..t) has value <= 1.
+    C u = -A^{t+1} x0 over the prefix s(0..t) has value <= 1.  An LP that
+    is not certified ends the signal's scan as MAX_ITERATIONS with value
+    +inf, and the signal is listed in info["failed_signals"].
     """
     signals = candidate_signals(constraint, T, mode, cap)
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -206,6 +214,8 @@ def worst_control_time(
         for t in range(T):
             prefix = Signal(s.bits[: t + 1])
             res = min_inf_norm(controllability_matrix(sys, prefix), targets[t])
+            if res.status == MAX_ITERATIONS:
+                return math.inf, MAX_ITERATIONS
             if res.status == OPTIMAL and res.value <= 1.0 + FEAS_TOL:
                 return float(t), OPTIMAL
         return math.inf, INFEASIBLE
@@ -235,11 +245,7 @@ def _worst_input_norm(
             return math.inf, res.status
         return float(res.value), res.status
 
-    report = _scan(problem, mode, signals, evaluate, info)
-    failed = [str(e.signal) for e in report.per_signal if e.status == MAX_ITERATIONS]
-    if failed:
-        report.info["failed_signals"] = failed
-    return report
+    return _scan(problem, mode, signals, evaluate, info)
 
 
 def worst_fuel(

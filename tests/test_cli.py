@@ -281,6 +281,28 @@ def test_unknown_argument_exit_1(capsys, extra):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("command", ["admissible", "minimal"])
+def test_listings_refuse_mode(capsys, tmp_path, command):
+    # neither listing reads --mode, so neither accepts it
+    code, _, err = run_cli(capsys, command, "--k", "1", "--T", "4", "--mode", "exhaustive")
+    assert code == 1
+    assert "unrecognized arguments" in err
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"mode": "minimal"}))
+    code, _, err = run_cli(capsys, command, "--k", "1", "--T", "4", "--config", str(config))
+    assert code == 1
+    assert "unrecognized arguments" in err
+
+
+def test_study_text_says_filter_skipped(capsys):
+    code, out, _ = run_cli(
+        capsys, "study", "--problem", "I", "--states", "3", "--inputs", "2",
+        "--samples", "2", "--seed", "4", "--exhaustive-cap", "100",
+    )
+    assert code == 0
+    assert "(filter): skipped" in out
+
+
 def test_study_discard_threshold_exit_2(capsys):
     # bounded-input transfer is infeasible for these draws; every sample
     # is discarded, tripping the default 0.5 threshold

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import dropctrl.solvers as solvers
 from dropctrl import (
     INFEASIBLE,
+    MAX_ITERATIONS,
     OPTIMAL,
     Polytope,
+    SolveResult,
     SwitchedLinearSystem,
     min_energy,
     min_fuel,
@@ -81,6 +84,34 @@ def test_min_fuel_input_bound_respected():
     assert np.abs(res.u).max() <= 0.4 + 1e-9
     # bound forces fuel above the unconstrained 0.5
     assert res.value >= 0.5 - 1e-12
+
+
+def test_min_fuel_bound_decided_by_least_peak(monkeypatch):
+    C, xf = [[2.0, 1.0]], [3.0]  # least peak input 1.0, reached by u = (1, 1)
+    res = min_fuel(C, xf, input_bound=1.0)  # the box leaves that one point
+    assert res.status == OPTIMAL
+    assert np.allclose(res.u, [1.0, 1.0]) and res.value == pytest.approx(2.0)
+    assert min_fuel(C, xf, input_bound=1.0 - 1e-6).status == INFEASIBLE
+    assert min_fuel(C, [0.0], input_bound=1.0).value == 0.0
+    # a peak that is not certified is the answer, not a verdict on the bound
+    failed = SolveResult(MAX_ITERATIONS, iterations=7)
+    monkeypatch.setattr(solvers, "min_inf_norm", lambda *a: failed)
+    assert min_fuel(C, xf, input_bound=5.0) is failed
+
+
+def test_lp_result_off_target_is_not_optimal(monkeypatch):
+    # a certified LP whose u misses C u = x_f by more than FEAS_TOL ||x_f||
+    # (here, by 1e-6) is no optimal design
+    original = solvers.solve_standard_lp
+
+    def off_target(c, A, b):
+        lp = original(c, A, b)
+        lp.x = lp.x * (1.0 + 1e-6)
+        return lp
+
+    monkeypatch.setattr(solvers, "solve_standard_lp", off_target)
+    res = min_fuel([[2.0, 1.0]], [1.0])
+    assert res.status == MAX_ITERATIONS and res.u is None
 
 
 def test_min_fuel_duality_gap_random():

@@ -130,16 +130,33 @@ def test_study_timings_recorded():
 
 
 @pytest.mark.parametrize(
-    "status, reason",
-    [(MAX_ITERATIONS, "solver_failure"), (INFEASIBLE, "nominal_input_design_infeasible")],
+    "problem, solver, status, reason",
+    [
+        pytest.param("III", "min_fuel", MAX_ITERATIONS, "solver_failure",
+                     id="max_iterations-solver_failure"),
+        pytest.param("III", "min_fuel", INFEASIBLE, "nominal_input_design_infeasible",
+                     id="infeasible-nominal_input_design_infeasible"),
+        pytest.param("II", "min_inf_norm", MAX_ITERATIONS, "solver_failure",
+                     id="II-max_iterations-solver_failure"),
+        pytest.param("II", "min_inf_norm", INFEASIBLE, "nominal_transfer_infeasible",
+                     id="II-infeasible-nominal_transfer_infeasible"),
+    ],
 )
-def test_study_nominal_fuel_discard_reason(monkeypatch, status, reason):
+def test_study_nominal_fuel_discard_reason(monkeypatch, problem, solver, status, reason):
     # a nominal solve that fails is a solver failure, not an infeasible target
-    monkeypatch.setattr(worstcase, "min_fuel", lambda *a, **kw: SolveResult(status))
-    res = run_study(StudyConfig(problem="III", k=1, n=3, m=2, samples=3, T=6, seed=5))
+    monkeypatch.setattr(worstcase, solver, lambda *a, **kw: SolveResult(status))
+    res = run_study(StudyConfig(problem=problem, k=1, n=3, m=2, samples=3, T=6, seed=5))
     for row, rep in zip(res.rows, res.reports):
         assert row.status == f"discarded:{reason}"
         assert (row.nominal, row.worst, row.argmax_signal, rep) == (None, None, None, None)
+
+
+def test_study_skips_filter_timing_beyond_the_cap():
+    # k=1, T=12 admits 377 words; the filter oracle is timed only under the cap
+    cfg = dict(problem="I", k=1, n=3, m=2, samples=3, T=12, seed=4)
+    capped = run_study(StudyConfig(**cfg, exhaustive_cap=100))
+    assert capped.avg_time_filter is None
+    assert capped.rows == run_study(StudyConfig(**cfg)).rows
 
 
 def test_study_keeps_full_reports():
