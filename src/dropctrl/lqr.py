@@ -4,12 +4,16 @@ The backward difference Riccati recursion carries the signal: at a
 dropout step the quadratic correction term vanishes and the update is the
 pure Lyapunov step Q + A'PA.  Gains designed for the ideal loop can be
 replayed through a lossy channel to price the degradation of a fixed
-controller.
+controller.  The worst-case scans run the recursion and the rollout on a
+chunk of signals at once, with the correction applied only to the rows
+whose signal is 1 at that step; riccati_backward and degraded_cost are the
+one-signal case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -90,23 +94,38 @@ class GainSchedule:
 
 
 def riccati_backward(sys: SwitchedLinearSystem, s: Signal, w: LqrWeights) -> RiccatiSolution:
-    """Backward recursion from P(T) = Qf with the correction gated by the signal."""
-    T = len(s)
+    """Backward recursion from P(T) = Qf with the correction gated by the signal.
+
+    The one-signal case of _riccati, which the worst-case scan runs on a
+    chunk of signals at once.
+    """
+    steps = [P[0] for P in _riccati(sys, np.array([list(s)], dtype=bool), w)]
+    return RiccatiSolution(P=np.array(steps[::-1]))
+
+
+def _riccati(sys: SwitchedLinearSystem, mask: np.ndarray, w: LqrWeights) -> Iterator[np.ndarray]:
+    """P(T), P(T-1), ..., P(0) for each row of an (N, T) bool mask, as (N, n, n) stacks.
+
+    The Lyapunov step runs on the whole stack; the gated correction only on
+    the rows whose signal is 1 at that step.  Each step is yielded and then
+    dropped, so a scan that needs only P(0) holds two stacks, not T+1.
+    """
+    N, T = mask.shape
     if T != w.T:
         raise ValueError(f"signal length {T} != weight horizon {w.T}")
     A, B = sys.A, sys.B
-    n = sys.n
-    P = np.empty((T + 1, n, n))
-    P[T] = w.Qf
+    P = np.broadcast_to(w.Qf, (N, sys.n, sys.n))
+    yield P
     for t in range(T - 1, -1, -1):
-        Pn = P[t + 1]
-        step = w.Q + A.T @ Pn @ A
-        if s[t]:
-            BtP = B.T @ Pn
+        step = w.Q + A.T @ P @ A
+        on = mask[:, t]
+        if on.any():
+            Pon = P[on]
+            BtP = B.T @ Pon
             gain = np.linalg.solve(w.R + BtP @ B, BtP @ A)
-            step = step - (A.T @ Pn @ B) @ gain
-        P[t] = (step + step.T) / 2.0
-    return RiccatiSolution(P=P)
+            step[on] -= (A.T @ Pon @ B) @ gain
+        P = (step + step.swapaxes(1, 2)) / 2.0
+        yield P
 
 
 def lqr_cost(sol: RiccatiSolution, x0) -> float:
@@ -132,19 +151,32 @@ def degraded_cost(
 
     Rolls x(t+1) = (A + s(t) B K(t)) x(t) and accumulates
     x'(Q + K'RK)x at each stage plus the terminal x'Qf x; the controller
-    never re-plans after a dropout.
+    never re-plans after a dropout.  The one-signal case of _rollout, which
+    the worst-case scan runs on a chunk of signals at once.
     """
-    T = len(s)
+    return float(_rollout(sys, gains, np.array([list(s)], dtype=bool), w, x0)[0])
+
+
+def _rollout(
+    sys: SwitchedLinearSystem, gains: GainSchedule, mask: np.ndarray, w: LqrWeights, x0
+) -> np.ndarray:
+    """degraded_cost for each row of an (N, T) bool mask, on an (N, n, 1) state stack."""
+    N, T = mask.shape
     if T != w.T or gains.K.shape[0] != T:
         raise ValueError("signal, weights and gain schedule horizons must match")
-    x = np.asarray(x0, dtype=float).ravel()
-    cost = 0.0
+    x = np.tile(np.asarray(x0, dtype=float).reshape(-1, 1), (N, 1, 1))
+    cost = np.zeros(N)
     for t in range(T):
         K = gains.K[t]
-        cost += float(x @ (w.Q + K.T @ w.R @ K) @ x)
-        if s[t]:
-            x = (sys.A + sys.B @ K) @ x
-        else:
-            x = sys.A @ x
-    cost += float(x @ w.Qf @ x)
-    return cost
+        cost += _quadratic(x, w.Q + K.T @ w.R @ K)
+        x = np.where(mask[:, t, None, None], (sys.A + sys.B @ K) @ x, sys.A @ x)
+    return cost + _quadratic(x, w.Qf)
+
+
+def _quadratic(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x'Mx for stacks of columns x (..., n, 1) and matrices M (..., n, n).
+
+    Each row is the vector-matrix product x'M, then a dot with x: the
+    products a single vector takes, so a stack row equals its own case.
+    """
+    return (x.swapaxes(-1, -2) @ M @ x)[..., 0, 0]

@@ -21,6 +21,8 @@ __all__ = [
     "is_minimal_k",
 ]
 
+_BIT = {"0": 0, "1": 1}
+
 
 class Signal:
     """Immutable binary word sigma(0) ... sigma(T-1), T >= 1."""
@@ -29,9 +31,9 @@ class Signal:
 
     def __init__(self, bits: Iterable[int] | str):
         if isinstance(bits, str):
-            if not bits or any(c not in "01" for c in bits):
+            if not bits or bits.strip("01"):
                 raise ValueError(f"not a bit string: {bits!r}")
-            vals = tuple(int(c) for c in bits)
+            vals = tuple(map(_BIT.__getitem__, bits))
         else:
             vals = tuple(int(b) for b in bits)
             if not vals or any(b not in (0, 1) for b in vals):
@@ -96,18 +98,19 @@ class SignalSet:
     __slots__ = ("_signals", "_index")
 
     def __init__(self, signals: Iterable[Signal]):
-        uniq = set()
+        # keyed by the bit tuples, so hashing and sorting stay in C
+        index: dict[tuple[int, ...], Signal] = {}
         for s in signals:
             if not isinstance(s, Signal):
                 s = Signal(s)
-            uniq.add(s)
-        ordered = tuple(sorted(uniq))
-        if ordered:
-            T = len(ordered[0])
-            if any(len(s) != T for s in ordered):
+            index[s._bits] = s
+        keys = sorted(index)
+        if keys:
+            T = len(keys[0])
+            if any(len(b) != T for b in keys):
                 raise ValueError("signals in a set must share one length")
-        object.__setattr__(self, "_signals", ordered)
-        object.__setattr__(self, "_index", uniq)
+        object.__setattr__(self, "_signals", tuple(map(index.__getitem__, keys)))
+        object.__setattr__(self, "_index", index)
 
     @property
     def signals(self) -> tuple[Signal, ...]:
@@ -122,10 +125,15 @@ class SignalSet:
     def to_strings(self) -> tuple[str, ...]:
         return tuple(str(s) for s in self._signals)
 
+    def to_array(self) -> np.ndarray:
+        """The signals as rows of an (N, T) bool array, in iteration order."""
+        bits = [s._bits for s in self._signals]
+        return np.array(bits, dtype=bool).reshape(len(bits), len(bits[0]) if bits else 0)
+
     def __contains__(self, s) -> bool:
         if isinstance(s, str):
             s = Signal(s)
-        return s in self._index
+        return isinstance(s, Signal) and s._bits in self._index
 
     def __iter__(self) -> Iterator[Signal]:
         return iter(self._signals)
@@ -134,7 +142,7 @@ class SignalSet:
         return len(self._signals)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SignalSet) and self._index == other._index
+        return isinstance(other, SignalSet) and self._index.keys() == other._index.keys()
 
     def __repr__(self) -> str:
         return f"SignalSet({list(self.to_strings())})"
@@ -151,7 +159,7 @@ def dominates(s1: Signal, s2: Signal) -> bool:
 
 
 def _pack(ss: SignalSet) -> np.ndarray:
-    bits = np.array([s.bits for s in ss], dtype=np.uint64)
+    bits = ss.to_array().astype(np.uint64)
     weights = (np.uint64(1) << np.arange(len(ss.signals[0]), dtype=np.uint64))
     return bits @ weights
 
@@ -174,7 +182,7 @@ def minimal_filter(ss: SignalSet) -> SignalSet:
             if int(below.sum()) == 1:  # only s itself
                 keep.append(sigs[i])
     else:
-        bits = np.array([s.bits for s in sigs], dtype=bool)
+        bits = ss.to_array()
         keep = []
         for i in range(len(sigs)):
             below = ~(bits & ~bits[i]).any(axis=1)

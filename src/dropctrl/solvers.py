@@ -11,7 +11,10 @@ interior-point solver in simplex.py certifies them, and a result without
 its certificate is MAX_ITERATIONS.  The 2-norm problem is closed form from
 the SVD; the combined 1-norm + 2-norm objective is handled by an
 operator-splitting iteration whose proximal step composes soft
-thresholding with a radial shrink.
+thresholding with a radial shrink.  The factorization takes a stack of
+matrices, so the worst-case scan factors a chunk of signals with one SVD
+call and then cuts and tests each matrix on its own; min_energy is the
+one-matrix case of that batch.
 """
 
 from __future__ import annotations
@@ -71,11 +74,14 @@ def _prep(Cmat, rhs):
     return C, v
 
 
-def _factor(C: np.ndarray):
-    """One thin SVD of C: U_r, s_r, V_r for the singular values above the rank cut."""
+def _factor(C: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Thin SVDs of a stack (N, n, q) in one call: per matrix U_r, s_r, V_r above the rank cut."""
     U, s, Vt = np.linalg.svd(C, full_matrices=False)
-    r = int(np.count_nonzero(s > _rank_cut(C.shape, s)))
-    return U[:, :r], s[:r], Vt[:r].T
+    factors = []
+    for Uk, sk, Vtk in zip(U, s, Vt):
+        r = int(np.count_nonzero(sk > _rank_cut(C.shape[1:], sk)))
+        factors.append((Uk[:, :r], sk[:r], Vtk[:r].T))
+    return factors
 
 
 def _range_test(U: np.ndarray, v: np.ndarray):
@@ -85,15 +91,28 @@ def _range_test(U: np.ndarray, v: np.ndarray):
 
 
 def min_energy(Cmat, x_f) -> SolveResult:
-    """Minimum 2-norm u = V_r (U_r' x_f / s_r) with C u = x_f; the residual is a report."""
+    """Minimum 2-norm u = V_r (U_r' x_f / s_r) with C u = x_f; the residual is a report.
+
+    The one-matrix case of _min_energy, which the worst-case scan runs on
+    a stack of controllability matrices.
+    """
     C, xf = _prep(Cmat, x_f)
-    U, s, V = _factor(C)
-    coeff, reached = _range_test(U, xf)
-    u = V @ (coeff / s)
-    residual = float(np.linalg.norm(C @ u - xf))
-    if not reached:
-        return SolveResult(INFEASIBLE, residual=residual)
-    return SolveResult(OPTIMAL, u=u, value=float(np.linalg.norm(u)), residual=residual)
+    return _min_energy(C[None], xf)[0]
+
+
+def _min_energy(Cs: np.ndarray, xf: np.ndarray) -> list[SolveResult]:
+    """min_energy for each matrix of a stack (N, n, q), from one SVD call."""
+    results = []
+    for C, (U, s, V) in zip(Cs, _factor(Cs)):
+        coeff, reached = _range_test(U, xf)
+        u = V @ (coeff / s)
+        residual = float(np.linalg.norm(C @ u - xf))
+        if reached:
+            value = float(np.linalg.norm(u))
+            results.append(SolveResult(OPTIMAL, u=u, value=value, residual=residual))
+        else:
+            results.append(SolveResult(INFEASIBLE, residual=residual))
+    return results
 
 
 def _solve_lp(C: np.ndarray, target: np.ndarray, program) -> SolveResult:
@@ -109,7 +128,7 @@ def _solve_lp(C: np.ndarray, target: np.ndarray, program) -> SolveResult:
     scale = float(np.linalg.norm(target))
     if scale == 0.0:
         return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0, duality_gap=0.0)
-    U = _factor(C)[0]
+    U = _factor(C[None])[0][0]
     coeff, reached = _range_test(U, target)
     if not reached:
         return SolveResult(INFEASIBLE)
@@ -208,7 +227,7 @@ def min_fuel_energy(Cmat, x_f, gamma1: float, gamma2: float) -> SolveResult:
     scale = float(np.linalg.norm(xf))
     if scale == 0.0:
         return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0)
-    U, s, V = _factor(C)
+    U, s, V = _factor(C[None])[0]
     coeff, reached = _range_test(U, xf / scale)
     if not reached:
         return SolveResult(INFEASIBLE)

@@ -3,7 +3,10 @@
 The plant is x(t+1) = A x(t) + sigma(t) B u(t) with output y(t) = C x(t)
 emitted only when sigma(t) = 1.  For a fixed dropout signal the model is
 linear time varying, and reachability/observability are decided by the
-rank of signal-masked block matrices.
+rank of signal-masked block matrices.  The blocks A^{T-1-i} B and C A^i
+depend only on the horizon, so the worst-case scans build them once per
+call: a chunk's controllability matrices are the blocks times its
+(N, T) bool mask, and controllability_matrix is the one-signal case.
 """
 
 from __future__ import annotations
@@ -127,32 +130,51 @@ def simulate(sys: SwitchedLinearSystem, s: Signal, x0, u) -> Trajectory:
     return Trajectory(states=states, outputs=outputs)
 
 
+def _ctrb_blocks(sys: SwitchedLinearSystem, T: int) -> np.ndarray:
+    """The blocks A^{T-1-i} B for i = 0..T-1, shape (T, n, m), by iterated multiplication."""
+    blocks = np.empty((T, sys.n, sys.m))
+    P = sys.B
+    for i in range(T - 1, -1, -1):
+        blocks[i] = P
+        if i > 0:
+            P = sys.A @ P
+    return blocks
+
+
+def _ctrb_stack(blocks: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Controllability matrices of the rows of an (N, T) bool mask, shape (N, n, m T)."""
+    N, T = mask.shape
+    _, n, m = blocks.shape
+    # written in C order, so the reshape is a view and not a second copy
+    stack = np.multiply(mask[:, None, :, None], blocks.transpose(1, 0, 2), order="C")
+    return stack.reshape(N, n, T * m)
+
+
 def controllability_matrix(sys: SwitchedLinearSystem, s: Signal) -> np.ndarray:
     """Blocks [s(0) A^{T-1} B, ..., s(T-2) A B, s(T-1) B], shape n x (m T).
 
-    Maps the stacked input vector to x(T) from zero initial state.  Powers
-    are built by iterated multiplication; horizons stay small.
+    Maps the stacked input vector to x(T) from zero initial state.  This is
+    the one-signal case of the stack that the worst-case scans build per
+    chunk of signals: the blocks A^{T-1-i} B, built by iterated
+    multiplication, times the signal's bits.
     """
-    T = len(s)
-    blocks = [None] * T
-    P = sys.B
-    for i in range(T - 1, -1, -1):
-        blocks[i] = s[i] * P
-        if i > 0:
-            P = sys.A @ P
-    return np.hstack(blocks)
+    return _ctrb_stack(_ctrb_blocks(sys, len(s)), np.array([list(s)], dtype=bool))[0]
+
+
+def _obsv_blocks(sys: SwitchedLinearSystem, T: int) -> np.ndarray:
+    """The blocks C A^i for i = 0..T-1, shape (T, p, n), by iterated multiplication."""
+    blocks = np.empty((T, sys.p, sys.n))
+    M = sys.C
+    for i in range(T):
+        blocks[i] = M
+        if i < T - 1:
+            M = M @ sys.A
+    return blocks
 
 
 def observability_matrix(sys: SwitchedLinearSystem, s: Signal) -> np.ndarray:
     """Stacked rows s(i) C A^i for i = 0..T-1, shape (p T) x n."""
-    T = len(s)
-    blocks = []
-    M = sys.C
-    for i in range(T):
-        blocks.append(s[i] * M)
-        if i < T - 1:
-            M = M @ sys.A
-    return np.vstack(blocks)
+    return np.vstack([b * M for b, M in zip(s, _obsv_blocks(sys, len(s)))])
 
 
 def reachability_gramian(sys: SwitchedLinearSystem, s: Signal) -> Gramian:
@@ -182,19 +204,20 @@ def first_full_rank_time(sys: SwitchedLinearSystem, s: Signal) -> int | None:
     """Least t with the observability matrix over s(0..t) of full column rank.
 
     Returns None when no prefix achieves rank n (estimation infeasible for
-    this signal at this horizon).
+    this signal at this horizon).  The worst-case scan builds the blocks
+    C A^i once per call and shares them across its signals.
     """
-    n = sys.n
+    return _first_full_rank_time(_obsv_blocks(sys, len(s)), s)
+
+
+def _first_full_rank_time(blocks: np.ndarray, s) -> int | None:
+    """first_full_rank_time over the blocks C A^i of the signal's horizon."""
+    _, p, n = blocks.shape
     rows: list[np.ndarray] = []
-    successes = 0
-    M = sys.C
-    for t in range(len(s)):
-        if s[t]:
-            rows.append(M)
-            successes += 1
+    for t, bit in enumerate(s):
+        if bit:
+            rows.append(blocks[t])
             # rank cannot reach n before p * successes >= n
-            if successes * sys.p >= n and numerical_rank(np.vstack(rows)) == n:
+            if len(rows) * p >= n and numerical_rank(np.vstack(rows)) == n:
                 return t
-        if t < len(s) - 1:
-            M = M @ sys.A
     return None

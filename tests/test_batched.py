@@ -1,0 +1,227 @@
+"""Batched evaluators against per-signal oracles.
+
+III-energy, IV, V and VI evaluate a chunk of rows of the packed (N, T)
+candidate array at a time; I shares its blocks C A^i across signals.  The
+oracles below are per-signal loops in plain numpy, the arithmetic the scan
+did one signal at a time.  Plants are drawn as `run_study` draws them, one
+per recipe, the ill-conditioned `gaussian_x10` included; the candidate
+counts sit on both sides of the chunk boundaries.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dropctrl import (
+    INFEASIBLE,
+    OPTIMAL,
+    LqrWeights,
+    Polytope,
+    Signal,
+    SignalSet,
+    candidate_signals,
+    controllability_matrix,
+    degraded_cost,
+    first_full_rank_time,
+    lqr_cost,
+    lti_gains,
+    min_energy,
+    numerical_rank,
+    polytope_reachable,
+    riccati_backward,
+    worst_energy,
+    worst_estimation_time,
+    worst_fixed_input_lqr,
+    worst_lqr,
+)
+from dropctrl import worstcase
+from dropctrl.solvers import FEAS_TOL
+from dropctrl.study import GENERATION_METHODS, _sample_rng, random_system
+
+N_STATES, N_INPUTS, K, T = 6, 3, 2, 14
+SEED = 7
+COUNTS = [1, 63, 64, 65, 130]
+
+
+def study_plant(sample):
+    method = GENERATION_METHODS[sample % len(GENERATION_METHODS)]
+    rng = _sample_rng(SEED, sample)
+    return random_system(N_STATES, N_INPUTS, N_INPUTS, method, rng, screen_horizon=T)
+
+
+def some_signals(count):
+    """`count` distinct words of length T, the all-dropout word among them when count > 1."""
+    rng = np.random.default_rng(count)
+    if count == 1:
+        codes = [2**T - 1]
+    else:
+        codes = [0, *rng.choice(np.arange(1, 2**T), count - 1, replace=False)]
+    return SignalSet(Signal(format(int(c), f"0{T}b")) for c in codes)
+
+
+# --- per-signal oracles ----------------------------------------------------
+
+def ctrb_oracle(sys, s):
+    blocks = [None] * T
+    P = sys.B
+    for i in range(T - 1, -1, -1):
+        blocks[i] = s[i] * P
+        if i > 0:
+            P = sys.A @ P
+    return np.hstack(blocks)
+
+
+def factor_oracle(C):
+    U, sv, Vt = np.linalg.svd(C, full_matrices=False)
+    r = int(np.count_nonzero(sv > max(C.shape) * np.finfo(float).eps * sv[0]))
+    return U[:, :r], sv[:r], Vt[:r].T
+
+
+def reached(U, v):
+    c = v @ U
+    return c, np.linalg.norm(v - c @ U.T, axis=-1) <= FEAS_TOL * np.linalg.norm(v, axis=-1)
+
+
+def energy_oracle(sys, s, xf):
+    U, sv, V = factor_oracle(ctrb_oracle(sys, s))
+    c, ok = reached(U, xf)
+    if not ok:
+        return math.inf, INFEASIBLE
+    return float(np.linalg.norm(V @ (c / sv))), OPTIMAL
+
+
+def polytope_oracle(sys, s, vertices):
+    U, sv, _ = factor_oracle(ctrb_oracle(sys, s))
+    c, ok = reached(U, vertices)
+    if not ok.all():
+        return math.inf, "unreachable_vertex"
+    return float(np.max(np.sum((c / sv) ** 2, axis=1))), OPTIMAL
+
+
+def estimation_oracle(sys, s):
+    rows = []
+    M = sys.C
+    for t in range(T):
+        if s[t]:
+            rows.append(M)
+            if len(rows) * sys.p >= sys.n and numerical_rank(np.vstack(rows)) == sys.n:
+                return float(t), OPTIMAL
+        M = M @ sys.A
+    return math.inf, INFEASIBLE
+
+
+def lqr_oracle(sys, s, w, x0):
+    A, B = sys.A, sys.B
+    P = w.Qf
+    for t in range(T - 1, -1, -1):
+        step = w.Q + A.T @ P @ A
+        if s[t]:
+            BtP = B.T @ P
+            step = step - (A.T @ P @ B) @ np.linalg.solve(w.R + BtP @ B, BtP @ A)
+        P = (step + step.T) / 2.0
+    return float(x0 @ P @ x0), OPTIMAL
+
+
+def rollout_oracle(sys, gains, s, w, x0):
+    x = x0.copy()
+    cost = 0.0
+    for t in range(T):
+        K_t = gains.K[t]
+        cost += float(x @ (w.Q + K_t.T @ w.R @ K_t) @ x)
+        x = (sys.A + sys.B @ K_t) @ x if s[t] else sys.A @ x
+    return cost + float(x @ w.Qf @ x), OPTIMAL
+
+
+def first_argmax(values, signals):
+    worst, argmax = -math.inf, None
+    for v, s in zip(values, signals):
+        if v > worst:
+            worst, argmax = v, s
+    return argmax
+
+
+# --- the scans against the oracles ------------------------------------------
+
+@pytest.fixture(params=range(len(GENERATION_METHODS)), ids=GENERATION_METHODS)
+def plant(request):
+    return study_plant(request.param)
+
+
+@pytest.fixture(params=COUNTS, ids=[f"N{n}" for n in COUNTS])
+def signals(request, monkeypatch):
+    ss = some_signals(request.param)
+    assert len(ss) == request.param
+    monkeypatch.setattr(worstcase, "candidate_signals", lambda *args, **kwargs: ss)
+    return ss
+
+
+def run_all(sys):
+    """Every batched problem on `sys`: name -> (report, per-signal oracle, exact)."""
+    ones = np.ones(sys.n)
+    w = LqrWeights.identity(sys.n, sys.m, T)
+    gains = lti_gains(sys, w)
+    vertices = 0.01 * np.vstack([np.eye(sys.n), -np.eye(sys.n)])
+    return {
+        "I": (worst_estimation_time(sys, K, T), lambda s: estimation_oracle(sys, s), True),
+        "III-energy": (
+            worst_energy(sys, K, T, ones), lambda s: energy_oracle(sys, s, ones), True,
+        ),
+        "IV": (
+            polytope_reachable(sys, K, T, Polytope(vertices))[1],
+            lambda s: polytope_oracle(sys, s, vertices),
+            True,
+        ),
+        "V": (worst_lqr(sys, K, w, ones), lambda s: lqr_oracle(sys, s, w, ones), False),
+        "VI": (
+            worst_fixed_input_lqr(sys, K, w, ones),
+            lambda s: rollout_oracle(sys, gains, s, w, ones),
+            False,
+        ),
+    }
+
+
+def test_batched_scans_match_per_signal_oracles(plant, signals):
+    for name, (report, oracle, exact) in run_all(plant).items():
+        assert [e.signal for e in report.per_signal] == list(signals), name
+        expected = [oracle(s) for s in signals]
+        assert [e.status for e in report.per_signal] == [st for _, st in expected], name
+        got = [e.value for e in report.per_signal]
+        want = [v for v, _ in expected]
+        if exact:
+            assert got == want, name
+        else:
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0), name
+        assert report.argmax_signal == first_argmax(want, signals), name
+
+
+def test_public_functions_are_the_batch_row(plant, signals):
+    ones = np.ones(plant.n)
+    w = LqrWeights.identity(plant.n, plant.m, T)
+    gains = lti_gains(plant, w)
+    energy = worst_energy(plant, K, T, ones).per_signal
+    lqr = worst_lqr(plant, K, w, ones).per_signal
+    fixed = worst_fixed_input_lqr(plant, K, w, ones).per_signal
+    estimation = worst_estimation_time(plant, K, T).per_signal
+    for s, e, v, vi, est in zip(signals, energy, lqr, fixed, estimation):
+        C = controllability_matrix(plant, s)
+        assert np.array_equal(C, ctrb_oracle(plant, s))
+        res = min_energy(C, ones)
+        assert (res.status, math.inf if res.value is None else res.value) == (e.status, e.value)
+        assert lqr_cost(riccati_backward(plant, s, w), ones) == v.value
+        assert degraded_cost(plant, gains, s, w, ones) == vi.value
+        t = first_full_rank_time(plant, s)
+        assert (math.inf if t is None else float(t)) == est.value
+
+
+def test_minimal_candidates_of_the_channel(plant):
+    # the unpatched path: the k=2 minimal candidates, more than one chunk
+    signals = candidate_signals(K, T)
+    assert len(signals) > worstcase._CHUNK
+    for name, (report, oracle, exact) in run_all(plant).items():
+        got = [e.value for e in report.per_signal]
+        want = [oracle(s)[0] for s in signals]
+        if exact:
+            assert got == want, name
+        else:
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0), name

@@ -26,6 +26,8 @@ def test_signal_rejects_bad_input():
     with pytest.raises(ValueError):
         Signal("012")
     with pytest.raises(ValueError):
+        Signal("1x0")
+    with pytest.raises(ValueError):
         Signal([])
     with pytest.raises(ValueError):
         Signal([2, 0])
@@ -41,6 +43,9 @@ def test_signal_immutable_and_hashable():
 def test_signalset_dedups_and_sorts():
     ss = SignalSet([Signal("10"), Signal("01"), Signal("10")])
     assert ss.to_strings() == ("01", "10")
+    assert np.array_equal(ss.to_array(), [[False, True], [True, False]])
+    assert ss.to_array().dtype == bool
+    assert SignalSet([]).to_array().shape == (0, 0)
     assert Signal("01") in ss
     assert "10" in ss
     assert ss.length == 2

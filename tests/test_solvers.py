@@ -6,8 +6,10 @@ import pytest
 
 import dropctrl.solvers as solvers
 from dropctrl import (
+    EXHAUSTIVE,
     INFEASIBLE,
     MAX_ITERATIONS,
+    MINIMAL,
     OPTIMAL,
     Polytope,
     SolveResult,
@@ -18,6 +20,7 @@ from dropctrl import (
     min_inf_norm,
     polytope_reachable,
 )
+from dropctrl.worstcase import _CHUNK
 
 
 def brute_force_min_fuel(C, xf, tol=1e-9):
@@ -338,12 +341,15 @@ def test_one_svd_per_solve(monkeypatch, solve, reachable):
     assert counts == {"svd": 1, "pinv": 0, "eigh": 0, "eigvalsh": 0}
 
 
-def test_polytope_one_svd_per_signal(monkeypatch):
+# 5 minimal signals at T=6; 89 admissible ones at T=9, two chunks
+@pytest.mark.parametrize("mode, T, chunks", [(MINIMAL, 6, 1), (EXHAUSTIVE, 9, 2)])
+def test_polytope_one_svd_per_chunk(monkeypatch, mode, T, chunks):
     rng = np.random.default_rng(67)
     sys = SwitchedLinearSystem(
         rng.standard_normal((3, 3)), rng.standard_normal((3, 1)), np.eye(3)
     )
     poly = Polytope(rng.standard_normal((4, 3)))
     counts = count_decompositions(monkeypatch)
-    _, rep = polytope_reachable(sys, 1, 6, poly)
-    assert counts == {"svd": len(rep.per_signal), "pinv": 0, "eigh": 0, "eigvalsh": 0}
+    _, rep = polytope_reachable(sys, 1, T, poly, mode=mode)
+    assert chunks == -(-len(rep.per_signal) // _CHUNK)
+    assert counts == {"svd": chunks, "pinv": 0, "eigh": 0, "eigvalsh": 0}
