@@ -10,6 +10,7 @@ every minimal signal.
 import numpy as np
 
 from dropctrl import (
+    Automaton,
     Polytope,
     Signal,
     SwitchedLinearSystem,
@@ -35,9 +36,14 @@ big = Polytope(1.1 * np.array([[1.0, 0.0], [0.0, 1.0]]))
 ok, rep = polytope_reachable(sys, 1, T, big)
 print(f"1.1-cross reachable? {ok} (worst form {rep.worst_value:.3f})")
 
-# without dropouts the same vertices fit easily
+# scanning every k=1 pattern, not only the minimal ones, gives the same verdict
 ok, rep = polytope_reachable(sys, 1, T, big, mode="exhaustive")
 print(f"exhaustive scan agrees: {ok}")
+
+# without dropouts (a channel that admits only 111) the same vertices fit easily
+lossless = Automaton([0], [(0, 0, "1")], [0])
+ok, rep = polytope_reachable(sys, lossless, T, big)
+print(f"1.1-cross reachable without dropouts? {ok} (worst form {rep.worst_value:.3f})")
 
 # an uncontrollable direction makes any off-axis vertex unreachable
 skewed = SwitchedLinearSystem(np.eye(2), np.array([[1.0], [0.0]]), np.eye(2))

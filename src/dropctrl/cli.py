@@ -218,6 +218,8 @@ def _run_command(ns: argparse.Namespace) -> int:
     mode = ns.mode
 
     if command == "study":
+        if not 0.0 <= ns.max_discard_frac <= 1.0:
+            raise CliError(f"--max-discard-frac must lie in [0, 1], got {ns.max_discard_frac}")
         cfg = StudyConfig(
             problem=ns.problem,
             k=ns.k,
@@ -268,6 +270,8 @@ def _run_command(ns: argparse.Namespace) -> int:
     elif command in ("lqr-maxmin", "lqr-fixed"):
         if ns.weights is not None:
             weights = serialize.load_weights(ns.weights)
+            if ns.T is not None and ns.T != weights.T:
+                raise CliError(f"--T {ns.T} disagrees with T = {weights.T} in {ns.weights}")
         elif ns.T is None:
             raise CliError("--T is required without --weights")
         else:

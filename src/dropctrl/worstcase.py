@@ -10,12 +10,13 @@ deterministic: the candidate set is iterated in lexicographic order and
 the first attaining signal (the lexicographically smallest) is reported
 as the argmax.
 
-The scan packs the candidates once into an (N, T) bool array and hands the
-problem's evaluator 64 rows at a time.  III-energy, IV, V and VI evaluate a
-chunk as array code: one controllability stack and one SVD call, one
-Riccati recursion on an (N, n, n) stack, one rollout on an (N, n) state
-stack.  I, II, III-fuel and III-fuel+energy loop over the rows of a chunk
-with their per-signal logic; I builds its blocks C A^i once per call.
+Each analysis builds its per-call data once and hands `_scan` a chunk
+evaluator; `_scan` resolves the candidates, packs them into an (N, T)
+bool array and evaluates 64 rows at a time.  III-energy, IV, V and VI
+evaluate a chunk as array code (one controllability stack and one SVD
+call, one Riccati recursion, one rollout).  I, II and the LP objectives
+of III loop over its rows; I and II read the horizon-t matrices of a
+row from the call's blocks C A^i and A^{T-1-i} B.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .systems import (
     _ctrb_stack,
     _first_full_rank_time,
     _obsv_blocks,
-    controllability_matrix,
 )
 
 __all__ = [
@@ -146,24 +146,26 @@ def candidate_signals(
 
 def _scan(
     problem: str,
+    constraint: Automaton | int,
+    T: int,
     mode: str,
-    signals: SignalSet,
+    cap: int,
     evaluate: Callable[[np.ndarray], list[tuple[float, str]]],
     info: dict | None = None,
 ) -> WorstCaseReport:
     """Evaluate the candidates chunk by chunk and reduce them to the worst case.
 
-    `evaluate` maps a chunk of rows of the packed (N, T) bool candidate
-    array to one (value, status) pair per row.
+    The candidates are candidate_signals(constraint, T, mode, cap), resolved
+    before the wallclock starts.  `evaluate` maps a chunk of rows of the
+    packed (N, T) bool candidate array to one (value, status) pair per row.
     """
+    signals = candidate_signals(constraint, T, mode, cap)
     start = time.perf_counter()
     mask = signals.to_array()
     results = []
     for lo in range(0, len(mask), _CHUNK):
         results.extend(evaluate(mask[lo : lo + _CHUNK]))
-    per_signal = [
-        PerSignal(signal=s, value=v, status=st) for s, (v, st) in zip(signals, results)
-    ]
+    per_signal = [PerSignal(s, v, st) for s, (v, st) in zip(signals, results)]
     worst = -math.inf
     argmax = None
     for entry in per_signal:  # lexicographic order; first attainer wins ties
@@ -186,11 +188,12 @@ def _scan(
     )
 
 
-def _by_row(
-    evaluate: Callable[[list[bool]], tuple[float, str]],
-) -> Callable[[np.ndarray], list[tuple[float, str]]]:
-    """A chunk evaluator that runs a per-signal evaluator on each row's bits."""
-    return lambda chunk: [evaluate(bits) for bits in chunk.tolist()]
+def _with_steps(report: WorstCaseReport) -> WorstCaseReport:
+    """Add the worst time index t and its step count t + 1 to a feasible I or II report."""
+    if report.feasible:
+        report.info["worst_t_index"] = int(report.worst_value)
+        report.info["worst_steps"] = int(report.worst_value) + 1
+    return report
 
 
 def worst_estimation_time(
@@ -201,18 +204,14 @@ def worst_estimation_time(
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
     """Problem I: worst first time the masked observability matrix reaches rank n."""
-    signals = candidate_signals(constraint, T, mode, cap)
     blocks = _obsv_blocks(sys, T)
 
-    def evaluate(bits: list[bool]) -> tuple[float, str]:
+    def evaluate_one(bits: list[bool]) -> tuple[float, str]:
         t = _first_full_rank_time(blocks, bits)
         return (math.inf, INFEASIBLE) if t is None else (float(t), OPTIMAL)
 
-    report = _scan("I", mode, signals, _by_row(evaluate))
-    if report.feasible:
-        report.info["worst_t_index"] = int(report.worst_value)
-        report.info["worst_steps"] = int(report.worst_value) + 1
-    return report
+    report = _scan("I", constraint, T, mode, cap, lambda c: [evaluate_one(b) for b in c.tolist()])
+    return _with_steps(report)
 
 
 def worst_control_time(
@@ -232,7 +231,6 @@ def worst_control_time(
     is not certified ends the signal's scan as MAX_ITERATIONS with value
     +inf, and the signal is listed in info["failed_signals"].
     """
-    signals = candidate_signals(constraint, T, mode, cap)
     x0 = np.asarray(x0, dtype=float).ravel()
     # targets[t] = -A^{t+1} x0
     targets = []
@@ -240,36 +238,27 @@ def worst_control_time(
     for _ in range(T):
         v = sys.A @ v
         targets.append(-v)
+    # the prefix s(0..t) has the blocks A^{t-i} B, the last t + 1 of the horizon's
+    blocks = _ctrb_blocks(sys, T)
 
-    def evaluate(bits: list[bool]) -> tuple[float, str]:
+    def evaluate_one(row: np.ndarray) -> tuple[float, str]:
         for t in range(T):
-            prefix = Signal(bits[: t + 1])
-            res = min_inf_norm(controllability_matrix(sys, prefix), targets[t])
+            C = _ctrb_stack(blocks[T - 1 - t :], row[None, : t + 1])[0]
+            res = min_inf_norm(C, targets[t])
             if res.status == MAX_ITERATIONS:
                 return math.inf, MAX_ITERATIONS
             if res.status == OPTIMAL and res.value <= 1.0 + FEAS_TOL:
                 return float(t), OPTIMAL
         return math.inf, INFEASIBLE
 
-    report = _scan("II", mode, signals, _by_row(evaluate))
-    if report.feasible:
-        report.info["worst_t_index"] = int(report.worst_value)
-        report.info["worst_steps"] = int(report.worst_value) + 1
-    return report
+    report = _scan("II", constraint, T, mode, cap, lambda c: [evaluate_one(row) for row in c])
+    return _with_steps(report)
 
 
-def _worst_input_norm(
-    problem: str,
-    solver: Callable[[np.ndarray], list],
-    sys: SwitchedLinearSystem,
-    constraint: Automaton | int,
-    T: int,
-    mode: str,
-    cap: int,
-    info: dict,
-) -> WorstCaseReport:
-    """Scan with `solver`, which maps an (N, n, m T) controllability stack to N results."""
-    signals = candidate_signals(constraint, T, mode, cap)
+def _input_norm(
+    sys: SwitchedLinearSystem, T: int, solver: Callable[[np.ndarray], list]
+) -> Callable[[np.ndarray], list[tuple[float, str]]]:
+    """A III chunk evaluator: `solver` maps an (N, n, m T) controllability stack to N results."""
     blocks = _ctrb_blocks(sys, T)
 
     def evaluate(chunk: np.ndarray) -> list[tuple[float, str]]:
@@ -280,7 +269,7 @@ def _worst_input_norm(
             for res in solver(_ctrb_stack(blocks, chunk))
         ]
 
-    return _scan(problem, mode, signals, evaluate, info)
+    return evaluate
 
 
 def worst_fuel(
@@ -294,16 +283,9 @@ def worst_fuel(
 ) -> WorstCaseReport:
     """Problem III with a pure 1-norm objective (per-signal LP)."""
     x_f = np.asarray(x_f, dtype=float).ravel()
-    return _worst_input_norm(
-        "III",
-        lambda Cs: [min_fuel(C, x_f, input_bound=input_bound) for C in Cs],
-        sys,
-        constraint,
-        T,
-        mode,
-        cap,
-        {"objective": "fuel", "input_bound": input_bound},
-    )
+    evaluate = _input_norm(sys, T, lambda Cs: [min_fuel(C, x_f, input_bound) for C in Cs])
+    info = {"objective": "fuel", "input_bound": input_bound}
+    return _scan("III", constraint, T, mode, cap, evaluate, info)
 
 
 def worst_energy(
@@ -316,16 +298,8 @@ def worst_energy(
 ) -> WorstCaseReport:
     """Problem III with a pure 2-norm objective (least-norm, one SVD call per chunk)."""
     x_f = np.asarray(x_f, dtype=float).ravel()
-    return _worst_input_norm(
-        "III",
-        lambda Cs: _min_energy(Cs, x_f),
-        sys,
-        constraint,
-        T,
-        mode,
-        cap,
-        {"objective": "energy"},
-    )
+    evaluate = _input_norm(sys, T, lambda Cs: _min_energy(Cs, x_f))
+    return _scan("III", constraint, T, mode, cap, evaluate, {"objective": "energy"})
 
 
 def worst_fuel_energy(
@@ -340,16 +314,9 @@ def worst_fuel_energy(
 ) -> WorstCaseReport:
     """Problem III with the combined weighted 1-norm + 2-norm objective."""
     x_f = np.asarray(x_f, dtype=float).ravel()
-    return _worst_input_norm(
-        "III",
-        lambda Cs: [min_fuel_energy(C, x_f, gamma1, gamma2) for C in Cs],
-        sys,
-        constraint,
-        T,
-        mode,
-        cap,
-        {"objective": "fuel+energy", "gamma1": gamma1, "gamma2": gamma2},
-    )
+    evaluate = _input_norm(sys, T, lambda Cs: [min_fuel_energy(C, x_f, gamma1, gamma2) for C in Cs])
+    info = {"objective": "fuel+energy", "gamma1": gamma1, "gamma2": gamma2}
+    return _scan("III", constraint, T, mode, cap, evaluate, info)
 
 
 def polytope_reachable(
@@ -382,8 +349,7 @@ def polytope_reachable(
     def evaluate(chunk: np.ndarray) -> list[tuple[float, str]]:
         return [evaluate_one(U, sv) for U, sv, _ in _factor(_ctrb_stack(blocks, chunk))]
 
-    signals = candidate_signals(constraint, T, mode, cap)
-    report = _scan("IV", mode, signals, evaluate, {"tolerance": FEAS_TOL})
+    report = _scan("IV", constraint, T, mode, cap, evaluate, {"tolerance": FEAS_TOL})
     reachable = report.worst_value <= 1.0 + FEAS_TOL
     report.info["reachable"] = reachable
     report.feasible = reachable
@@ -400,7 +366,6 @@ def worst_lqr(
 ) -> WorstCaseReport:
     """Problem V: worst optimal cost x0' P(0) x0 of the per-signal recursion."""
     x0 = np.asarray(x0, dtype=float).ravel()
-    signals = candidate_signals(constraint, weights.T, mode, cap)
 
     def evaluate(chunk: np.ndarray) -> list[tuple[float, str]]:
         for P in _riccati(sys, chunk, weights):
@@ -408,7 +373,7 @@ def worst_lqr(
         costs = _quadratic(x0[:, None], P)
         return [(cost, OPTIMAL) for cost in costs.tolist()]
 
-    return _scan("V", mode, signals, evaluate)
+    return _scan("V", constraint, weights.T, mode, cap, evaluate)
 
 
 def worst_fixed_input_lqr(
@@ -427,7 +392,6 @@ def worst_fixed_input_lqr(
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     gains = lti_gains(sys, weights)
-    signals = candidate_signals(constraint, weights.T, mode, cap)
 
     def evaluate(chunk: np.ndarray) -> list[tuple[float, str]]:
         costs = _rollout(sys, gains, chunk, weights, x0)
@@ -439,4 +403,4 @@ def worst_fixed_input_lqr(
             "minimal-signal search for the fixed-gain degraded cost is heuristic; "
             "run exhaustive mode for a certified worst case"
         )
-    return _scan("VI", mode, signals, evaluate, info)
+    return _scan("VI", constraint, weights.T, mode, cap, evaluate, info)

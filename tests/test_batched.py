@@ -1,8 +1,9 @@
 """Batched evaluators against per-signal oracles.
 
 III-energy, IV, V and VI evaluate a chunk of rows of the packed (N, T)
-candidate array at a time; I shares its blocks C A^i across signals.  The
-oracles below are per-signal loops in plain numpy, the arithmetic the scan
+candidate array at a time; I, II and III-fuel share the call's blocks
+C A^i or A^{T-1-i} B across signals.  The oracles below are per-signal
+loops in plain numpy or over the public solvers, the arithmetic the scan
 did one signal at a time.  Plants are drawn as `run_study` draws them, one
 per recipe, the ill-conditioned `gaussian_x10` included; the candidate
 counts sit on both sides of the chunk boundaries.
@@ -15,6 +16,7 @@ import pytest
 
 from dropctrl import (
     INFEASIBLE,
+    MAX_ITERATIONS,
     OPTIMAL,
     LqrWeights,
     Polytope,
@@ -27,12 +29,16 @@ from dropctrl import (
     lqr_cost,
     lti_gains,
     min_energy,
+    min_fuel,
+    min_inf_norm,
     numerical_rank,
     polytope_reachable,
     riccati_backward,
+    worst_control_time,
     worst_energy,
     worst_estimation_time,
     worst_fixed_input_lqr,
+    worst_fuel,
     worst_lqr,
 )
 from dropctrl import worstcase
@@ -42,6 +48,10 @@ from dropctrl.study import GENERATION_METHODS, _sample_rng, random_system
 N_STATES, N_INPUTS, K, T = 6, 3, 2, 14
 SEED = 7
 COUNTS = [1, 63, 64, 65, 130]
+# the LP problems solve a program per signal (II one per horizon), so they
+# run at a shorter horizon and at the counts around one chunk boundary
+T_LP = 8
+LP_COUNTS = [1, 64, 65]
 
 
 def study_plant(sample):
@@ -50,7 +60,7 @@ def study_plant(sample):
     return random_system(N_STATES, N_INPUTS, N_INPUTS, method, rng, screen_horizon=T)
 
 
-def some_signals(count):
+def some_signals(count, T=T):
     """`count` distinct words of length T, the all-dropout word among them when count > 1."""
     rng = np.random.default_rng(count)
     if count == 1:
@@ -131,6 +141,25 @@ def rollout_oracle(sys, gains, s, w, x0):
         cost += float(x @ (w.Q + K_t.T @ w.R @ K_t) @ x)
         x = (sys.A + sys.B @ K_t) @ x if s[t] else sys.A @ x
     return cost + float(x @ w.Qf @ x), OPTIMAL
+
+
+def control_time_oracle(sys, s, x0):
+    v = x0
+    for t in range(len(s)):
+        v = sys.A @ v
+        res = min_inf_norm(controllability_matrix(sys, Signal(s.bits[: t + 1])), -v)
+        if res.status == MAX_ITERATIONS:
+            return math.inf, MAX_ITERATIONS
+        if res.status == OPTIMAL and res.value <= 1.0 + FEAS_TOL:
+            return float(t), OPTIMAL
+    return math.inf, INFEASIBLE
+
+
+def fuel_oracle(sys, s, xf):
+    res = min_fuel(controllability_matrix(sys, s), xf)
+    if res.status == INFEASIBLE or res.value is None:
+        return math.inf, res.status
+    return float(res.value), res.status
 
 
 def first_argmax(values, signals):
@@ -225,3 +254,20 @@ def test_minimal_candidates_of_the_channel(plant):
             assert got == want, name
         else:
             assert got == pytest.approx(want, rel=1e-9, abs=0.0), name
+
+
+@pytest.mark.parametrize("count", LP_COUNTS, ids=[f"N{n}" for n in LP_COUNTS])
+def test_lp_scans_match_per_signal_oracles(plant, count, monkeypatch):
+    signals = some_signals(count, T_LP)
+    monkeypatch.setattr(worstcase, "candidate_signals", lambda *args, **kwargs: signals)
+    # a small x0 parks at some horizons on two recipes; gaussian_x10 has uncertified LPs
+    x0 = 0.1 * np.ones(plant.n)
+    ones = np.ones(plant.n)
+    for name, report, oracle in (
+        ("II", worst_control_time(plant, K, T_LP, x0), lambda s: control_time_oracle(plant, s, x0)),
+        ("III-fuel", worst_fuel(plant, K, T_LP, ones), lambda s: fuel_oracle(plant, s, ones)),
+    ):
+        assert [e.signal for e in report.per_signal] == list(signals), name
+        expected = [oracle(s) for s in signals]
+        assert [(e.value, e.status) for e in report.per_signal] == expected, name
+        assert report.argmax_signal == first_argmax([v for v, _ in expected], signals), name

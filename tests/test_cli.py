@@ -189,6 +189,21 @@ def test_lqr_commands(capsys, scalar_system, tmp_path):
     assert code == 0 and "worst value: 5" in out
 
 
+
+@pytest.mark.parametrize("command", ["lqr-maxmin", "lqr-fixed"])
+def test_lqr_weights_horizon_must_match_T(capsys, scalar_system, tmp_path, command):
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"Q": [[1.0]], "R": [[1.0]], "Qf": [[1.0]], "T": 6}))
+    code, out, err = run_cli(
+        capsys, command, "--system", scalar_system, "--k", "1", "--T", "3", "--weights", str(w)
+    )
+    assert code == 1 and out == ""
+    assert "--T 3" in err and "T = 6" in err
+    code, out, _ = run_cli(
+        capsys, command, "--system", scalar_system, "--k", "1", "--T", "6", "--weights", str(w)
+    )
+    assert code == 0 and "worst signal: 010101\n" in out  # a 6-bit word
+
 def test_study_command_and_csv(capsys):
     code, out, _ = run_cli(
         capsys, "study", "--problem", "I", "--k", "1", "--states", "4", "--inputs", "3",
@@ -302,6 +317,16 @@ def test_study_text_says_filter_skipped(capsys):
     assert code == 0
     assert "(filter): skipped" in out
 
+
+
+@pytest.mark.parametrize("frac", ["-1", "1.5", "nan"])
+def test_study_refuses_discard_frac_outside_unit_interval(capsys, frac):
+    code, out, err = run_cli(
+        capsys, "study", "--problem", "I", "--states", "3", "--inputs", "2",
+        "--samples", "1", "--T", "4", "--max-discard-frac", frac,
+    )
+    assert code == 1 and out == ""
+    assert "--max-discard-frac" in err
 
 def test_study_discard_threshold_exit_2(capsys):
     # bounded-input transfer is infeasible for these draws; every sample
