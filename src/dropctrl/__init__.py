@@ -39,6 +39,7 @@ from .solvers import (
     min_fuel,
     min_fuel_energy,
     min_inf_norm,
+    peak_within,
 )
 from .study import (
     GENERATION_METHODS,

@@ -313,7 +313,7 @@ def _print_study(result, out: str) -> None:
               f"{result.discarded_samples} discarded (generator {result.generator})")
         if result.avg_rpd is not None:
             print(f"avg RPD: {result.avg_rpd:.6g}%")
-        print(f"avg minimal-signal time (bfs): {result.avg_time_fast:.6f}s")
+        print(f"avg minimal-signal time (candidates): {result.avg_time_fast:.6f}s")
         if result.avg_time_filter is None:
             print("avg minimal-signal time (filter): skipped, the language exceeds --exhaustive-cap")
         else:

@@ -8,7 +8,11 @@ FEAS_TOL * ||x_f||.  The 1-norm and infinity-norm problems are linear
 programs in the rows U_r'C of that SVD, so their rows have full rank and,
 past the range test, every program is feasible and bounded; the
 interior-point solver in simplex.py certifies them, and a result without
-its certificate is MAX_ITERATIONS.  The 2-norm problem is closed form from
+its certificate is MAX_ITERATIONS.  peak_within asks only whether the
+least peak input is within a bound, and most of the time the same SVD
+answers: the least-norm input is a witness, or a weak-duality bound,
+counted against its own rounding, rules the bound out; the LP runs only
+in between.  The 2-norm problem is closed form from
 the SVD; the combined 1-norm + 2-norm objective is handled by an
 operator-splitting iteration whose proximal step composes soft
 thresholding with a radial shrink.  The factorization takes a stack of
@@ -36,6 +40,7 @@ __all__ = [
     "min_energy",
     "min_fuel",
     "min_inf_norm",
+    "peak_within",
     "min_fuel_energy",
 ]
 
@@ -46,6 +51,7 @@ MAX_ITERATIONS = "max_iterations"
 # part of an equality target that may lie off C's range (times ||target||);
 # the worst-case analyses read the same cut for their value thresholds
 FEAS_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 # operator-splitting iteration cap and scaled stopping tolerance
 _ADMM_MAX_ITER = 200_000
@@ -148,9 +154,10 @@ def min_fuel(Cmat, x_f, input_bound: float | None = None) -> SolveResult:
 
     Split u into positive/negative parts and solve the equality-form LP.
     With a bound, the program is feasible exactly when the least peak input
-    is at most the bound, so min_inf_norm decides that first: a certified
-    peak above input_bound * (1 + FEAS_TOL) is INFEASIBLE, and a peak that
-    is not certified is returned as it is.
+    is at most the bound, so peak_within decides that first: a peak
+    certified above input_bound * (1 + FEAS_TOL) is INFEASIBLE, a peak that
+    is not certified is returned as it is, and the box widens to a
+    witness's peak that lies within the tolerance above the bound.
     """
     if input_bound is not None and input_bound <= 0:
         raise ValueError("input_bound must be positive")
@@ -158,12 +165,9 @@ def min_fuel(Cmat, x_f, input_bound: float | None = None) -> SolveResult:
     q = C.shape[1]
     if input_bound is None:
         return _solve_lp(C, xf, lambda Cr, b: (np.ones(2 * q), np.hstack([Cr, -Cr]), b))
-    peak = min_inf_norm(C, xf)
+    peak = peak_within(C, xf, input_bound)[1]
     if peak.status != OPTIMAL:
         return peak
-    if peak.value > input_bound * (1.0 + FEAS_TOL):
-        return SolveResult(INFEASIBLE, iterations=peak.iterations)
-    # a peak within the tolerance above the bound widens the box to it
     bound = max(input_bound, peak.value)
 
     def program(Cr, b):
@@ -193,6 +197,60 @@ def min_inf_norm(Cmat, b) -> SolveResult:
         return c, A, np.concatenate([br, np.zeros(q)])
 
     return _solve_lp(C, rhs, program)
+
+
+def _peak_bounds(C, b, U, coeff, s, V) -> tuple[float, np.ndarray]:
+    """A certified lower bound on min{||u||_inf : C u = b}, and the least-norm input u2.
+
+    coeff = U_r'b.  Weak LP duality gives ||u||_inf >= b'y / ||C'y||_1 for
+    every y and every u with C u = b; y = U_r (coeff / s_r^2) makes C'y the
+    least-norm input u2 = V_r (coeff / s_r) up to rounding.  The products
+    are taken as computed, their rounding bounds n eps |C'||y| and
+    n eps |b'||y| (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sec. 3.1) counted against the bound, and a relative (q + 4) eps
+    more covers the sum and the quotient.  The bound is exact arithmetic's
+    for C and b as stored; the LP path accepts an input within
+    FEAS_TOL ||b|| of b, a looser test.
+    """
+    n, q = C.shape
+    u2 = V @ (coeff / s)
+    y = U @ (coeff / s**2)
+    norm1 = float((np.abs(y @ C) + n * _EPS * (np.abs(y) @ np.abs(C))).sum())
+    dual = float(b @ y) - n * _EPS * float(np.abs(b) @ np.abs(y))
+    if dual <= 0.0 or norm1 <= 0.0:
+        return 0.0, u2
+    return dual / norm1 * (1.0 - (q + 4) * _EPS), u2
+
+
+def peak_within(Cmat, b, bound: float) -> tuple[str, SolveResult]:
+    """Decide whether an input u with C u = b and ||u||_inf <= bound (1 + FEAS_TOL) exists.
+
+    Returns (by, result).  result is OPTIMAL with a witness u and its peak
+    as value, INFEASIBLE when no such input exists, or MAX_ITERATIONS when
+    the LP that had to decide is not certified.  by names the test that
+    decided, in this order, each from the range test's one SVD:
+    "off_range" (b is off C's range), "upper_screen" (the least-norm input
+    u2 passes the LP path's own acceptance: peak within the bound and
+    ||C u2 - b|| <= FEAS_TOL ||b||), "lower_screen" (_peak_bounds certifies
+    the least peak above the bound) or "lp_solves" (min_inf_norm decides).
+    """
+    C, rhs = _prep(Cmat, b)
+    U, s, V = _factor(C[None])[0]
+    coeff, reached = _range_test(U, rhs)
+    if not reached:
+        return "off_range", SolveResult(INFEASIBLE)
+    limit = bound * (1.0 + FEAS_TOL)
+    lower, u2 = _peak_bounds(C, rhs, U, coeff, s, V)
+    peak = float(np.abs(u2).max(initial=0.0))
+    residual = float(np.linalg.norm(C @ u2 - rhs))
+    if peak <= limit and residual <= FEAS_TOL * float(np.linalg.norm(rhs)):
+        return "upper_screen", SolveResult(OPTIMAL, u=u2, value=peak, residual=residual)
+    if lower > limit:
+        return "lower_screen", SolveResult(INFEASIBLE)
+    res = min_inf_norm(C, rhs)
+    if res.status == OPTIMAL and res.value > limit:
+        return "lp_solves", SolveResult(INFEASIBLE, iterations=res.iterations)
+    return "lp_solves", res
 
 
 def _shrink(v: np.ndarray, l1: float, l2: float) -> np.ndarray:

@@ -27,7 +27,6 @@ from .automata import (
     CapExceeded,
     build_k_constraint_automaton,
     enumerate_admissible,
-    minimal_signals_bfs,
 )
 from .signals import Signal, minimal_filter
 from .solvers import check_weights
@@ -42,6 +41,7 @@ from .worstcase import (
     EXHAUSTIVE,
     MINIMAL,
     WorstCaseReport,
+    candidate_signals,
     worst_control_time,
     worst_energy,
     worst_estimation_time,
@@ -198,8 +198,9 @@ class StudyResult:
     config: StudyConfig
     generator: str
     avg_rpd: float | None
-    # wall time of one run of each candidate generator at the study's (k, T);
-    # the filter's is None when the language exceeds exhaustive_cap
+    # wall time of one run of each candidate generator at the study's (k, T):
+    # candidate_signals(k, T), the minimal words the analyses scan, and the
+    # enumerate-then-filter oracle, None when the language exceeds exhaustive_cap
     avg_time_fast: float
     avg_time_filter: float | None
     discarded_samples: int
@@ -272,7 +273,12 @@ def _evaluate_sample(cfg: StudyConfig, sys: SwitchedLinearSystem):
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:
-    """Run the per-sample pipeline; failures are logged rows, never aborts."""
+    """Run the per-sample pipeline; failures are logged rows, never aborts.
+
+    avg_time_fast times candidate_signals(k, T), the minimal-word
+    generation every minimal-mode analysis runs; avg_time_filter times
+    minimal_filter over the enumerated language, the oracle it replaces.
+    """
     rows: list[SampleRow] = []
     reports: list = []
     reject_reasons: list[str] = []
@@ -280,7 +286,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     discarded = 0
     # candidate generation depends only on (k, T), so it is timed once
     t0 = time.perf_counter()
-    minimal_signals_bfs(cfg.k, cfg.T)
+    candidate_signals(cfg.k, cfg.T)
     time_fast = time.perf_counter() - t0
     t0 = time.perf_counter()
     try:

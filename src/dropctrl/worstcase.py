@@ -16,7 +16,12 @@ bool array and evaluates 64 rows at a time.  III-energy, IV, V and VI
 evaluate a chunk as array code (one controllability stack and one SVD
 call, one Riccati recursion, one rollout).  I, II and the LP objectives
 of III loop over its rows; I and II read the horizon-t matrices of a
-row from the call's blocks C A^i and A^{T-1-i} B.
+row from the call's blocks C A^i and A^{T-1-i} B.  II decides each
+horizon with solvers.peak_within, whose screens on the range test's SVD
+(a least-norm witness inside the unit box, a weak-duality bound above
+it) leave few horizons to an LP, and keeps the verdicts in a memo keyed
+on the prefix bits, made fresh for each call; info["counters"] says how
+each distinct prefix was decided.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .solvers import (
     _range_test,
     min_fuel,
     min_fuel_energy,
-    min_inf_norm,
+    peak_within,
 )
 from .systems import (
     SwitchedLinearSystem,
@@ -225,11 +230,19 @@ def worst_control_time(
     """Problem II: worst minimum time to park the state at the origin.
 
     Candidate horizons are scanned in increasing order; horizon t is
-    feasible for a signal when the unit-box input program reaching
-    x(t+1) = 0 exists, i.e. the least infinity-norm solution of
-    C u = -A^{t+1} x0 over the prefix s(0..t) has value <= 1.  An LP that
+    feasible for a signal when some input of peak at most 1 + FEAS_TOL
+    reaches x(t+1) = 0, i.e. C u = -A^{t+1} x0 over the prefix s(0..t).
+    peak_within decides each horizon from the range test's one SVD: off
+    C's range is infeasible, a least-norm input within the box is a
+    witness, and a weak-duality bound above the box (certified against
+    rounding) is infeasible; only a horizon neither screen decides reaches
+    the min_inf_norm LP.  The verdict depends only on the prefix, so a
+    memo made fresh for each call shares it between signals.  An LP that
     is not certified ends the signal's scan as MAX_ITERATIONS with value
     +inf, and the signal is listed in info["failed_signals"].
+    info["counters"] counts the distinct prefixes decided, the memo hits
+    and the decisions by each test (off_range, upper_screen, lower_screen,
+    lp_solves).
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     # targets[t] = -A^{t+1} x0
@@ -240,18 +253,36 @@ def worst_control_time(
         targets.append(-v)
     # the prefix s(0..t) has the blocks A^{t-i} B, the last t + 1 of the horizon's
     blocks = _ctrb_blocks(sys, T)
+    counters = dict.fromkeys(
+        ("prefixes", "memo_hits", "off_range", "upper_screen", "lower_screen", "lp_solves"), 0
+    )
+    memo: dict[bytes, str] = {}
+
+    def verdict(row: np.ndarray, t: int) -> str:
+        key = row[: t + 1].tobytes()
+        if key in memo:
+            counters["memo_hits"] += 1
+            return memo[key]
+        C = _ctrb_stack(blocks[T - 1 - t :], row[None, : t + 1])[0]
+        by, res = peak_within(C, targets[t], 1.0)
+        counters["prefixes"] += 1
+        counters[by] += 1
+        memo[key] = res.status
+        return res.status
 
     def evaluate_one(row: np.ndarray) -> tuple[float, str]:
         for t in range(T):
-            C = _ctrb_stack(blocks[T - 1 - t :], row[None, : t + 1])[0]
-            res = min_inf_norm(C, targets[t])
-            if res.status == MAX_ITERATIONS:
+            status = verdict(row, t)
+            if status == MAX_ITERATIONS:
                 return math.inf, MAX_ITERATIONS
-            if res.status == OPTIMAL and res.value <= 1.0 + FEAS_TOL:
+            if status == OPTIMAL:
                 return float(t), OPTIMAL
         return math.inf, INFEASIBLE
 
-    report = _scan("II", constraint, T, mode, cap, lambda c: [evaluate_one(row) for row in c])
+    report = _scan(
+        "II", constraint, T, mode, cap,
+        lambda chunk: [evaluate_one(row) for row in chunk], {"counters": counters},
+    )
     return _with_steps(report)
 
 

@@ -146,6 +146,27 @@ def test_control_time_with_vector_file(capsys, scalar_system, tmp_path):
     assert "worst value: 0" in out
 
 
+def test_control_time_json_carries_the_decision_counters(capsys, scalar_system, tmp_path):
+    # x(t+1) = 2 x(t) + u(t) from 0.4: 1010 parks at once with u = -0.8, and
+    # after a first dropout no unit input parks 0.8 or more
+    x0 = tmp_path / "x0.json"
+    x0.write_text(json.dumps([0.4]))
+    code, out, _ = run_cli(
+        capsys, "control-time", "--system", scalar_system, "--k", "1", "--T", "4",
+        "--x0", str(x0), "--out", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert [(e["signal"], e["value"]) for e in doc["per_signal"]] == [
+        ("0101", "inf"), ("0110", "inf"), ("1010", 0.0),
+    ]
+    # 0110 reuses the verdicts of the prefixes 0 and 01 that 0101 decided
+    assert doc["info"]["counters"] == {
+        "prefixes": 7, "memo_hits": 2,
+        "off_range": 1, "upper_screen": 1, "lower_screen": 5, "lp_solves": 0,
+    }
+
+
 def test_fuel_energy_commands(capsys, scalar_system, tmp_path):
     xf = tmp_path / "xf.json"
     xf.write_text(json.dumps({"rows": 1, "cols": 1, "data": [1.0]}))

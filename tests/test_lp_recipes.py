@@ -8,6 +8,7 @@ benign standard-normal matrices.
 import numpy as np
 import pytest
 
+from test_batched import control_time_oracle
 from test_simplex import assert_certified
 
 import dropctrl.solvers as solvers
@@ -68,11 +69,24 @@ def test_min_fuel_matches_highs_on_study_plants(sample):
         assert res.value == pytest.approx(ref.fun, rel=1e-6), str(s)
 
 
+def unscreened_scan(sys, report, x0):
+    """The report's signals through control_time_oracle; its memo holds one LP per distinct prefix."""
+    memo = {}
+    verdicts = [control_time_oracle(sys, e.signal, x0, memo) for e in report.per_signal]
+    return verdicts, memo
+
+
 @pytest.mark.parametrize("sample", [2, 3, 4], ids=["gaussian_x10", "orthogonal_diag", "gaussian"])
 def test_control_time_lps_are_certified_on_study_plants(lp_log, sample):
+    # the screens decide most horizons without an LP, so the LPs of every
+    # distinct prefix the scan visits are solved here directly
     sys = study_plant(7, sample)
-    report = worst_control_time(sys, 1, 12, np.ones(sys.n))
+    x0 = np.ones(sys.n)
+    report = worst_control_time(sys, 1, 12, x0)
     assert "failed_signals" not in report.info
+    verdicts, memo = unscreened_scan(sys, report, x0)
+    assert [(e.value, e.status) for e in report.per_signal] == verdicts
+    assert len(memo) == report.info["counters"]["prefixes"]
     assert lp_log
     for c, A, b, res in lp_log:
         assert_certified(c, A, b, res)
@@ -109,9 +123,71 @@ def test_control_time_finishes_inside_the_iteration_cap(lp_log):
     # seed 11, sample 8 (gaussian_x10): a pivoting solver stalled on one of
     # these LPs for 178,500 pivots
     sys = study_plant(11, 8)
-    report = worst_control_time(sys, 1, 12, np.ones(sys.n))
+    x0 = np.ones(sys.n)
+    report = worst_control_time(sys, 1, 12, x0)
     assert "failed_signals" not in report.info
     assert all(e.status == INFEASIBLE for e in report.per_signal)
+    verdicts, memo = unscreened_scan(sys, report, x0)
+    assert [(e.value, e.status) for e in report.per_signal] == verdicts
+    assert len(memo) == report.info["counters"]["prefixes"]
     assert max(res.iterations for *_, res in lp_log) < _MAX_ITER
     for c, A, b, res in lp_log:
         assert_certified(c, A, b, res)
+
+
+def prefix_targets(sys, T, x0):
+    """(bits, C, b) for each distinct prefix of the k=1 minimal signals, b = -A^{t+1} x0."""
+    targets = [-np.linalg.matrix_power(sys.A, t + 1) @ x0 for t in range(T)]
+    keys = {s.bits[: t + 1] for s in candidate_signals(1, T) for t in range(T)}
+    for key in sorted(keys):
+        yield key, controllability_matrix(sys, Signal(key)), targets[len(key) - 1]
+
+
+@pytest.mark.parametrize("sample", [2, 3, 4], ids=["gaussian_x10", "orthogonal_diag", "gaussian"])
+def test_screen_bounds_bracket_the_certified_lp_value(sample):
+    # the lower screen's dual bound <= the least peak <= the least-norm input's peak
+    sys = study_plant(7, sample)
+    checked = 0
+    for key, C, b in prefix_targets(sys, 12, 0.3 * np.ones(sys.n)):
+        U, s, V = solvers._factor(C[None])[0]
+        coeff, reached = solvers._range_test(U, b)
+        res = min_inf_norm(C, b)
+        if not reached:
+            assert res.status == INFEASIBLE
+            continue
+        lower, u2 = solvers._peak_bounds(C, b, U, coeff, s, V)
+        if res.status == OPTIMAL:
+            assert lower <= res.value * (1.0 + 1e-9), key
+            assert res.value <= np.abs(u2).max() * (1.0 + 1e-9), key
+            checked += 1
+    assert checked >= 100
+
+
+def test_each_screen_and_the_lp_against_the_unscreened_scan():
+    # at x0 = 0.3 * 1 on seed 7's orthogonal_diag plant every test decides
+    # some prefix: the range test, both screens and the LP
+    sys = study_plant(7, 3)
+    x0 = 0.3 * np.ones(sys.n)
+    report = worst_control_time(sys, 1, 12, x0)
+    counters = report.info["counters"]
+    decided = ("off_range", "upper_screen", "lower_screen", "lp_solves")
+    assert all(counters[by] > 0 for by in decided), counters
+    assert counters["prefixes"] == sum(counters[by] for by in decided)
+    assert counters["prefixes"] + counters["memo_hits"] == sum(
+        int(e.value) + 1 if e.status == OPTIMAL else 12 for e in report.per_signal
+    )
+    verdicts, memo = unscreened_scan(sys, report, x0)
+    assert [(e.value, e.status) for e in report.per_signal] == verdicts
+    assert len(memo) == counters["prefixes"]
+
+
+@pytest.mark.parametrize("sample", [2, 4], ids=["gaussian_x10", "gaussian"])
+def test_exhaustive_control_time_equals_minimal_at_paper_shape(sample):
+    # n=10, m=7, T=12: the 377 admissible words against the 28 minimal ones
+    sys = study_plant(7, sample)
+    x0 = np.ones(sys.n)
+    fast = worst_control_time(sys, 1, 12, x0)
+    full = worst_control_time(sys, 1, 12, x0, mode="exhaustive")
+    assert len(full.per_signal) == 377 and len(fast.per_signal) == 28
+    assert (full.worst_value, full.argmax_signal) == (fast.worst_value, fast.argmax_signal)
+    assert "failed_signals" not in full.info

@@ -18,6 +18,7 @@ from dropctrl import (
     min_fuel,
     min_fuel_energy,
     min_inf_norm,
+    peak_within,
     polytope_reachable,
 )
 from dropctrl.worstcase import _CHUNK
@@ -96,10 +97,28 @@ def test_min_fuel_bound_decided_by_least_peak(monkeypatch):
     assert np.allclose(res.u, [1.0, 1.0]) and res.value == pytest.approx(2.0)
     assert min_fuel(C, xf, input_bound=1.0 - 1e-6).status == INFEASIBLE
     assert min_fuel(C, [0.0], input_bound=1.0).value == 0.0
-    # a peak that is not certified is the answer, not a verdict on the bound
+    # a peak that is not certified is the answer, not a verdict on the bound;
+    # at a bound of 1.1 neither screen decides (least-norm peak 1.2, dual
+    # bound 1.0), so the peak LP runs
     failed = SolveResult(MAX_ITERATIONS, iterations=7)
     monkeypatch.setattr(solvers, "min_inf_norm", lambda *a: failed)
-    assert min_fuel(C, xf, input_bound=5.0) is failed
+    assert min_fuel(C, xf, input_bound=1.1) is failed
+
+
+def test_min_fuel_bound_screens_skip_the_peak_lp(monkeypatch):
+    C, xf = [[2.0, 1.0]], [3.0]  # least-norm input (1.2, 0.6), least peak 1.0
+    assert [peak_within(C, xf, bound)[0] for bound in (5.0, 1.1, 0.9)] == [
+        "upper_screen", "lp_solves", "lower_screen",
+    ]
+    assert peak_within(np.zeros((2, 3)), [1.0, 0.0], 1.0)[0] == "off_range"
+    monkeypatch.setattr(solvers, "min_inf_norm", lambda *a: pytest.fail("the peak LP ran"))
+    # a least-norm input inside the box: the box is the bound itself
+    res = min_fuel(C, xf, input_bound=5.0)
+    assert res.status == OPTIMAL and res.value == pytest.approx(1.5)
+    assert np.abs(res.u).max() <= 5.0
+    # a dual bound above the box
+    res = min_fuel(C, xf, input_bound=0.9)
+    assert res.status == INFEASIBLE and res.iterations == 0
 
 
 def test_lp_result_off_target_is_not_optimal(monkeypatch):

@@ -136,15 +136,19 @@ def test_study_timings_recorded():
                      id="max_iterations-solver_failure"),
         pytest.param("III", "min_fuel", INFEASIBLE, "nominal_input_design_infeasible",
                      id="infeasible-nominal_input_design_infeasible"),
-        pytest.param("II", "min_inf_norm", MAX_ITERATIONS, "solver_failure",
+        pytest.param("II", "peak_within", MAX_ITERATIONS, "solver_failure",
                      id="II-max_iterations-solver_failure"),
-        pytest.param("II", "min_inf_norm", INFEASIBLE, "nominal_transfer_infeasible",
+        pytest.param("II", "peak_within", INFEASIBLE, "nominal_transfer_infeasible",
                      id="II-infeasible-nominal_transfer_infeasible"),
     ],
 )
 def test_study_nominal_fuel_discard_reason(monkeypatch, problem, solver, status, reason):
     # a nominal solve that fails is a solver failure, not an infeasible target
-    monkeypatch.setattr(worstcase, solver, lambda *a, **kw: SolveResult(status))
+    result = SolveResult(status)
+    if solver == "peak_within":  # II's decision also names the test that decided
+        monkeypatch.setattr(worstcase, solver, lambda *a, **kw: ("lp_solves", result))
+    else:
+        monkeypatch.setattr(worstcase, solver, lambda *a, **kw: result)
     res = run_study(StudyConfig(problem=problem, k=1, n=3, m=2, samples=3, T=6, seed=5))
     for row, rep in zip(res.rows, res.reports):
         assert row.status == f"discarded:{reason}"
