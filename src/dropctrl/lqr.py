@@ -4,10 +4,13 @@ The backward difference Riccati recursion carries the signal: at a
 dropout step the quadratic correction term vanishes and the update is the
 pure Lyapunov step Q + A'PA.  Gains designed for the ideal loop can be
 replayed through a lossy channel to price the degradation of a fixed
-controller.  The worst-case scans run the recursion and the rollout on a
-chunk of signals at once, with the correction applied only to the rows
-whose signal is 1 at that step; riccati_backward and degraded_cost are the
-one-signal case.
+controller.  P(t) depends only on the suffix s(t..T-1), and the rolled
+state x(t) and its running cost only on the prefix s(0..t-1), so the
+worst-case scans walk the signal trie of a block of rows level by level:
+_riccati keeps one P per distinct suffix and _rollout one state per
+distinct prefix, each computed once from its parent node, with the
+correction applied only to the nodes whose bit is 1.  riccati_backward
+and degraded_cost are the one-signal case, a trie with one node per level.
 """
 
 from __future__ import annotations
@@ -96,36 +99,59 @@ class GainSchedule:
 def riccati_backward(sys: SwitchedLinearSystem, s: Signal, w: LqrWeights) -> RiccatiSolution:
     """Backward recursion from P(T) = Qf with the correction gated by the signal.
 
-    The one-signal case of _riccati, which the worst-case scan runs on a
-    chunk of signals at once.
+    The one-signal case of _riccati, which the worst-case scan runs on the
+    suffix trie of a block of signals.
     """
-    steps = [P[0] for P in _riccati(sys, np.array([list(s)], dtype=bool), w)]
+    steps = [P[0] for P, _ in _riccati(sys, np.array([list(s)], dtype=bool), w)]
     return RiccatiSolution(P=np.array(steps[::-1]))
 
 
-def _riccati(sys: SwitchedLinearSystem, mask: np.ndarray, w: LqrWeights) -> Iterator[np.ndarray]:
-    """P(T), P(T-1), ..., P(0) for each row of an (N, T) bool mask, as (N, n, n) stacks.
+def _children(
+    node: np.ndarray, bits: np.ndarray, nodes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One trie level down from `nodes` nodes: the distinct (parent, bit) pairs of the rows.
 
-    The Lyapunov step runs on the whole stack; the gated correction only on
-    the rows whose signal is 1 at that step.  Each step is yielded and then
-    dropped, so a scan that needs only P(0) holds two stacks, not T+1.
+    The key parent * 2 + bit lies below 2 * nodes, so a table of the keys
+    present numbers the new nodes in key order.  Returns each new node's
+    parent and bit, and each row's new node.
+    """
+    keys = node * 2 + bits
+    present = np.zeros(2 * nodes, dtype=bool)
+    present[keys] = True
+    index = np.cumsum(present) - 1
+    new = np.flatnonzero(present)
+    return new // 2, (new % 2).astype(bool), index[keys]
+
+
+def _riccati(
+    sys: SwitchedLinearSystem, mask: np.ndarray, w: LqrWeights
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """P(T), P(T-1), ..., P(0) over the suffix trie of an (N, T) bool mask.
+
+    Yields, per level t, the (M, n, n) stack of P(t) for the M distinct
+    suffixes s(t..T-1) and each row's index into it.  A node's P is its
+    parent's Lyapunov step Q + A'PA, with the gated correction only on the
+    nodes whose bit is 1; each level is yielded and then dropped, so a scan
+    that needs only P(0) holds two levels, not T+1.
     """
     N, T = mask.shape
     if T != w.T:
         raise ValueError(f"signal length {T} != weight horizon {w.T}")
     A, B = sys.A, sys.B
-    P = np.broadcast_to(w.Qf, (N, sys.n, sys.n))
-    yield P
+    P = w.Qf[None]
+    node = np.zeros(N, dtype=np.intp)
+    yield P, node
     for t in range(T - 1, -1, -1):
+        parent, on, node = _children(node, mask[:, t], len(P))
+        P = P[parent]
         step = w.Q + A.T @ P @ A
-        on = mask[:, t]
         if on.any():
             Pon = P[on]
             BtP = B.T @ Pon
             gain = np.linalg.solve(w.R + BtP @ B, BtP @ A)
             step[on] -= (A.T @ Pon @ B) @ gain
         P = (step + step.swapaxes(1, 2)) / 2.0
-        yield P
+        yield P, node
 
 
 def lqr_cost(sol: RiccatiSolution, x0) -> float:
@@ -152,25 +178,38 @@ def degraded_cost(
     Rolls x(t+1) = (A + s(t) B K(t)) x(t) and accumulates
     x'(Q + K'RK)x at each stage plus the terminal x'Qf x; the controller
     never re-plans after a dropout.  The one-signal case of _rollout, which
-    the worst-case scan runs on a chunk of signals at once.
+    the worst-case scan runs on the prefix trie of a block of signals.
     """
-    return float(_rollout(sys, gains, np.array([list(s)], dtype=bool), w, x0)[0])
+    return float(_rollout(sys, gains, np.array([list(s)], dtype=bool), w, x0)[0][0])
 
 
 def _rollout(
     sys: SwitchedLinearSystem, gains: GainSchedule, mask: np.ndarray, w: LqrWeights, x0
-) -> np.ndarray:
-    """degraded_cost for each row of an (N, T) bool mask, on an (N, n, 1) state stack."""
+) -> tuple[np.ndarray, int]:
+    """degraded_cost for each row of an (N, T) bool mask, over its prefix trie.
+
+    Level t holds one state x(t), an (M, n, 1) stack, and one running cost
+    per distinct prefix s(0..t-1); a child node steps its parent's state
+    with A + B K(t) or A by its bit.  Returns the N costs and the number of
+    trie nodes stepped.
+    """
     N, T = mask.shape
     if T != w.T or gains.K.shape[0] != T:
         raise ValueError("signal, weights and gain schedule horizons must match")
-    x = np.tile(np.asarray(x0, dtype=float).reshape(-1, 1), (N, 1, 1))
-    cost = np.zeros(N)
+    A, B = sys.A, sys.B
+    x = np.asarray(x0, dtype=float).reshape(1, -1, 1)
+    cost = np.zeros(1)
+    node = np.zeros(N, dtype=np.intp)
+    nodes = 0
     for t in range(T):
         K = gains.K[t]
         cost += _quadratic(x, w.Q + K.T @ w.R @ K)
-        x = np.where(mask[:, t, None, None], (sys.A + sys.B @ K) @ x, sys.A @ x)
-    return cost + _quadratic(x, w.Qf)
+        parent, on, node = _children(node, mask[:, t], len(x))
+        x, cost = x[parent], cost[parent]
+        x[on] = (A + B @ K) @ x[on]
+        x[~on] = A @ x[~on]
+        nodes += len(parent)
+    return (cost + _quadratic(x, w.Qf))[node], nodes
 
 
 def _quadratic(x: np.ndarray, M: np.ndarray) -> np.ndarray:

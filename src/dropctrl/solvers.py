@@ -15,10 +15,11 @@ counted against its own rounding, rules the bound out; the LP runs only
 in between.  The 2-norm problem is closed form from
 the SVD; the combined 1-norm + 2-norm objective is handled by an
 operator-splitting iteration whose proximal step composes soft
-thresholding with a radial shrink.  The factorization takes a stack of
-matrices, so the worst-case scan factors a chunk of signals with one SVD
-call and then cuts and tests each matrix on its own; min_energy is the
-one-matrix case of that batch.
+thresholding with a radial shrink.  Each solve takes one SVD of C: its
+range test, screens and LPs share it.  The factorization takes a stack
+of matrices, so the worst-case scan factors a chunk of signals with one
+SVD call and then cuts and tests the matrices of each rank together;
+min_energy is the one-matrix case of that batch.
 """
 
 from __future__ import annotations
@@ -80,64 +81,93 @@ def _prep(Cmat, rhs):
     return C, v
 
 
-def _factor(C: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Thin SVDs of a stack (N, n, q) in one call: per matrix U_r, s_r, V_r above the rank cut."""
+def _factor_stack(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVDs U, s, V' of a stack (N, n, q) in one call, and each matrix's rank r.
+
+    r counts the singular values above the matrix's own rank cut, the one
+    numerical_rank applies; they lead, so U_r, s_r and V_r are the first r
+    columns.
+    """
     U, s, Vt = np.linalg.svd(C, full_matrices=False)
-    factors = []
-    for Uk, sk, Vtk in zip(U, s, Vt):
-        r = int(np.count_nonzero(sk > _rank_cut(C.shape[1:], sk)))
-        factors.append((Uk[:, :r], sk[:r], Vtk[:r].T))
-    return factors
+    rank = np.count_nonzero(s > _rank_cut(C.shape[1:], s), axis=1)
+    return U, s, Vt, rank
+
+
+def _factor(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U_r, s_r, V_r of one matrix: the one-matrix case of _factor_stack."""
+    U, s, Vt, rank = _factor_stack(C[None])
+    r = rank[0]
+    return U[0, :, :r], s[0, :r], Vt[0, :r].T
+
+
+def _ranks(rank: np.ndarray) -> list[tuple[int, np.ndarray | slice]]:
+    """(r, the matrices of rank r) for each rank r in a stack, as indices or a slice of all.
+
+    Array code on the matrices of one rank takes the same products, with
+    the same shapes, as code on each matrix's U_r, s_r and V_r alone.
+    """
+    ranks = sorted(set(rank.tolist()))
+    if len(ranks) == 1:  # the common case: a view of the stack, not a copy
+        return [(ranks[0], slice(None))]
+    return [(r, np.flatnonzero(rank == r)) for r in ranks]
 
 
 def _range_test(U: np.ndarray, v: np.ndarray):
-    """U'v, and whether v (or each row of v) is off span(U) by at most FEAS_TOL * ||v||."""
+    """U'v, and whether v (or each row of v) is off span(U) by at most FEAS_TOL * ||v||.
+
+    U may be a stack (N, n, r); then the results are stacks too.
+    """
     c = v @ U
-    return c, np.linalg.norm(v - c @ U.T, axis=-1) <= FEAS_TOL * np.linalg.norm(v, axis=-1)
+    off = np.linalg.norm(v - c @ U.swapaxes(-1, -2), axis=-1)
+    return c, off <= FEAS_TOL * np.linalg.norm(v, axis=-1)
 
 
 def min_energy(Cmat, x_f) -> SolveResult:
     """Minimum 2-norm u = V_r (U_r' x_f / s_r) with C u = x_f; the residual is a report.
 
-    The one-matrix case of _min_energy, which the worst-case scan runs on
+    The one-matrix case of _least_norm, which the worst-case scan runs on
     a stack of controllability matrices.
     """
     C, xf = _prep(Cmat, x_f)
-    return _min_energy(C[None], xf)[0]
+    u, reached = _least_norm(C[None], xf)
+    residual = float(np.linalg.norm(C @ u[0] - xf))
+    if reached[0]:
+        return SolveResult(OPTIMAL, u=u[0], value=float(np.linalg.norm(u[0])), residual=residual)
+    return SolveResult(INFEASIBLE, residual=residual)
 
 
-def _min_energy(Cs: np.ndarray, xf: np.ndarray) -> list[SolveResult]:
-    """min_energy for each matrix of a stack (N, n, q), from one SVD call."""
-    results = []
-    for C, (U, s, V) in zip(Cs, _factor(Cs)):
-        coeff, reached = _range_test(U, xf)
-        u = V @ (coeff / s)
-        residual = float(np.linalg.norm(C @ u - xf))
-        if reached:
-            value = float(np.linalg.norm(u))
-            results.append(SolveResult(OPTIMAL, u=u, value=value, residual=residual))
-        else:
-            results.append(SolveResult(INFEASIBLE, residual=residual))
-    return results
+def _least_norm(Cs: np.ndarray, xf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-norm inputs u = V_r (U_r' x_f / s_r) of a stack (N, n, q) from one SVD call.
+
+    Returns the (N, q) inputs and whether each matrix reaches x_f.
+    """
+    U, s, Vt, rank = _factor_stack(Cs)
+    u = np.empty((len(Cs), Cs.shape[2]))
+    reached = np.empty(len(Cs), dtype=bool)
+    for r, idx in _ranks(rank):
+        # x_f as a one-row matrix, so that each matrix of the stack sees the 1-D product
+        coeff, ok = _range_test(U[idx, :, :r], xf[None])
+        reached[idx] = ok[:, 0]
+        u[idx] = (Vt[idx, :r].swapaxes(1, 2) @ (coeff[:, 0] / s[idx, :r])[:, :, None])[:, :, 0]
+    return u, reached
 
 
-def _solve_lp(C: np.ndarray, target: np.ndarray, program) -> SolveResult:
+def _solve_lp(
+    C: np.ndarray, target: np.ndarray, U: np.ndarray, coeff: np.ndarray, program
+) -> SolveResult:
     """Solve program(U_r'C, U_r'target / ||target||), the LP whose first 2q columns are u+ and u-.
 
-    A target off C's range is infeasible without an LP; on it, U_r'C has
-    full row rank and the LP is feasible and bounded.  An LP result counts
-    only with its certificate and a residual C u - target within
-    FEAS_TOL * ||target||; anything else is MAX_ITERATIONS.  duality_gap
-    is the certified gap relative to the value.
+    U and coeff = U_r'target are the caller's factor and range test, and
+    target is on C's range, so U_r'C has full row rank and the LP is
+    feasible and bounded.  An LP result counts only with its certificate
+    and a residual C u - target within FEAS_TOL * ||target||; anything else
+    is MAX_ITERATIONS.  duality_gap is the certified gap relative to the
+    value.
     """
     q = C.shape[1]
     scale = float(np.linalg.norm(target))
     if scale == 0.0:
         return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0, duality_gap=0.0)
-    U = _factor(C[None])[0][0]
-    coeff, reached = _range_test(U, target)
-    if not reached:
-        return SolveResult(INFEASIBLE)
     c, A, b = program(U.T @ C, coeff / scale)
     lp = solve_standard_lp(c, A, b)
     if lp.status == "optimal":
@@ -149,23 +179,35 @@ def _solve_lp(C: np.ndarray, target: np.ndarray, program) -> SolveResult:
     return SolveResult(MAX_ITERATIONS, iterations=lp.iterations)
 
 
+def _reach(C: np.ndarray, target: np.ndarray):
+    """C's factor U_r, s_r, V_r and coeff = U_r'target, or None when target is off C's range."""
+    U, s, V = _factor(C)
+    coeff, reached = _range_test(U, target)
+    return (U, s, V, coeff) if reached else None
+
+
 def min_fuel(Cmat, x_f, input_bound: float | None = None) -> SolveResult:
     """Minimum 1-norm u with C u = x_f and optionally |u_i| <= input_bound.
 
     Split u into positive/negative parts and solve the equality-form LP.
     With a bound, the program is feasible exactly when the least peak input
-    is at most the bound, so peak_within decides that first: a peak
+    is at most the bound, so peak_within's tests decide that first: a peak
     certified above input_bound * (1 + FEAS_TOL) is INFEASIBLE, a peak that
     is not certified is returned as it is, and the box widens to a
-    witness's peak that lies within the tolerance above the bound.
+    witness's peak that lies within the tolerance above the bound.  The
+    range test, the screens and both LPs share one SVD of C.
     """
     if input_bound is not None and input_bound <= 0:
         raise ValueError("input_bound must be positive")
     C, xf = _prep(Cmat, x_f)
     q = C.shape[1]
+    factor = _reach(C, xf)
+    if factor is None:
+        return SolveResult(INFEASIBLE)
+    U, _, _, coeff = factor
     if input_bound is None:
-        return _solve_lp(C, xf, lambda Cr, b: (np.ones(2 * q), np.hstack([Cr, -Cr]), b))
-    peak = peak_within(C, xf, input_bound)[1]
+        return _solve_lp(C, xf, U, coeff, lambda Cr, b: (np.ones(2 * q), np.hstack([Cr, -Cr]), b))
+    peak = _peak_within(C, xf, input_bound, *factor)[1]
     if peak.status != OPTIMAL:
         return peak
     bound = max(input_bound, peak.value)
@@ -176,12 +218,21 @@ def min_fuel(Cmat, x_f, input_bound: float | None = None) -> SolveResult:
         c = np.concatenate([np.ones(2 * q), np.zeros(q)])
         return c, A, np.concatenate([b, np.full(q, bound / np.linalg.norm(xf))])
 
-    return _solve_lp(C, xf, program)
+    return _solve_lp(C, xf, U, coeff, program)
 
 
 def min_inf_norm(Cmat, b) -> SolveResult:
     """Minimum infinity-norm u with C u = b (LP with a shared peak variable)."""
     C, rhs = _prep(Cmat, b)
+    factor = _reach(C, rhs)
+    if factor is None:
+        return SolveResult(INFEASIBLE)
+    U, _, _, coeff = factor
+    return _min_inf_norm(C, rhs, U, coeff)
+
+
+def _min_inf_norm(C: np.ndarray, rhs: np.ndarray, U: np.ndarray, coeff: np.ndarray) -> SolveResult:
+    """min_inf_norm for a target on C's range, from the caller's U_r and coeff = U_r'rhs."""
     q = C.shape[1]
 
     def program(Cr, br):
@@ -196,7 +247,7 @@ def min_inf_norm(Cmat, b) -> SolveResult:
         c[2 * q] = 1.0
         return c, A, np.concatenate([br, np.zeros(q)])
 
-    return _solve_lp(C, rhs, program)
+    return _solve_lp(C, rhs, U, coeff, program)
 
 
 def _peak_bounds(C, b, U, coeff, s, V) -> tuple[float, np.ndarray]:
@@ -232,13 +283,18 @@ def peak_within(Cmat, b, bound: float) -> tuple[str, SolveResult]:
     "off_range" (b is off C's range), "upper_screen" (the least-norm input
     u2 passes the LP path's own acceptance: peak within the bound and
     ||C u2 - b|| <= FEAS_TOL ||b||), "lower_screen" (_peak_bounds certifies
-    the least peak above the bound) or "lp_solves" (min_inf_norm decides).
+    the least peak above the bound) or "lp_solves" (the min_inf_norm LP,
+    on the same SVD, decides).
     """
     C, rhs = _prep(Cmat, b)
-    U, s, V = _factor(C[None])[0]
-    coeff, reached = _range_test(U, rhs)
-    if not reached:
+    factor = _reach(C, rhs)
+    if factor is None:
         return "off_range", SolveResult(INFEASIBLE)
+    return _peak_within(C, rhs, bound, *factor)
+
+
+def _peak_within(C, rhs, bound, U, s, V, coeff) -> tuple[str, SolveResult]:
+    """peak_within for a target on C's range, from the caller's factor and coeff = U_r'rhs."""
     limit = bound * (1.0 + FEAS_TOL)
     lower, u2 = _peak_bounds(C, rhs, U, coeff, s, V)
     peak = float(np.abs(u2).max(initial=0.0))
@@ -247,7 +303,7 @@ def peak_within(Cmat, b, bound: float) -> tuple[str, SolveResult]:
         return "upper_screen", SolveResult(OPTIMAL, u=u2, value=peak, residual=residual)
     if lower > limit:
         return "lower_screen", SolveResult(INFEASIBLE)
-    res = min_inf_norm(C, rhs)
+    res = _min_inf_norm(C, rhs, U, coeff)
     if res.status == OPTIMAL and res.value > limit:
         return "lp_solves", SolveResult(INFEASIBLE, iterations=res.iterations)
     return "lp_solves", res
@@ -285,7 +341,7 @@ def min_fuel_energy(Cmat, x_f, gamma1: float, gamma2: float) -> SolveResult:
     scale = float(np.linalg.norm(xf))
     if scale == 0.0:
         return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0)
-    U, s, V = _factor(C[None])[0]
+    U, s, V = _factor(C)
     coeff, reached = _range_test(U, xf / scale)
     if not reached:
         return SolveResult(INFEASIBLE)

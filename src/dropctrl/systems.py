@@ -184,9 +184,12 @@ def reachability_gramian(sys: SwitchedLinearSystem, s: Signal) -> Gramian:
     return Gramian(W=(W + W.T) / 2.0, horizon=len(s))
 
 
-def _rank_cut(shape: tuple[int, ...], sv: np.ndarray) -> float:
-    """The default rank cut max(dim) * eps * s_max for descending singular values sv."""
-    return max(shape) * np.finfo(float).eps * sv[0]
+def _rank_cut(shape: tuple[int, ...], sv: np.ndarray) -> np.ndarray:
+    """The default rank cut max(dim) * eps * s_max for descending singular values sv.
+
+    sv may be a stack (N, k) of them; the result has shape (..., 1).
+    """
+    return max(shape) * np.finfo(float).eps * sv[..., :1]
 
 
 def numerical_rank(M, tol: float | None = None) -> int:
@@ -205,19 +208,26 @@ def first_full_rank_time(sys: SwitchedLinearSystem, s: Signal) -> int | None:
 
     Returns None when no prefix achieves rank n (estimation infeasible for
     this signal at this horizon).  The worst-case scan builds the blocks
-    C A^i once per call and shares them across its signals.
+    C A^i once per call and shares them across its signals, and shares the
+    verdict of each prefix through a memo.
     """
-    return _first_full_rank_time(_obsv_blocks(sys, len(s)), s)
+    return _first_full_rank_time(_obsv_blocks(sys, len(s)), np.array(list(s), dtype=bool))
 
 
-def _first_full_rank_time(blocks: np.ndarray, s) -> int | None:
-    """first_full_rank_time over the blocks C A^i of the signal's horizon."""
+def _full_rank(blocks: np.ndarray, row: np.ndarray, t: int) -> bool:
+    """Whether the rows s(i) C A^i, i <= t, of the (T,) bool row have rank n."""
+    n = blocks.shape[2]
+    return numerical_rank(blocks[: t + 1][row[: t + 1]].reshape(-1, n)) == n
+
+
+def _first_full_rank_time(blocks: np.ndarray, row: np.ndarray, full_rank=_full_rank) -> int | None:
+    """first_full_rank_time of a (T,) bool row over the blocks C A^i of its horizon.
+
+    full_rank(blocks, row, t) decides a prefix; the scan passes a memoized one.
+    """
     _, p, n = blocks.shape
-    rows: list[np.ndarray] = []
-    for t, bit in enumerate(s):
-        if bit:
-            rows.append(blocks[t])
-            # rank cannot reach n before p * successes >= n
-            if len(rows) * p >= n and numerical_rank(np.vstack(rows)) == n:
-                return t
+    for successes, t in enumerate(np.flatnonzero(row).tolist(), 1):
+        # rank cannot reach n before p * successes >= n
+        if successes * p >= n and full_rank(blocks, row, t):
+            return t
     return None

@@ -10,18 +10,24 @@ deterministic: the candidate set is iterated in lexicographic order and
 the first attaining signal (the lexicographically smallest) is reported
 as the argmax.
 
-Each analysis builds its per-call data once and hands `_scan` a chunk
+Each analysis builds its per-call data once and hands `_scan` an
 evaluator; `_scan` resolves the candidates, packs them into an (N, T)
-bool array and evaluates 64 rows at a time.  III-energy, IV, V and VI
-evaluate a chunk as array code (one controllability stack and one SVD
-call, one Riccati recursion, one rollout).  I, II and the LP objectives
-of III loop over its rows; I and II read the horizon-t matrices of a
-row from the call's blocks C A^i and A^{T-1-i} B.  II decides each
-horizon with solvers.peak_within, whose screens on the range test's SVD
-(a least-norm witness inside the unit box, a weak-duality bound above
-it) leave few horizons to an LP, and keeps the verdicts in a memo keyed
-on the prefix bits, made fresh for each call; info["counters"] says how
-each distinct prefix was decided.
+bool array and hands over the whole array.  Work is shared over the
+signal trie wherever a quantity depends on a prefix or a suffix alone:
+V walks the suffix trie of blocks of 256 rows sorted by suffix, one
+Riccati step per distinct suffix; VI rolls the prefix trie of blocks of
+256 rows in lexicographic order, one state per distinct prefix; I and II
+keep each prefix's verdict in a memo keyed on its bits, made fresh for
+each call.  III-energy and IV build the controllability stack of 64 rows
+at a time, factor it with one SVD call and decide the chunk in array
+code, one group of equal rank at a time; the LP objectives of III solve
+a program per row.  I and II read the horizon-t matrices of a row from
+the call's blocks C A^i and A^{T-1-i} B.  II decides each horizon with
+solvers.peak_within, whose screens on the range test's SVD (a
+least-norm witness inside the unit box, a weak-duality bound above it)
+leave few horizons to an LP.  info["counters"] says how much work was
+shared: distinct prefixes and memo hits for I and II (and how II decided
+each prefix), trie nodes against row-steps for V and VI.
 """
 
 from __future__ import annotations
@@ -46,9 +52,10 @@ from .solvers import (
     INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
-    _factor,
-    _min_energy,
+    _factor_stack,
+    _least_norm,
     _range_test,
+    _ranks,
     min_fuel,
     min_fuel_energy,
     peak_within,
@@ -58,6 +65,7 @@ from .systems import (
     _ctrb_blocks,
     _ctrb_stack,
     _first_full_rank_time,
+    _full_rank,
     _obsv_blocks,
 )
 
@@ -83,10 +91,12 @@ MINIMAL = "minimal"
 EXHAUSTIVE = "exhaustive"
 DEFAULT_EXHAUSTIVE_CAP = 2**20
 
-# candidate rows per evaluator call: at n=10, m=7, T=24 as fast as 256 rows
-# or a whole 2,640-signal set, and a chunk's controllability stack and its
-# SVD take 1.7 MB (traced peak of one plant's calls 2.9 MB, 8.3 MB at 256)
+# rows per controllability stack in III and IV: at n=10, m=7, T=24 as fast
+# as 256 rows or a whole 2,640-signal set, and a chunk's stack and its SVD
+# take 1.7 MB (traced peak of one plant's calls 2.9 MB, 8.3 MB at 256)
 _CHUNK = 64
+# rows per trie walk in V and VI: a level holds at most this many nodes
+_TRIE_BLOCK = 256
 
 
 @dataclass
@@ -158,18 +168,15 @@ def _scan(
     evaluate: Callable[[np.ndarray], list[tuple[float, str]]],
     info: dict | None = None,
 ) -> WorstCaseReport:
-    """Evaluate the candidates chunk by chunk and reduce them to the worst case.
+    """Evaluate the candidates and reduce them to the worst case.
 
     The candidates are candidate_signals(constraint, T, mode, cap), resolved
-    before the wallclock starts.  `evaluate` maps a chunk of rows of the
-    packed (N, T) bool candidate array to one (value, status) pair per row.
+    before the wallclock starts.  `evaluate` maps the packed (N, T) bool
+    candidate array to one (value, status) pair per row.
     """
     signals = candidate_signals(constraint, T, mode, cap)
     start = time.perf_counter()
-    mask = signals.to_array()
-    results = []
-    for lo in range(0, len(mask), _CHUNK):
-        results.extend(evaluate(mask[lo : lo + _CHUNK]))
+    results = evaluate(signals.to_array())
     per_signal = [PerSignal(s, v, st) for s, (v, st) in zip(signals, results)]
     worst = -math.inf
     argmax = None
@@ -193,6 +200,15 @@ def _scan(
     )
 
 
+def _by_chunk(
+    evaluate: Callable[[np.ndarray], list[tuple[float, str]]]
+) -> Callable[[np.ndarray], list[tuple[float, str]]]:
+    """An evaluator of the whole mask that hands `evaluate` _CHUNK rows at a time."""
+    return lambda mask: [
+        result for lo in range(0, len(mask), _CHUNK) for result in evaluate(mask[lo : lo + _CHUNK])
+    ]
+
+
 def _with_steps(report: WorstCaseReport) -> WorstCaseReport:
     """Add the worst time index t and its step count t + 1 to a feasible I or II report."""
     if report.feasible:
@@ -208,14 +224,33 @@ def worst_estimation_time(
     mode: str = MINIMAL,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
-    """Problem I: worst first time the masked observability matrix reaches rank n."""
-    blocks = _obsv_blocks(sys, T)
+    """Problem I: worst first time the masked observability matrix reaches rank n.
 
-    def evaluate_one(bits: list[bool]) -> tuple[float, str]:
-        t = _first_full_rank_time(blocks, bits)
+    A prefix's rank verdict is shared between signals through a memo keyed
+    on its bits, made fresh for each call; info["counters"] counts the
+    distinct prefixes whose rank was tested and the memo hits.
+    """
+    blocks = _obsv_blocks(sys, T)
+    counters = {"prefixes": 0, "memo_hits": 0}
+    memo: dict[bytes, bool] = {}
+
+    def full_rank(blocks: np.ndarray, row: np.ndarray, t: int) -> bool:
+        key = row[: t + 1].tobytes()
+        if key in memo:
+            counters["memo_hits"] += 1
+        else:
+            counters["prefixes"] += 1
+            memo[key] = _full_rank(blocks, row, t)
+        return memo[key]
+
+    def evaluate_one(row: np.ndarray) -> tuple[float, str]:
+        t = _first_full_rank_time(blocks, row, full_rank)
         return (math.inf, INFEASIBLE) if t is None else (float(t), OPTIMAL)
 
-    report = _scan("I", constraint, T, mode, cap, lambda c: [evaluate_one(b) for b in c.tolist()])
+    report = _scan(
+        "I", constraint, T, mode, cap,
+        lambda mask: [evaluate_one(row) for row in mask], {"counters": counters},
+    )
     return _with_steps(report)
 
 
@@ -287,20 +322,27 @@ def worst_control_time(
 
 
 def _input_norm(
-    sys: SwitchedLinearSystem, T: int, solver: Callable[[np.ndarray], list]
+    sys: SwitchedLinearSystem, T: int, solve: Callable[[np.ndarray], list[tuple[float, str]]]
 ) -> Callable[[np.ndarray], list[tuple[float, str]]]:
-    """A III chunk evaluator: `solver` maps an (N, n, m T) controllability stack to N results."""
+    """A III evaluator: `solve` maps a chunk's (N, n, m T) controllability stack to N pairs."""
     blocks = _ctrb_blocks(sys, T)
+    return _by_chunk(lambda chunk: solve(_ctrb_stack(blocks, chunk)))
 
-    def evaluate(chunk: np.ndarray) -> list[tuple[float, str]]:
+
+def _each(
+    solve_one: Callable[[np.ndarray], object]
+) -> Callable[[np.ndarray], list[tuple[float, str]]]:
+    """A III stack solver from a one-matrix solver; an infeasible target scores +inf."""
+
+    def solve(Cs: np.ndarray) -> list[tuple[float, str]]:
         return [
             (math.inf, res.status)
             if res.status == INFEASIBLE or res.value is None
             else (float(res.value), res.status)
-            for res in solver(_ctrb_stack(blocks, chunk))
+            for res in map(solve_one, Cs)
         ]
 
-    return evaluate
+    return solve
 
 
 def worst_fuel(
@@ -314,7 +356,7 @@ def worst_fuel(
 ) -> WorstCaseReport:
     """Problem III with a pure 1-norm objective (per-signal LP)."""
     x_f = np.asarray(x_f, dtype=float).ravel()
-    evaluate = _input_norm(sys, T, lambda Cs: [min_fuel(C, x_f, input_bound) for C in Cs])
+    evaluate = _input_norm(sys, T, _each(lambda C: min_fuel(C, x_f, input_bound)))
     info = {"objective": "fuel", "input_bound": input_bound}
     return _scan("III", constraint, T, mode, cap, evaluate, info)
 
@@ -327,9 +369,22 @@ def worst_energy(
     mode: str = MINIMAL,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
-    """Problem III with a pure 2-norm objective (least-norm, one SVD call per chunk)."""
+    """Problem III with a pure 2-norm objective (least-norm, one SVD call per chunk).
+
+    The norm of each input is a stacked vector-vector product, the dot
+    that np.linalg.norm takes of one vector.
+    """
     x_f = np.asarray(x_f, dtype=float).ravel()
-    evaluate = _input_norm(sys, T, lambda Cs: _min_energy(Cs, x_f))
+
+    def solve(Cs: np.ndarray) -> list[tuple[float, str]]:
+        u, reached = _least_norm(Cs, x_f)
+        norms = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0])
+        return [
+            (value, OPTIMAL) if ok else (math.inf, INFEASIBLE)
+            for value, ok in zip(norms.tolist(), reached.tolist())
+        ]
+
+    evaluate = _input_norm(sys, T, solve)
     return _scan("III", constraint, T, mode, cap, evaluate, {"objective": "energy"})
 
 
@@ -345,7 +400,7 @@ def worst_fuel_energy(
 ) -> WorstCaseReport:
     """Problem III with the combined weighted 1-norm + 2-norm objective."""
     x_f = np.asarray(x_f, dtype=float).ravel()
-    evaluate = _input_norm(sys, T, lambda Cs: [min_fuel_energy(C, x_f, gamma1, gamma2) for C in Cs])
+    evaluate = _input_norm(sys, T, _each(lambda C: min_fuel_energy(C, x_f, gamma1, gamma2)))
     info = {"objective": "fuel+energy", "gamma1": gamma1, "gamma2": gamma2}
     return _scan("III", constraint, T, mode, cap, evaluate, info)
 
@@ -371,16 +426,20 @@ def polytope_reachable(
         raise ValueError(f"vertices must have dimension {sys.n}")
     blocks = _ctrb_blocks(sys, T)
 
-    def evaluate_one(U: np.ndarray, sv: np.ndarray) -> tuple[float, str]:
-        coeff, reached = _range_test(U, V)
-        if not reached.all():
-            return math.inf, "unreachable_vertex"
-        return float(np.max(np.sum((coeff / sv) ** 2, axis=1))), OPTIMAL
-
     def evaluate(chunk: np.ndarray) -> list[tuple[float, str]]:
-        return [evaluate_one(U, sv) for U, sv, _ in _factor(_ctrb_stack(blocks, chunk))]
+        U, sv, _, rank = _factor_stack(_ctrb_stack(blocks, chunk))
+        values = np.empty(len(chunk))
+        all_reached = np.empty(len(chunk), dtype=bool)
+        for r, idx in _ranks(rank):
+            coeff, reached = _range_test(U[idx, :, :r], V)
+            values[idx] = np.max(np.sum((coeff / sv[idx, None, :r]) ** 2, axis=2), axis=1)
+            all_reached[idx] = reached.all(axis=1)
+        return [
+            (value, OPTIMAL) if ok else (math.inf, "unreachable_vertex")
+            for value, ok in zip(values.tolist(), all_reached.tolist())
+        ]
 
-    report = _scan("IV", constraint, T, mode, cap, evaluate, {"tolerance": FEAS_TOL})
+    report = _scan("IV", constraint, T, mode, cap, _by_chunk(evaluate), {"tolerance": FEAS_TOL})
     reachable = report.worst_value <= 1.0 + FEAS_TOL
     report.info["reachable"] = reachable
     report.feasible = reachable
@@ -395,16 +454,30 @@ def worst_lqr(
     mode: str = MINIMAL,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
-    """Problem V: worst optimal cost x0' P(0) x0 of the per-signal recursion."""
-    x0 = np.asarray(x0, dtype=float).ravel()
+    """Problem V: worst optimal cost x0' P(0) x0 of the per-signal recursion.
 
-    def evaluate(chunk: np.ndarray) -> list[tuple[float, str]]:
-        for P in _riccati(sys, chunk, weights):
-            pass  # the last step is P(0)
-        costs = _quadratic(x0[:, None], P)
+    P(0) depends on the whole signal but P(t) only on its suffix, so the
+    rows are sorted by suffix and walked in blocks of _TRIE_BLOCK over
+    their suffix trie; info["counters"] counts the trie nodes stepped
+    against the row-steps of a per-signal recursion.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    counters = {"nodes": 0, "row_steps": 0}
+
+    def evaluate(mask: np.ndarray) -> list[tuple[float, str]]:
+        order = np.lexsort(mask.T)  # last column first: rows sharing a suffix sit together
+        costs = np.empty(len(mask))
+        for lo in range(0, len(mask), _TRIE_BLOCK):
+            rows = order[lo : lo + _TRIE_BLOCK]
+            walk = _riccati(sys, mask[rows], weights)
+            next(walk)  # the root, P(T) = Qf
+            for P, node in walk:
+                counters["nodes"] += len(P)
+            costs[rows] = _quadratic(x0[:, None], P)[node]
+        counters["row_steps"] += mask.size
         return [(cost, OPTIMAL) for cost in costs.tolist()]
 
-    return _scan("V", constraint, weights.T, mode, cap, evaluate)
+    return _scan("V", constraint, weights.T, mode, cap, evaluate, {"counters": counters})
 
 
 def worst_fixed_input_lqr(
@@ -417,6 +490,11 @@ def worst_fixed_input_lqr(
 ) -> WorstCaseReport:
     """Problem VI: worst degraded cost of the ideal-loop gains under dropouts.
 
+    The rolled state depends only on the signal's prefix, so blocks of
+    _TRIE_BLOCK rows, in the candidates' lexicographic order, are rolled
+    over their prefix trie; info["counters"] counts the trie nodes stepped
+    against the row-steps of a per-signal rollout.
+
     Minimal mode is a heuristic here (the degraded cost is not proven
     antitone in the support order); exhaustive mode is the ground truth,
     so minimal-mode reports carry a warning.
@@ -424,11 +502,19 @@ def worst_fixed_input_lqr(
     x0 = np.asarray(x0, dtype=float).ravel()
     gains = lti_gains(sys, weights)
 
-    def evaluate(chunk: np.ndarray) -> list[tuple[float, str]]:
-        costs = _rollout(sys, gains, chunk, weights, x0)
-        return [(cost, OPTIMAL) for cost in costs.tolist()]
+    counters = {"nodes": 0, "row_steps": 0}
 
-    info = {}
+    def evaluate(mask: np.ndarray) -> list[tuple[float, str]]:
+        # the candidates come in lexicographic order, so blocks share prefixes
+        costs = []
+        for lo in range(0, len(mask), _TRIE_BLOCK):
+            block_costs, nodes = _rollout(sys, gains, mask[lo : lo + _TRIE_BLOCK], weights, x0)
+            costs.extend(block_costs.tolist())
+            counters["nodes"] += nodes
+        counters["row_steps"] += mask.size
+        return [(cost, OPTIMAL) for cost in costs]
+
+    info: dict = {"counters": counters}
     if mode == MINIMAL:
         info["warning"] = (
             "minimal-signal search for the fixed-gain degraded cost is heuristic; "

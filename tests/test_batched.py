@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from dropctrl import (
+    EXHAUSTIVE,
     INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
@@ -44,6 +45,7 @@ from dropctrl import (
 from dropctrl import worstcase
 from dropctrl.solvers import FEAS_TOL
 from dropctrl.study import GENERATION_METHODS, _sample_rng, random_system
+from dropctrl.systems import _first_full_rank_time, _full_rank, _obsv_blocks
 
 N_STATES, N_INPUTS, K, T = 6, 3, 2, 14
 SEED = 7
@@ -136,7 +138,7 @@ def lqr_oracle(sys, s, w, x0):
 def rollout_oracle(sys, gains, s, w, x0):
     x = x0.copy()
     cost = 0.0
-    for t in range(T):
+    for t in range(len(s)):
         K_t = gains.K[t]
         cost += float(x @ (w.Q + K_t.T @ w.R @ K_t) @ x)
         x = (sys.A + sys.B @ K_t) @ x if s[t] else sys.A @ x
@@ -321,3 +323,104 @@ def test_lp_scans_match_per_signal_oracles(plant, count, monkeypatch, request):
                 assert (e.value, e.status) == want, (name, str(e.signal))
         assert changed == (screened if name == "II" else []), name
         assert report.argmax_signal == first_argmax([v for v, _ in expected], signals), name
+
+
+# --- the trie walkers: V, VI and I share work between signals ---------------
+
+TRIE_COUNTS = [255, 256, 257]
+
+
+def suffixes(signals):
+    return {s.bits[t:] for s in signals for t in range(len(s))}
+
+
+def prefixes(signals):
+    return {s.bits[: t + 1] for s in signals for t in range(len(s))}
+
+
+@pytest.mark.parametrize("count", TRIE_COUNTS, ids=[f"N{n}" for n in TRIE_COUNTS])
+def test_trie_walkers_match_per_signal_oracles(plant, count, monkeypatch):
+    # around one block of worstcase._TRIE_BLOCK rows; V walks them in suffix order
+    signals = some_signals(count)
+    rows = signals.to_array()
+    order = np.lexsort(rows.T)
+    assert not np.array_equal(order, np.arange(count))
+    listed = list(signals)
+    assert [listed[i] for i in order] == sorted(listed, key=lambda s: s.bits[::-1])
+    monkeypatch.setattr(worstcase, "candidate_signals", lambda *args, **kwargs: signals)
+    ones = np.ones(plant.n)
+    w = LqrWeights.identity(plant.n, plant.m, T)
+    gains = lti_gains(plant, w)
+    for name, report, oracle, one_signal in (
+        ("V", worst_lqr(plant, K, w, ones), lambda s: lqr_oracle(plant, s, w, ones),
+         lambda s: lqr_cost(riccati_backward(plant, s, w), ones)),
+        ("VI", worst_fixed_input_lqr(plant, K, w, ones),
+         lambda s: rollout_oracle(plant, gains, s, w, ones),
+         lambda s: degraded_cost(plant, gains, s, w, ones)),
+    ):
+        assert [e.signal for e in report.per_signal] == list(signals), name
+        got = [e.value for e in report.per_signal]
+        assert got == pytest.approx([oracle(s)[0] for s in signals], rel=1e-9, abs=0.0), name
+        # the one-signal functions are the walk of a one-row trie, step for step
+        assert got == [one_signal(s) for s in signals], name
+        counters = report.info["counters"]
+        assert counters["row_steps"] == count * T, name
+    # one block holds every row, so each distinct suffix or prefix is one node
+    blocks = -(-count // worstcase._TRIE_BLOCK)
+    lqr_nodes = worst_lqr(plant, K, w, ones).info["counters"]["nodes"]
+    rollout_nodes = worst_fixed_input_lqr(plant, K, w, ones).info["counters"]["nodes"]
+    if blocks == 1:
+        assert lqr_nodes == len(suffixes(signals))
+        assert rollout_nodes == len(prefixes(signals))
+    else:
+        assert len(suffixes(signals)) < lqr_nodes < count * T
+        assert len(prefixes(signals)) < rollout_nodes < count * T
+
+
+def test_exhaustive_fixed_gain_rollout_over_the_language():
+    # k=1, T=16 admits 2,584 words, ten blocks of the prefix trie
+    plant = study_plant(0)
+    T_full = 16
+    w = LqrWeights.identity(plant.n, plant.m, T_full)
+    gains = lti_gains(plant, w)
+    ones = np.ones(plant.n)
+    report = worst_fixed_input_lqr(plant, 1, w, ones, mode=EXHAUSTIVE)
+    assert len(report.per_signal) == 2584
+    got = [e.value for e in report.per_signal]
+    assert got == [degraded_cost(plant, gains, e.signal, w, ones) for e in report.per_signal]
+    want = [rollout_oracle(plant, gains, e.signal, w, ones)[0] for e in report.per_signal]
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert report.argmax_signal == first_argmax(want, [e.signal for e in report.per_signal])
+    counters = report.info["counters"]
+    assert counters["row_steps"] == 2584 * T_full
+    assert len(prefixes(e.signal for e in report.per_signal)) < counters["nodes"] < 2584 * T_full
+
+
+def test_estimation_memo_matches_the_unmemoized_scan(plant, monkeypatch):
+    signals = candidate_signals(K, T)
+    ranked = []
+
+    def counted(blocks, row, t):
+        ranked.append(t)
+        return _full_rank(blocks, row, t)
+
+    monkeypatch.setattr(worstcase, "_full_rank", counted)
+    report = worst_estimation_time(plant, K, T)
+    # the scan tests each distinct prefix once
+    assert len(ranked) == report.info["counters"]["prefixes"]
+    blocks = _obsv_blocks(plant, T)
+    tested = []
+
+    def full_rank(blocks, row, t):
+        tested.append(row[: t + 1].tobytes())
+        return _full_rank(blocks, row, t)
+
+    want = []
+    for row in signals.to_array():
+        t = _first_full_rank_time(blocks, row, full_rank)
+        want.append((math.inf, INFEASIBLE) if t is None else (float(t), OPTIMAL))
+    assert [(e.value, e.status) for e in report.per_signal] == want
+    assert report.info["counters"] == {
+        "prefixes": len(set(tested)), "memo_hits": len(tested) - len(set(tested)),
+    }
+    assert report.info["counters"]["memo_hits"] > 0

@@ -167,6 +167,26 @@ def test_control_time_json_carries_the_decision_counters(capsys, scalar_system, 
     }
 
 
+def test_trie_counters_in_json_and_text(capsys, scalar_system):
+    # k=1, T=4: the minimal words 0101, 0110, 1010
+    common = ("--system", scalar_system, "--k", "1", "--T", "4")
+    code, out, _ = run_cli(capsys, "estimate-time", *common, "--out", "json")
+    assert code == 0
+    # 0101 and 0110 share the rank test of 01
+    assert json.loads(out)["info"]["counters"] == {"prefixes": 2, "memo_hits": 1}
+    code, out, _ = run_cli(capsys, "lqr-maxmin", *common, "--out", "json")
+    assert code == 0
+    # suffixes 1, 01, 101, 0101; 0, 10, 110, 0110; of 1010 only 010 and 1010 are new
+    assert json.loads(out)["info"]["counters"] == {"nodes": 10, "row_steps": 12}
+    code, out, _ = run_cli(capsys, "lqr-fixed", *common, "--out", "json")
+    assert code == 0
+    # prefixes 0, 01, 010, 0101, 011, 0110, 1, 10, 101, 1010
+    assert json.loads(out)["info"]["counters"] == {"nodes": 10, "row_steps": 12}
+    code, out, _ = run_cli(capsys, "lqr-fixed", *common)
+    assert code == 0
+    assert "counters: {'nodes': 10, 'row_steps': 12}" in out
+
+
 def test_fuel_energy_commands(capsys, scalar_system, tmp_path):
     xf = tmp_path / "xf.json"
     xf.write_text(json.dumps({"rows": 1, "cols": 1, "data": [1.0]}))

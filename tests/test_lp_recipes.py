@@ -149,7 +149,7 @@ def test_screen_bounds_bracket_the_certified_lp_value(sample):
     sys = study_plant(7, sample)
     checked = 0
     for key, C, b in prefix_targets(sys, 12, 0.3 * np.ones(sys.n)):
-        U, s, V = solvers._factor(C[None])[0]
+        U, s, V = solvers._factor(C)
         coeff, reached = solvers._range_test(U, b)
         res = min_inf_norm(C, b)
         if not reached:

@@ -101,7 +101,7 @@ def test_min_fuel_bound_decided_by_least_peak(monkeypatch):
     # at a bound of 1.1 neither screen decides (least-norm peak 1.2, dual
     # bound 1.0), so the peak LP runs
     failed = SolveResult(MAX_ITERATIONS, iterations=7)
-    monkeypatch.setattr(solvers, "min_inf_norm", lambda *a: failed)
+    monkeypatch.setattr(solvers, "_min_inf_norm", lambda *a: failed)
     assert min_fuel(C, xf, input_bound=1.1) is failed
 
 
@@ -111,7 +111,7 @@ def test_min_fuel_bound_screens_skip_the_peak_lp(monkeypatch):
         "upper_screen", "lp_solves", "lower_screen",
     ]
     assert peak_within(np.zeros((2, 3)), [1.0, 0.0], 1.0)[0] == "off_range"
-    monkeypatch.setattr(solvers, "min_inf_norm", lambda *a: pytest.fail("the peak LP ran"))
+    monkeypatch.setattr(solvers, "_min_inf_norm", lambda *a: pytest.fail("the peak LP ran"))
     # a least-norm input inside the box: the box is the bound itself
     res = min_fuel(C, xf, input_bound=5.0)
     assert res.status == OPTIMAL and res.value == pytest.approx(1.5)
@@ -357,6 +357,17 @@ def test_one_svd_per_solve(monkeypatch, solve, reachable):
     counts = count_decompositions(monkeypatch)
     res = solve(C, xf)
     assert res.status == (OPTIMAL if reachable else INFEASIBLE)
+    assert counts == {"svd": 1, "pinv": 0, "eigh": 0, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("bound, by", [(1.05, "lp_solves"), (5.0, "upper_screen")])
+def test_bounded_min_fuel_takes_one_svd(monkeypatch, bound, by):
+    # the range test, the screens, the peak LP and the fuel LP share one factor
+    C, xf = [[2.0, 1.0]], [3.0]  # least-norm input (1.2, 0.6), least peak 1.0
+    assert peak_within(C, xf, bound)[0] == by
+    counts = count_decompositions(monkeypatch)
+    res = min_fuel(C, xf, input_bound=bound)
+    assert res.status == OPTIMAL
     assert counts == {"svd": 1, "pinv": 0, "eigh": 0, "eigvalsh": 0}
 
 
