@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands cover signal enumeration (admissible, minimal), the six
-worst-case analyses, and the randomized validation study.  Exit codes:
-0 success, 1 malformed input or arguments, 2 study discard rate above
-the configured threshold.
+worst-case analyses, and the randomized validation study.  The analysis
+subcommands are the rows of worstcase.PROBLEMS: each row's arguments
+name its flags, and one lookup runs it.  Exit codes: 0 success, 1
+malformed input or arguments, 2 study discard rate above the configured
+threshold.
 """
 
 from __future__ import annotations
@@ -26,18 +28,8 @@ from .automata import (
 )
 from .lqr import LqrWeights
 from .signals import minimal_filter
-from .study import SampleRow, StudyConfig, run_study
-from .worstcase import (
-    DEFAULT_EXHAUSTIVE_CAP,
-    polytope_reachable,
-    worst_control_time,
-    worst_energy,
-    worst_estimation_time,
-    worst_fixed_input_lqr,
-    worst_fuel,
-    worst_fuel_energy,
-    worst_lqr,
-)
+from .study import PROBLEM_LABELS, SampleRow, StudyConfig, run_study
+from .worstcase import DEFAULT_EXHAUSTIVE_CAP, PROBLEMS
 
 
 class CliError(Exception):
@@ -65,10 +57,31 @@ def _constraint_flags(p: argparse.ArgumentParser, T_required: bool = True) -> No
     p.add_argument("--T", type=int, required=T_required)
 
 
-def _analysis_flags(p: argparse.ArgumentParser, T_required: bool = True) -> None:
-    _constraint_flags(p, T_required)
-    p.add_argument("--mode", choices=["minimal", "exhaustive"], default="minimal")
-    p.add_argument("--system", required=True)
+def _weights(ns: argparse.Namespace, plant) -> LqrWeights:
+    """The --weights file, whose horizon --T may repeat, or identity weights over --T."""
+    if ns.weights is not None:
+        weights = serialize.load_weights(ns.weights)
+        if ns.T is not None and ns.T != weights.T:
+            raise CliError(f"--T {ns.T} disagrees with T = {weights.T} in {ns.weights}")
+        return weights
+    if ns.T is None:
+        raise CliError("--T is required without --weights")
+    return LqrWeights.identity(plant.n, plant.m, ns.T)
+
+
+# each argument of a worstcase.PROBLEMS row: its flag and add_argument options
+# (--T comes with the constraint flags, required when the row takes T), and
+# its value, read from the parsed flags and the loaded system
+_ARGUMENTS = {
+    "T": (None, {}, lambda ns, _: ns.T),
+    "x0": ("--x0", {"default": "ones"}, lambda ns, plant: _load_vec(ns.x0, plant.n)),
+    "x_f": ("--xf", {"default": "ones"}, lambda ns, plant: _load_vec(ns.xf, plant.n)),
+    "poly": ("--polytope", {"required": True}, lambda ns, _: serialize.load_polytope(ns.polytope)),
+    "input_bound": ("--input-bound", {"type": float}, lambda ns, _: ns.input_bound),
+    "gamma1": ("--gamma1", {"type": float, "default": 1.0}, lambda ns, _: ns.gamma1),
+    "gamma2": ("--gamma2", {"type": float, "default": 1.0}, lambda ns, _: ns.gamma2),
+    "weights": ("--weights", {"help": "JSON with Q/R/Qf/T; without it --T is required"}, _weights),
+}
 
 
 def build_parser() -> _Parser:
@@ -90,38 +103,18 @@ def build_parser() -> _Parser:
         help="list through an oracle: the compact k-automaton or filtering the language",
     )
 
-    p = cmd("estimate-time", help="worst time to recover the state from outputs")
-    _analysis_flags(p)
-
-    p = cmd("control-time", help="worst time to park the state at the origin")
-    _analysis_flags(p)
-    p.add_argument("--x0", default="ones")
-
-    for name, extra in (("fuel", True), ("energy", False)):
-        p = cmd(name, help=f"worst minimum-{name} input design")
-        _analysis_flags(p)
-        p.add_argument("--xf", default="ones")
-        if extra:
-            p.add_argument("--input-bound", type=float)
-
-    p = cmd("fuel-energy", help="worst combined 1-norm + 2-norm input design")
-    _analysis_flags(p)
-    p.add_argument("--xf", default="ones")
-    p.add_argument("--gamma1", type=float, default=1.0)
-    p.add_argument("--gamma2", type=float, default=1.0)
-
-    p = cmd("reach", help="check a polytope against all unit-energy reachable sets")
-    _analysis_flags(p)
-    p.add_argument("--polytope", required=True)
-
-    for name in ("lqr-maxmin", "lqr-fixed"):
-        p = cmd(name, help=f"worst {'re-optimized' if name == 'lqr-maxmin' else 'fixed-gain'} quadratic cost")
-        _analysis_flags(p, T_required=False)
-        p.add_argument("--x0", default="ones")
-        p.add_argument("--weights", help="JSON with Q/R/Qf/T; without it --T is required")
+    for command, problem in PROBLEMS.items():
+        p = cmd(command, help=problem.summary)
+        _constraint_flags(p, T_required="T" in problem.args)
+        p.add_argument("--mode", choices=["minimal", "exhaustive"], default="minimal")
+        p.add_argument("--system", required=True)
+        for name in problem.args:
+            flag, options, _ = _ARGUMENTS[name]
+            if flag is not None:
+                p.add_argument(flag, **options)
 
     p = cmd("study", help="randomized validation study")
-    p.add_argument("--problem", choices=["I", "II", "III", "V", "VI"], required=True)
+    p.add_argument("--problem", choices=PROBLEM_LABELS, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--states", type=int, default=10)
     p.add_argument("--inputs", type=int, default=7)
@@ -242,46 +235,9 @@ def _run_command(ns: argparse.Namespace) -> int:
     sys_model = serialize.load_system(ns.system)
     constraint = _constraint(ns)
 
-    if command == "estimate-time":
-        report = worst_estimation_time(sys_model, constraint, ns.T, mode=mode, cap=cap)
-    elif command == "control-time":
-        x0 = _load_vec(ns.x0, sys_model.n)
-        report = worst_control_time(sys_model, constraint, ns.T, x0, mode=mode, cap=cap)
-    elif command == "fuel":
-        xf = _load_vec(ns.xf, sys_model.n)
-        report = worst_fuel(
-            sys_model, constraint, ns.T, xf, mode=mode, cap=cap,
-            input_bound=ns.input_bound,
-        )
-    elif command == "energy":
-        xf = _load_vec(ns.xf, sys_model.n)
-        report = worst_energy(sys_model, constraint, ns.T, xf, mode=mode, cap=cap)
-    elif command == "fuel-energy":
-        xf = _load_vec(ns.xf, sys_model.n)
-        report = worst_fuel_energy(
-            sys_model, constraint, ns.T, xf,
-            ns.gamma1, ns.gamma2, mode=mode, cap=cap,
-        )
-    elif command == "reach":
-        poly = serialize.load_polytope(ns.polytope)
-        reachable, report = polytope_reachable(
-            sys_model, constraint, ns.T, poly, mode=mode, cap=cap
-        )
-    elif command in ("lqr-maxmin", "lqr-fixed"):
-        if ns.weights is not None:
-            weights = serialize.load_weights(ns.weights)
-            if ns.T is not None and ns.T != weights.T:
-                raise CliError(f"--T {ns.T} disagrees with T = {weights.T} in {ns.weights}")
-        elif ns.T is None:
-            raise CliError("--T is required without --weights")
-        else:
-            weights = LqrWeights.identity(sys_model.n, sys_model.m, ns.T)
-        x0 = _load_vec(ns.x0, sys_model.n)
-        fn = worst_lqr if command == "lqr-maxmin" else worst_fixed_input_lqr
-        report = fn(sys_model, constraint, weights, x0, mode=mode, cap=cap)
-    else:  # pragma: no cover
-        raise CliError(f"unknown command {command}")
-
+    problem = PROBLEMS[command]
+    values = {name: _ARGUMENTS[name][2](ns, sys_model) for name in problem.args}
+    report = problem.run(sys_model, constraint, mode=mode, cap=cap, **values)
     _print_report(report, ns.out)
     return 0
 

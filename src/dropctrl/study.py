@@ -11,6 +11,13 @@ recipes.  Randomness is fully reproducible: each sample gets its own
 PCG64 stream spawned as SeedSequence(seed, spawn_key=(sample_index,)),
 so results are independent of execution order.  The nominal is the
 worst case over the dropout-free channel, whose only word is 1...1.
+
+The analysis is the problem's row of worstcase.PROBLEMS, run from or to
+the all-ones state with identity LQR weights; III picks its fuel, energy
+or fuel+energy row by which of gamma1 and gamma2 is zero.  The study's
+problems are the rows whose every argument it supplies: all but IV,
+which needs a polytope.  An infeasible report is discarded with the
+row's infeasible task; I and II are valued in steps, t + 1.
 """
 
 from __future__ import annotations
@@ -40,21 +47,18 @@ from .worstcase import (
     DEFAULT_EXHAUSTIVE_CAP,
     EXHAUSTIVE,
     MINIMAL,
+    PROBLEMS,
+    Problem,
     WorstCaseReport,
     candidate_signals,
-    worst_control_time,
-    worst_energy,
-    worst_estimation_time,
-    worst_fixed_input_lqr,
-    worst_fuel,
-    worst_fuel_energy,
-    worst_lqr,
+    check_cap,
 )
 
 __all__ = [
     "GENERATION_METHODS",
     "GENERATOR_NAME",
     "NO_DROPOUTS",
+    "PROBLEM_LABELS",
     "StudyConfig",
     "SampleRow",
     "StudyResult",
@@ -67,13 +71,11 @@ __all__ = [
 GENERATION_METHODS = ("orthogonal_diag", "gaussian", "gaussian_x10")
 GENERATOR_NAME = "numpy-pcg64/seedseq-spawn-per-sample"
 
-STUDY_PROBLEMS = ("I", "II", "III", "V", "VI")
-
 # the dropout-free channel: every packet arrives, so it admits only 1...1
 NO_DROPOUTS = Automaton([0], [(0, 0, "1")], [0])
 
-# what an infeasible report failed at; V and VI have no infeasible outcome
-_INFEASIBLE_TASK = {"I": "estimation", "II": "transfer", "III": "input_design"}
+# the problems whose every argument the study supplies: all but IV, which takes a polytope
+PROBLEM_LABELS = tuple(dict.fromkeys(row.label for row in PROBLEMS.values() if "poly" not in row.args))
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,13 +171,14 @@ class StudyConfig:
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
 
     def __post_init__(self):
-        if self.problem not in STUDY_PROBLEMS:
-            raise ValueError(f"problem must be one of {STUDY_PROBLEMS}")
+        if self.problem not in PROBLEM_LABELS:
+            raise ValueError(f"problem must be one of {PROBLEM_LABELS}")
         if self.mode not in (MINIMAL, EXHAUSTIVE):
             raise ValueError(f"mode must be {MINIMAL!r} or {EXHAUSTIVE!r}, got {self.mode!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         check_weights(self.gamma1, self.gamma2)
+        check_cap(self.exhaustive_cap)
         if self.p is None:
             self.p = self.m
         if min(self.n, self.m, self.p, self.k, self.T) < 1:
@@ -219,37 +222,20 @@ def _sample_rng(seed: int, sample_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _analysis(cfg: StudyConfig, sys: SwitchedLinearSystem):
-    """The study problem's worst-case analysis as run(constraint, mode) -> report."""
-    x = np.ones(sys.n)
-    cap = cfg.exhaustive_cap
-    if cfg.problem == "I":
-        return lambda c, mode: worst_estimation_time(sys, c, cfg.T, mode, cap=cap)
-    if cfg.problem == "II":
-        return lambda c, mode: worst_control_time(sys, c, cfg.T, x, mode, cap=cap)
+def _problem(cfg: StudyConfig) -> Problem:
+    """The study problem's table row; III picks its objective by which weight is zero."""
     if cfg.problem == "III":
-        if cfg.gamma2 == 0.0:
-            return lambda c, mode: worst_fuel(sys, c, cfg.T, x, mode, cap=cap)
-        if cfg.gamma1 == 0.0:
-            return lambda c, mode: worst_energy(sys, c, cfg.T, x, mode, cap=cap)
-        return lambda c, mode: worst_fuel_energy(
-            sys, c, cfg.T, x, cfg.gamma1, cfg.gamma2, mode, cap=cap
-        )
-    weights = LqrWeights.identity(sys.n, sys.m, cfg.T)
-    analysis = worst_lqr if cfg.problem == "V" else worst_fixed_input_lqr
-    return lambda c, mode: analysis(sys, c, weights, x, mode, cap=cap)
+        objective = "fuel" if cfg.gamma2 == 0.0 else "energy" if cfg.gamma1 == 0.0 else "fuel-energy"
+        return PROBLEMS[objective]
+    return next(row for row in PROBLEMS.values() if row.label == cfg.problem)
 
 
-def _discard_reason(problem: str, stage: str, report: WorstCaseReport) -> str | None:
+def _discard_reason(problem: Problem, stage: str, report: WorstCaseReport) -> str | None:
     if report.info.get("failed_signals"):
         return "solver_failure"
-    if not report.feasible and problem in _INFEASIBLE_TASK:
-        return f"{stage}_{_INFEASIBLE_TASK[problem]}_infeasible"
+    if not report.feasible and problem.infeasible_task is not None:
+        return f"{stage}_{problem.infeasible_task}_infeasible"
     return None
-
-
-def _value(problem: str, report: WorstCaseReport) -> float:
-    return float(report.info["worst_steps"] if problem in ("I", "II") else report.worst_value)
 
 
 def _evaluate_sample(cfg: StudyConfig, sys: SwitchedLinearSystem):
@@ -258,18 +244,25 @@ def _evaluate_sample(cfg: StudyConfig, sys: SwitchedLinearSystem):
     The nominal is the same analysis over the dropout-free channel; the
     worst case is skipped when the nominal is discarded.
     """
-    run = _analysis(cfg, sys)
-    nominal_report = run(NO_DROPOUTS, EXHAUSTIVE)
-    reason = _discard_reason(cfg.problem, "nominal", nominal_report)
+    problem = _problem(cfg)
+    ones = np.ones(sys.n)  # the plant is driven from or to 1, with identity LQR weights
+    given = dict(
+        T=cfg.T, x0=ones, x_f=ones, input_bound=None, gamma1=cfg.gamma1, gamma2=cfg.gamma2,
+        weights=LqrWeights.identity(sys.n, sys.m, cfg.T),
+    )
+    values = {name: given[name] for name in problem.args}
+    nominal_report = problem.run(sys, NO_DROPOUTS, mode=EXHAUSTIVE, cap=cfg.exhaustive_cap, **values)
+    reason = _discard_reason(problem, "nominal", nominal_report)
     if reason is not None:
         return None, None, None, reason, None
-    nominal = _value(cfg.problem, nominal_report)
-    report = run(cfg.k, cfg.mode)
+    # I and II count steps, t + 1; the others read the worst value
+    nominal = float(nominal_report.info.get("worst_steps", nominal_report.worst_value))
+    report = problem.run(sys, cfg.k, mode=cfg.mode, cap=cfg.exhaustive_cap, **values)
     argmax = str(report.argmax_signal)
-    reason = _discard_reason(cfg.problem, "worst", report)
+    reason = _discard_reason(problem, "worst", report)
     if reason is not None:
         return nominal, None, argmax, reason, report
-    return nominal, _value(cfg.problem, report), argmax, None, report
+    return nominal, float(report.info.get("worst_steps", report.worst_value)), argmax, None, report
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:

@@ -10,8 +10,9 @@ deterministic: the candidate set is iterated in lexicographic order and
 the first attaining signal (the lexicographically smallest) is reported
 as the argmax.
 
-Each analysis builds its per-call data once and hands `_scan` an
-evaluator; `_scan` resolves the candidates, packs them into an (N, T)
+Each analysis resolves its candidates first, so that a bad T, mode or
+cap is refused before any work, builds its per-call data once and hands
+`_scan` the candidates and an evaluator; `_scan` packs them into an (N, T)
 bool array and hands over the whole array.  Work is shared over the
 signal trie wherever a quantity depends on a prefix or a suffix alone:
 V walks the suffix trie of blocks of 256 rows sorted by suffix, one
@@ -28,6 +29,13 @@ least-norm witness inside the unit box, a weak-duality bound above it)
 leave few horizons to an LP.  info["counters"] says how much work was
 shared: distinct prefixes and memo hits for I and II (and how II decided
 each prefix), trie nodes against row-steps for V and VI.
+
+PROBLEMS is the one table of analyses: a row per command of the command
+line, giving its problem label, entry point, the arguments it takes
+beyond the system, constraint, mode and cap, and what an infeasible
+report failed at.  The command line builds its subcommands from it and
+the study picks its analysis from it, so a new problem is one row and
+one evaluator.
 """
 
 from __future__ import annotations
@@ -85,6 +93,9 @@ __all__ = [
     "polytope_reachable",
     "worst_lqr",
     "worst_fixed_input_lqr",
+    "check_cap",
+    "Problem",
+    "PROBLEMS",
 ]
 
 MINIMAL = "minimal"
@@ -131,6 +142,12 @@ class Polytope:
         self.vertices = V
 
 
+def check_cap(cap: int) -> None:
+    """Reject an exhaustive cap below 1, which no language fits, not even 1...1."""
+    if cap < 1:
+        raise ValueError(f"the exhaustive cap must be >= 1, got {cap}")
+
+
 def candidate_signals(
     constraint: Automaton | int,
     T: int,
@@ -142,10 +159,12 @@ def candidate_signals(
     An integer k stands for build_k_constraint_automaton(k).  Minimal mode
     generates the minimal words directly (minimal_admissible); exhaustive
     mode enumerates the language.  `cap` bounds exhaustive enumeration
-    only and raises CapExceeded beyond it.
+    only and raises CapExceeded beyond it; a cap below 1 is refused in
+    either mode.
     """
     if mode not in (MINIMAL, EXHAUSTIVE):
         raise ValueError(f"unknown mode {mode!r}")
+    check_cap(cap)
     if isinstance(constraint, int):
         constraint = build_k_constraint_automaton(constraint)
     elif not isinstance(constraint, Automaton):
@@ -161,20 +180,17 @@ def candidate_signals(
 
 def _scan(
     problem: str,
-    constraint: Automaton | int,
-    T: int,
+    signals: SignalSet,
     mode: str,
-    cap: int,
     evaluate: Callable[[np.ndarray], list[tuple[float, str]]],
     info: dict | None = None,
 ) -> WorstCaseReport:
     """Evaluate the candidates and reduce them to the worst case.
 
-    The candidates are candidate_signals(constraint, T, mode, cap), resolved
-    before the wallclock starts.  `evaluate` maps the packed (N, T) bool
-    candidate array to one (value, status) pair per row.
+    `signals` is the entry point's candidate_signals(constraint, T, mode,
+    cap), resolved before the wallclock starts.  `evaluate` maps the packed
+    (N, T) bool candidate array to one (value, status) pair per row.
     """
-    signals = candidate_signals(constraint, T, mode, cap)
     start = time.perf_counter()
     results = evaluate(signals.to_array())
     per_signal = [PerSignal(s, v, st) for s, (v, st) in zip(signals, results)]
@@ -230,6 +246,7 @@ def worst_estimation_time(
     on its bits, made fresh for each call; info["counters"] counts the
     distinct prefixes whose rank was tested and the memo hits.
     """
+    signals = candidate_signals(constraint, T, mode, cap)
     blocks = _obsv_blocks(sys, T)
     counters = {"prefixes": 0, "memo_hits": 0}
     memo: dict[bytes, bool] = {}
@@ -248,8 +265,7 @@ def worst_estimation_time(
         return (math.inf, INFEASIBLE) if t is None else (float(t), OPTIMAL)
 
     report = _scan(
-        "I", constraint, T, mode, cap,
-        lambda mask: [evaluate_one(row) for row in mask], {"counters": counters},
+        "I", signals, mode, lambda mask: [evaluate_one(row) for row in mask], {"counters": counters}
     )
     return _with_steps(report)
 
@@ -279,6 +295,7 @@ def worst_control_time(
     and the decisions by each test (off_range, upper_screen, lower_screen,
     lp_solves).
     """
+    signals = candidate_signals(constraint, T, mode, cap)
     x0 = np.asarray(x0, dtype=float).ravel()
     # targets[t] = -A^{t+1} x0
     targets = []
@@ -315,8 +332,7 @@ def worst_control_time(
         return math.inf, INFEASIBLE
 
     report = _scan(
-        "II", constraint, T, mode, cap,
-        lambda chunk: [evaluate_one(row) for row in chunk], {"counters": counters},
+        "II", signals, mode, lambda mask: [evaluate_one(row) for row in mask], {"counters": counters}
     )
     return _with_steps(report)
 
@@ -355,10 +371,11 @@ def worst_fuel(
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
     """Problem III with a pure 1-norm objective (per-signal LP)."""
+    signals = candidate_signals(constraint, T, mode, cap)
     x_f = np.asarray(x_f, dtype=float).ravel()
     evaluate = _input_norm(sys, T, _each(lambda C: min_fuel(C, x_f, input_bound)))
     info = {"objective": "fuel", "input_bound": input_bound}
-    return _scan("III", constraint, T, mode, cap, evaluate, info)
+    return _scan("III", signals, mode, evaluate, info)
 
 
 def worst_energy(
@@ -374,6 +391,7 @@ def worst_energy(
     The norm of each input is a stacked vector-vector product, the dot
     that np.linalg.norm takes of one vector.
     """
+    signals = candidate_signals(constraint, T, mode, cap)
     x_f = np.asarray(x_f, dtype=float).ravel()
 
     def solve(Cs: np.ndarray) -> list[tuple[float, str]]:
@@ -385,7 +403,7 @@ def worst_energy(
         ]
 
     evaluate = _input_norm(sys, T, solve)
-    return _scan("III", constraint, T, mode, cap, evaluate, {"objective": "energy"})
+    return _scan("III", signals, mode, evaluate, {"objective": "energy"})
 
 
 def worst_fuel_energy(
@@ -399,10 +417,11 @@ def worst_fuel_energy(
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
     """Problem III with the combined weighted 1-norm + 2-norm objective."""
+    signals = candidate_signals(constraint, T, mode, cap)
     x_f = np.asarray(x_f, dtype=float).ravel()
     evaluate = _input_norm(sys, T, _each(lambda C: min_fuel_energy(C, x_f, gamma1, gamma2)))
     info = {"objective": "fuel+energy", "gamma1": gamma1, "gamma2": gamma2}
-    return _scan("III", constraint, T, mode, cap, evaluate, info)
+    return _scan("III", signals, mode, evaluate, info)
 
 
 def polytope_reachable(
@@ -424,6 +443,7 @@ def polytope_reachable(
     V = poly.vertices
     if V.shape[1] != sys.n:
         raise ValueError(f"vertices must have dimension {sys.n}")
+    signals = candidate_signals(constraint, T, mode, cap)
     blocks = _ctrb_blocks(sys, T)
 
     def evaluate(chunk: np.ndarray) -> list[tuple[float, str]]:
@@ -439,7 +459,7 @@ def polytope_reachable(
             for value, ok in zip(values.tolist(), all_reached.tolist())
         ]
 
-    report = _scan("IV", constraint, T, mode, cap, _by_chunk(evaluate), {"tolerance": FEAS_TOL})
+    report = _scan("IV", signals, mode, _by_chunk(evaluate), {"tolerance": FEAS_TOL})
     reachable = report.worst_value <= 1.0 + FEAS_TOL
     report.info["reachable"] = reachable
     report.feasible = reachable
@@ -461,6 +481,7 @@ def worst_lqr(
     their suffix trie; info["counters"] counts the trie nodes stepped
     against the row-steps of a per-signal recursion.
     """
+    signals = candidate_signals(constraint, weights.T, mode, cap)
     x0 = np.asarray(x0, dtype=float).ravel()
     counters = {"nodes": 0, "row_steps": 0}
 
@@ -477,7 +498,7 @@ def worst_lqr(
         counters["row_steps"] += mask.size
         return [(cost, OPTIMAL) for cost in costs.tolist()]
 
-    return _scan("V", constraint, weights.T, mode, cap, evaluate, {"counters": counters})
+    return _scan("V", signals, mode, evaluate, {"counters": counters})
 
 
 def worst_fixed_input_lqr(
@@ -499,6 +520,7 @@ def worst_fixed_input_lqr(
     antitone in the support order); exhaustive mode is the ground truth,
     so minimal-mode reports carry a warning.
     """
+    signals = candidate_signals(constraint, weights.T, mode, cap)
     x0 = np.asarray(x0, dtype=float).ravel()
     gains = lti_gains(sys, weights)
 
@@ -520,4 +542,55 @@ def worst_fixed_input_lqr(
             "minimal-signal search for the fixed-gain degraded cost is heuristic; "
             "run exhaustive mode for a certified worst case"
         )
-    return _scan("VI", constraint, weights.T, mode, cap, evaluate, info)
+    return _scan("VI", signals, mode, evaluate, info)
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One analysis of the table: problem label, entry point, arguments.
+
+    `run(sys, constraint, mode=mode, cap=cap, **values)` returns the
+    report, where `values` holds one entry for each name in `args`, the
+    entry point's own parameter names.  `infeasible_task` names what an
+    infeasible report failed at; None where no outcome is infeasible.
+    """
+
+    label: str
+    run: Callable[..., WorstCaseReport]
+    args: tuple[str, ...]
+    infeasible_task: str | None
+    summary: str
+
+
+# one row per command-line analysis, in the order the subcommands are listed
+PROBLEMS = {
+    "estimate-time": Problem(
+        "I", worst_estimation_time, ("T",), "estimation",
+        "worst time to recover the state from outputs",
+    ),
+    "control-time": Problem(
+        "II", worst_control_time, ("T", "x0"), "transfer",
+        "worst time to park the state at the origin",
+    ),
+    "fuel": Problem(
+        "III", worst_fuel, ("T", "x_f", "input_bound"), "input_design",
+        "worst minimum-fuel input design",
+    ),
+    "energy": Problem(
+        "III", worst_energy, ("T", "x_f"), "input_design", "worst minimum-energy input design"
+    ),
+    "fuel-energy": Problem(
+        "III", worst_fuel_energy, ("T", "x_f", "gamma1", "gamma2"), "input_design",
+        "worst combined 1-norm + 2-norm input design",
+    ),
+    "reach": Problem(  # the report half of (reachable, report)
+        "IV", lambda *args, **kw: polytope_reachable(*args, **kw)[1], ("T", "poly"), None,
+        "check a polytope against all unit-energy reachable sets",
+    ),
+    "lqr-maxmin": Problem(
+        "V", worst_lqr, ("weights", "x0"), None, "worst re-optimized quadratic cost"
+    ),
+    "lqr-fixed": Problem(
+        "VI", worst_fixed_input_lqr, ("weights", "x0"), None, "worst fixed-gain quadratic cost"
+    ),
+}

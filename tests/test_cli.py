@@ -1,10 +1,27 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from dropctrl import minimal_signals_bfs
-from dropctrl.cli import main
+from dropctrl import (
+    EXHAUSTIVE,
+    LqrWeights,
+    Polytope,
+    minimal_signals_bfs,
+    polytope_reachable,
+    serialize,
+    worst_control_time,
+    worst_energy,
+    worst_estimation_time,
+    worst_fixed_input_lqr,
+    worst_fuel,
+    worst_fuel_energy,
+    worst_lqr,
+)
+from dropctrl.cli import build_parser, main
+from dropctrl.study import StudyConfig
+from dropctrl.worstcase import PROBLEMS
 
 
 @pytest.fixture
@@ -378,3 +395,85 @@ def test_study_discard_threshold_exit_2(capsys):
     )
     assert code == 2
     assert "3 discarded" in out
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_study_refuses_cap_below_one(capsys, cap):
+    # not exit 2 with every sample discarded: no cap below 1 holds the nominal's word
+    code, out, err = run_cli(
+        capsys, "study", "--problem", "I", "--states", "3", "--inputs", "2",
+        "--samples", "3", "--T", "6", "--seed", "7", "--exhaustive-cap", cap,
+    )
+    assert code == 1 and out == ""
+    assert f"cap must be >= 1, got {cap}" in err
+
+
+X0, XF = np.array([0.4]), np.array([0.7])
+POLY = Polytope([[0.5], [-0.25]])
+WEIGHTS = LqrWeights(np.eye(1), 2 * np.eye(1), 3 * np.eye(1), 4)
+
+# the direct call each analysis subcommand stands for, with the values of table_flags
+DIRECT = {
+    "estimate-time": lambda sys: worst_estimation_time(sys, 1, 4, EXHAUSTIVE),
+    "control-time": lambda sys: worst_control_time(sys, 1, 4, X0, EXHAUSTIVE),
+    "fuel": lambda sys: worst_fuel(sys, 1, 4, XF, EXHAUSTIVE, 1.5),
+    "energy": lambda sys: worst_energy(sys, 1, 4, XF, EXHAUSTIVE),
+    "fuel-energy": lambda sys: worst_fuel_energy(sys, 1, 4, XF, 0.5, 2.0, EXHAUSTIVE),
+    "reach": lambda sys: polytope_reachable(sys, 1, 4, POLY, EXHAUSTIVE)[1],
+    "lqr-maxmin": lambda sys: worst_lqr(sys, 1, WEIGHTS, X0, EXHAUSTIVE),
+    "lqr-fixed": lambda sys: worst_fixed_input_lqr(sys, 1, WEIGHTS, X0, EXHAUSTIVE),
+}
+
+
+@pytest.fixture
+def table_flags(tmp_path):
+    """The flags of each table argument, none of them at its default."""
+    def dump(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    return {
+        "T": ["--T", "4"],
+        "x0": ["--x0", dump("x0.json", X0.tolist())],
+        "x_f": ["--xf", dump("xf.json", XF.tolist())],
+        "poly": ["--polytope", dump("poly.json", {"vertices": POLY.vertices.tolist()})],
+        "input_bound": ["--input-bound", "1.5"],
+        "gamma1": ["--gamma1", "0.5"],
+        "gamma2": ["--gamma2", "2"],
+        "weights": [
+            "--weights", dump("w.json", {"Q": [[1.0]], "R": [[2.0]], "Qf": [[3.0]], "T": 4})
+        ],
+    }
+
+
+@pytest.mark.parametrize("command", list(PROBLEMS))
+def test_every_table_row_runs_its_direct_call(capsys, scalar_system, table_flags, command):
+    flags = [token for name in PROBLEMS[command].args for token in table_flags[name]]
+    code, out, err = run_cli(
+        capsys, command, "--system", scalar_system, "--k", "1", "--mode", "exhaustive",
+        "--out", "json", *flags,
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    report = DIRECT[command](serialize.load_system(scalar_system))
+    expected = json.loads(json.dumps(serialize.report_to_dict(report)))
+    del doc["wallclock"], expected["wallclock"]
+    assert doc == expected
+
+
+def test_subcommands_and_study_problems_are_the_table_rows():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["admissible", "minimal", *PROBLEMS, "study"]
+    labels = [row.label for row in PROBLEMS.values()]
+    assert sorted(set(labels)) == ["I", "II", "III", "IV", "V", "VI"]
+    study = next(a for a in sub.choices["study"]._actions if a.dest == "problem")
+    # the study supplies every argument but IV's polytope
+    assert list(study.choices) == ["I", "II", "III", "V", "VI"]
+    for label in labels:
+        if label in study.choices:
+            StudyConfig(problem=label)
+        else:
+            with pytest.raises(ValueError, match="problem must be one of"):
+                StudyConfig(problem=label)

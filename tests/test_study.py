@@ -188,5 +188,9 @@ def test_study_config_validation():
         StudyConfig(problem="III", gamma1=-1, gamma2=1)
     with pytest.raises(ValueError, match="gamma"):
         StudyConfig(problem="III", gamma1=0, gamma2=-1)
+    # the nominal's one-word language fits no cap below 1: every sample would be discarded
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            StudyConfig(problem="I", n=3, m=2, samples=3, T=6, seed=7, exhaustive_cap=cap)
     cfg = StudyConfig(problem="I")
     assert cfg.p == cfg.m

@@ -29,6 +29,8 @@ from dropctrl import (
     worst_fuel_energy,
     worst_lqr,
 )
+from dropctrl import worstcase
+from dropctrl.worstcase import PROBLEMS
 
 
 def scalar_sys(a=2.0):
@@ -74,6 +76,43 @@ def test_cap_bounds_exhaustive_enumeration_only():
             candidate_signals(even, 3, mode, cap=64)
         with pytest.raises(ValueError, match="T must be >= 1"):
             candidate_signals(a, 0, mode)
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            candidate_signals(a, 4, mode, cap=0)
+
+
+# a valid value of each argument a PROBLEMS row takes, for the scalar plant
+ROW_ARGS = {
+    "T": 4,
+    "weights": LqrWeights.identity(1, 1, 4),
+    "x0": [1.0],
+    "x_f": [1.0],
+    "poly": Polytope([[0.5]]),
+    "input_bound": None,
+    "gamma1": 1.0,
+    "gamma2": 1.0,
+}
+
+
+@pytest.mark.parametrize("command", list(PROBLEMS))
+def test_bad_T_mode_or_cap_is_refused_before_per_call_data(command, monkeypatch):
+    # the package's own message, not numpy's "negative dimensions", and no block built
+    for name in ("_obsv_blocks", "_ctrb_blocks", "lti_gains"):
+        monkeypatch.setattr(worstcase, name, lambda *a: pytest.fail("per-call data was built"))
+    problem = PROBLEMS[command]
+    values = {name: ROW_ARGS[name] for name in problem.args}
+
+    def run(**bad):
+        return problem.run(scalar_sys(), 1, **{**values, **bad})
+
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        run(mode="bogus")
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            run(mode=EXHAUSTIVE, cap=cap)
+    if "T" in problem.args:  # the others take their horizon from LqrWeights, which checks it
+        for T in (-3, 0):
+            with pytest.raises(ValueError, match="T must be >= 1"):
+                run(T=T)
 
 
 def test_estimation_worked_example():
