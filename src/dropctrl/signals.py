@@ -25,24 +25,30 @@ _BIT = {"0": 0, "1": 1}
 
 
 class Signal:
-    """Immutable binary word sigma(0) ... sigma(T-1), T >= 1."""
+    """Immutable binary word sigma(0) ... sigma(T-1), T >= 1.
 
-    __slots__ = ("_bits",)
+    The word is kept as its string of '0' and '1', which reports write as
+    it is; the bits are read from it.  Lexicographic order on the strings
+    is the order on the bit tuples.
+    """
+
+    __slots__ = ("_text",)
 
     def __init__(self, bits: Iterable[int] | str):
         if isinstance(bits, str):
             if not bits or bits.strip("01"):
                 raise ValueError(f"not a bit string: {bits!r}")
-            vals = tuple(map(_BIT.__getitem__, bits))
+            text = str(bits)
         else:
             vals = tuple(int(b) for b in bits)
             if not vals or any(b not in (0, 1) for b in vals):
                 raise ValueError("signal bits must be 0/1 and nonempty")
-        object.__setattr__(self, "_bits", vals)
+            text = "".join(map(str, vals))
+        object.__setattr__(self, "_text", text)
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return self._bits
+        return tuple(map(_BIT.__getitem__, self._text))
 
     @classmethod
     def ones(cls, length: int) -> "Signal":
@@ -54,35 +60,35 @@ class Signal:
 
     def support(self) -> tuple[int, ...]:
         """Indices of successful transmissions."""
-        return tuple(i for i, b in enumerate(self._bits) if b)
+        return tuple(i for i, b in enumerate(self._text) if b == "1")
 
     def count_ones(self) -> int:
-        return sum(self._bits)
+        return self._text.count("1")
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return len(self._text)
 
     def __getitem__(self, i):
-        return self._bits[i]
+        return self.bits[i]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._bits)
+        return map(_BIT.__getitem__, self._text)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self._bits)
+        return self._text
 
     def __repr__(self) -> str:
         return f"Signal('{self}')"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Signal) and self._bits == other._bits
+        return isinstance(other, Signal) and self._text == other._text
 
     def __hash__(self) -> int:
-        return hash(self._bits)
+        return hash(self._text)
 
     def __lt__(self, other: "Signal") -> bool:
         # lexicographic; used only for canonical ordering of reports
-        return self._bits < other._bits
+        return self._text < other._text
 
     def __setattr__(self, name, value):
         raise AttributeError("Signal is immutable")
@@ -98,12 +104,12 @@ class SignalSet:
     __slots__ = ("_signals", "_index")
 
     def __init__(self, signals: Iterable[Signal]):
-        # keyed by the bit tuples, so hashing and sorting stay in C
-        index: dict[tuple[int, ...], Signal] = {}
+        # keyed by the bit strings, so hashing and sorting stay in C
+        index: dict[str, Signal] = {}
         for s in signals:
             if not isinstance(s, Signal):
                 s = Signal(s)
-            index[s._bits] = s
+            index[s._text] = s
         keys = sorted(index)
         if keys:
             T = len(keys[0])
@@ -127,13 +133,14 @@ class SignalSet:
 
     def to_array(self) -> np.ndarray:
         """The signals as rows of an (N, T) bool array, in iteration order."""
-        bits = [s._bits for s in self._signals]
-        return np.array(bits, dtype=bool).reshape(len(bits), len(bits[0]) if bits else 0)
+        texts = [s._text for s in self._signals]
+        codes = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+        return (codes == ord("1")).reshape(len(texts), len(texts[0]) if texts else 0)
 
     def __contains__(self, s) -> bool:
         if isinstance(s, str):
             s = Signal(s)
-        return isinstance(s, Signal) and s._bits in self._index
+        return isinstance(s, Signal) and s._text in self._index
 
     def __iter__(self) -> Iterator[Signal]:
         return iter(self._signals)

@@ -15,11 +15,14 @@ counted against its own rounding, rules the bound out; the LP runs only
 in between.  The 2-norm problem is closed form from
 the SVD; the combined 1-norm + 2-norm objective is handled by an
 operator-splitting iteration whose proximal step composes soft
-thresholding with a radial shrink.  Each solve takes one SVD of C: its
-range test, screens and LPs share it.  The factorization takes a stack
-of matrices, so the worst-case scan factors a chunk of signals with one
-SVD call and then cuts and tests the matrices of each rank together;
-min_energy is the one-matrix case of that batch.
+thresholding with a radial shrink.  Each LP or splitting solve takes
+one SVD of C: its range test, screens and LPs share it.  The least-norm value needs only
+U_r and s_r, which the n x n triangle R' of C' = Q R carries: the
+worst-case scan factors a chunk of controllability matrices with one QR
+call and one SVD call of the triangles, never forms their right singular
+vectors, and then cuts and tests the matrices of each rank together.
+min_energy takes its status and value from that code on one matrix, and
+its input from the same triangle with Q.
 """
 
 from __future__ import annotations
@@ -81,30 +84,40 @@ def _prep(Cmat, rhs):
     return C, v
 
 
-def _factor_stack(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVDs U, s, V' of a stack (N, n, q) in one call, and each matrix's rank r.
+def _factor_stack(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin U and s of each matrix of a stack (N, n, q), and each matrix's rank r.
 
-    r counts the singular values above the matrix's own rank cut, the one
-    numerical_rank applies; they lead, so U_r, s_r and V_r are the first r
+    C' = Q R gives C = R'Q', so the small triangle R' (n x n when q >= n)
+    has C's U and s, and its SVD costs no right singular vectors of C
+    (Chan, ACM TOMS 8, 1982).  Each step is one call over the stack.  r
+    counts the singular values above C's own rank cut, the one
+    numerical_rank applies; they lead, so U_r and s_r are the first r
     columns.
     """
-    U, s, Vt = np.linalg.svd(C, full_matrices=False)
-    rank = np.count_nonzero(s > _rank_cut(C.shape[1:], s), axis=1)
-    return U, s, Vt, rank
+    U, s, _, rank = _triangle_svd(np.linalg.qr(C.swapaxes(1, 2), mode="r"), C.shape[1:])
+    return U, s, rank
+
+
+def _triangle_svd(
+    R: np.ndarray, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """SVDs R' = U S W' of a stack of triangles of C' = Q R, and the rank of each C of `shape`."""
+    U, s, Wt = np.linalg.svd(R.swapaxes(1, 2), full_matrices=False)
+    return U, s, Wt, np.count_nonzero(s > _rank_cut(shape, s), axis=1)
 
 
 def _factor(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U_r, s_r, V_r of one matrix: the one-matrix case of _factor_stack."""
-    U, s, Vt, rank = _factor_stack(C[None])
-    r = rank[0]
-    return U[0, :, :r], s[0, :r], Vt[0, :r].T
+    """U_r, s_r, V_r of one matrix's thin SVD, cut where numerical_rank cuts."""
+    U, s, Vt = np.linalg.svd(C, full_matrices=False)
+    r = np.count_nonzero(s > _rank_cut(C.shape, s))
+    return U[:, :r], s[:r], Vt[:r].T
 
 
 def _ranks(rank: np.ndarray) -> list[tuple[int, np.ndarray | slice]]:
     """(r, the matrices of rank r) for each rank r in a stack, as indices or a slice of all.
 
     Array code on the matrices of one rank takes the same products, with
-    the same shapes, as code on each matrix's U_r, s_r and V_r alone.
+    the same shapes, as code on each matrix's U_r and s_r alone.
     """
     ranks = sorted(set(rank.tolist()))
     if len(ranks) == 1:  # the common case: a view of the stack, not a copy
@@ -123,33 +136,45 @@ def _range_test(U: np.ndarray, v: np.ndarray):
 
 
 def min_energy(Cmat, x_f) -> SolveResult:
-    """Minimum 2-norm u = V_r (U_r' x_f / s_r) with C u = x_f; the residual is a report.
+    """Minimum 2-norm u with C u = x_f; the residual is a report.
 
-    The one-matrix case of _least_norm, which the worst-case scan runs on
-    a stack of controllability matrices.
+    Status and value are the one-matrix case of _least_norm, which the
+    worst-case scan runs on a stack of controllability matrices; the
+    reduced C' = Q R has the triangle R of _factor_stack, bit for bit.  The
+    input is u = Q W_r (U_r' x_f / s_r) from the SVD R' = U S W': C =
+    U S (Q W)', so Q W holds C's right singular vectors.
     """
     C, xf = _prep(Cmat, x_f)
-    u, reached = _least_norm(C[None], xf)
-    residual = float(np.linalg.norm(C @ u[0] - xf))
+    Q, R = np.linalg.qr(C.T)
+    U, s, Wt, rank = _triangle_svd(R[None], C.shape)
+    value, reached = _least_norm(U, s, rank, xf)
+    r = rank[0]
+    u = Q @ (Wt[0, :r].T @ (xf @ U[0, :, :r] / s[0, :r]))
+    residual = float(np.linalg.norm(C @ u - xf))
     if reached[0]:
-        return SolveResult(OPTIMAL, u=u[0], value=float(np.linalg.norm(u[0])), residual=residual)
+        return SolveResult(OPTIMAL, u=u, value=float(value[0]), residual=residual)
     return SolveResult(INFEASIBLE, residual=residual)
 
 
-def _least_norm(Cs: np.ndarray, xf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-norm inputs u = V_r (U_r' x_f / s_r) of a stack (N, n, q) from one SVD call.
+def _least_norm(
+    U: np.ndarray, s: np.ndarray, rank: np.ndarray, xf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least input norms ||U_r' x_f / s_r|| of a stack's factor, and whether each matrix reaches x_f.
 
-    Returns the (N, q) inputs and whether each matrix reaches x_f.
+    U, s and rank are _factor_stack's.  The least-norm input
+    V_r (U_r' x_f / s_r) has that norm because V_r has orthonormal columns,
+    so V_r is never formed.  Each norm is a stacked vector-vector product,
+    the dot that np.linalg.norm takes of one vector.
     """
-    U, s, Vt, rank = _factor_stack(Cs)
-    u = np.empty((len(Cs), Cs.shape[2]))
-    reached = np.empty(len(Cs), dtype=bool)
+    norms = np.empty(len(U))
+    reached = np.empty(len(U), dtype=bool)
     for r, idx in _ranks(rank):
         # x_f as a one-row matrix, so that each matrix of the stack sees the 1-D product
         coeff, ok = _range_test(U[idx, :, :r], xf[None])
         reached[idx] = ok[:, 0]
-        u[idx] = (Vt[idx, :r].swapaxes(1, 2) @ (coeff[:, 0] / s[idx, :r])[:, :, None])[:, :, 0]
-    return u, reached
+        y = coeff[:, 0] / s[idx, :r]
+        norms[idx] = np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0])
+    return norms, reached
 
 
 def _solve_lp(

@@ -20,7 +20,8 @@ Riccati step per distinct suffix; VI rolls the prefix trie of blocks of
 256 rows in lexicographic order, one state per distinct prefix; I and II
 keep each prefix's verdict in a memo keyed on its bits, made fresh for
 each call.  III-energy and IV build the controllability stack of 64 rows
-at a time, factor it with one SVD call and decide the chunk in array
+at a time, factor the n x n triangle of each matrix (one QR call, then
+one SVD call, no right singular vectors) and decide the chunk in array
 code, one group of equal rank at a time; the LP objectives of III solve
 a program per row.  I and II read the horizon-t matrices of a row from
 the call's blocks C A^i and A^{T-1-i} B.  II decides each horizon with
@@ -28,7 +29,8 @@ solvers.peak_within, whose screens on the range test's SVD (a
 least-norm witness inside the unit box, a weak-duality bound above it)
 leave few horizons to an LP.  info["counters"] says how much work was
 shared: distinct prefixes and memo hits for I and II (and how II decided
-each prefix), trie nodes against row-steps for V and VI.
+each prefix), trie nodes against row-steps for V and VI, chunks factored
+and matrices of rank below n for III-energy and IV.
 
 PROBLEMS is the one table of analyses: a row per command of the command
 line, giving its problem label, entry point, the arguments it takes
@@ -102,9 +104,11 @@ MINIMAL = "minimal"
 EXHAUSTIVE = "exhaustive"
 DEFAULT_EXHAUSTIVE_CAP = 2**20
 
-# rows per controllability stack in III and IV: at n=10, m=7, T=24 as fast
-# as 256 rows or a whole 2,640-signal set, and a chunk's stack and its SVD
-# take 1.7 MB (traced peak of one plant's calls 2.9 MB, 8.3 MB at 256)
+# rows per controllability stack in III and IV: at n=10, m=7, T=24,
+# III-energy and IV on three plants take 0.88 s at 64 rows, 0.95 s at 128
+# and 1.08 s at 256 (medians of six interleaved rounds, one BLAS thread),
+# and a chunk's stack, QR copy and factor take 1.8 MB (traced peak of one
+# plant's two calls 2.5 MB, 7.8 MB at 256)
 _CHUNK = 64
 # rows per trie walk in V and VI: a level holds at most this many nodes
 _TRIE_BLOCK = 256
@@ -345,6 +349,14 @@ def _input_norm(
     return _by_chunk(lambda chunk: solve(_ctrb_stack(blocks, chunk)))
 
 
+def _factor_counted(Cs: np.ndarray, counters: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_factor_stack of a chunk's (N, n, q) stack, counted in III-energy's or IV's counters."""
+    U, s, rank = _factor_stack(Cs)
+    counters["chunks"] += 1
+    counters["rank_deficient"] += int(np.count_nonzero(rank < Cs.shape[1]))
+    return U, s, rank
+
+
 def _each(
     solve_one: Callable[[np.ndarray], object]
 ) -> Callable[[np.ndarray], list[tuple[float, str]]]:
@@ -386,24 +398,24 @@ def worst_energy(
     mode: str = MINIMAL,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
-    """Problem III with a pure 2-norm objective (least-norm, one SVD call per chunk).
+    """Problem III with a pure 2-norm objective: least input norms, one factor per chunk.
 
-    The norm of each input is a stacked vector-vector product, the dot
-    that np.linalg.norm takes of one vector.
+    info["counters"] counts the chunks factored and the matrices of rank
+    below n among them.
     """
     signals = candidate_signals(constraint, T, mode, cap)
     x_f = np.asarray(x_f, dtype=float).ravel()
+    counters = {"chunks": 0, "rank_deficient": 0}
 
     def solve(Cs: np.ndarray) -> list[tuple[float, str]]:
-        u, reached = _least_norm(Cs, x_f)
-        norms = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0])
+        norms, reached = _least_norm(*_factor_counted(Cs, counters), x_f)
         return [
             (value, OPTIMAL) if ok else (math.inf, INFEASIBLE)
             for value, ok in zip(norms.tolist(), reached.tolist())
         ]
 
     evaluate = _input_norm(sys, T, solve)
-    return _scan("III", signals, mode, evaluate, {"objective": "energy"})
+    return _scan("III", signals, mode, evaluate, {"objective": "energy", "counters": counters})
 
 
 def worst_fuel_energy(
@@ -435,19 +447,22 @@ def polytope_reachable(
     """Problem IV: is every vertex inside every unit-energy reachable ellipsoid?
 
     The per-signal value is the largest least input energy over the
-    vertices, v' W^+ v = ||s_r^-1 U_r' v||^2, read from one SVD of the
+    vertices, v' W^+ v = ||s_r^-1 U_r' v||^2, read from the factor of the
     controllability matrix C rather than from W = CC', whose condition
     number is cond(C)^2; a vertex off C's range is unreachable and scores
     +infinity.  Containment holds when the worst value is at most 1 + FEAS_TOL.
+    info["counters"] counts the chunks factored and the matrices of rank
+    below n among them.
     """
     V = poly.vertices
     if V.shape[1] != sys.n:
         raise ValueError(f"vertices must have dimension {sys.n}")
     signals = candidate_signals(constraint, T, mode, cap)
     blocks = _ctrb_blocks(sys, T)
+    counters = {"chunks": 0, "rank_deficient": 0}
 
     def evaluate(chunk: np.ndarray) -> list[tuple[float, str]]:
-        U, sv, _, rank = _factor_stack(_ctrb_stack(blocks, chunk))
+        U, sv, rank = _factor_counted(_ctrb_stack(blocks, chunk), counters)
         values = np.empty(len(chunk))
         all_reached = np.empty(len(chunk), dtype=bool)
         for r, idx in _ranks(rank):
@@ -459,7 +474,8 @@ def polytope_reachable(
             for value, ok in zip(values.tolist(), all_reached.tolist())
         ]
 
-    report = _scan("IV", signals, mode, _by_chunk(evaluate), {"tolerance": FEAS_TOL})
+    info = {"tolerance": FEAS_TOL, "counters": counters}
+    report = _scan("IV", signals, mode, _by_chunk(evaluate), info)
     reachable = report.worst_value <= 1.0 + FEAS_TOL
     report.info["reachable"] = reachable
     report.feasible = reachable

@@ -6,7 +6,10 @@ C A^i or A^{T-1-i} B across signals.  The oracles below are per-signal
 loops in plain numpy or over the public solvers, the arithmetic the scan
 did one signal at a time.  Plants are drawn as `run_study` draws them, one
 per recipe, the ill-conditioned `gaussian_x10` included; the candidate
-counts sit on both sides of the chunk boundaries.
+counts sit on both sides of the chunk boundaries.  III-energy and IV
+factor the triangle of C' = Q R, and their oracles do the same one matrix
+at a time; C's own SVD is a second oracle, which their values match to
+within 100 eps cond(C).
 """
 
 import math
@@ -43,9 +46,15 @@ from dropctrl import (
     worst_lqr,
 )
 from dropctrl import worstcase
-from dropctrl.solvers import FEAS_TOL
+from dropctrl.solvers import FEAS_TOL, _factor_stack
 from dropctrl.study import GENERATION_METHODS, _sample_rng, random_system
-from dropctrl.systems import _first_full_rank_time, _full_rank, _obsv_blocks
+from dropctrl.systems import (
+    _ctrb_blocks,
+    _ctrb_stack,
+    _first_full_rank_time,
+    _full_rank,
+    _obsv_blocks,
+)
 
 N_STATES, N_INPUTS, K, T = 6, 3, 2, 14
 SEED = 7
@@ -75,18 +84,31 @@ def some_signals(count, T=T):
 # --- per-signal oracles ----------------------------------------------------
 
 def ctrb_oracle(sys, s):
-    blocks = [None] * T
+    blocks = [None] * len(s)
     P = sys.B
-    for i in range(T - 1, -1, -1):
+    for i in range(len(s) - 1, -1, -1):
         blocks[i] = s[i] * P
         if i > 0:
             P = sys.A @ P
     return np.hstack(blocks)
 
 
+def rank_cut(C, sv):
+    return int(np.count_nonzero(sv > max(C.shape) * np.finfo(float).eps * sv[0]))
+
+
 def factor_oracle(C):
+    """U_r and s_r of C from the triangle of C' = Q R: C = R'Q', so R' has C's U and s."""
+    R = np.linalg.qr(C.T, mode="r")
+    U, sv, _ = np.linalg.svd(R.T, full_matrices=False)
+    r = rank_cut(C, sv)
+    return U[:, :r], sv[:r]
+
+
+def svd_oracle(C):
+    """U_r, s_r and V_r of C's own thin SVD, against which the triangle's values are bounded."""
     U, sv, Vt = np.linalg.svd(C, full_matrices=False)
-    r = int(np.count_nonzero(sv > max(C.shape) * np.finfo(float).eps * sv[0]))
+    r = rank_cut(C, sv)
     return U[:, :r], sv[:r], Vt[:r].T
 
 
@@ -96,19 +118,24 @@ def reached(U, v):
 
 
 def energy_oracle(sys, s, xf):
-    U, sv, V = factor_oracle(ctrb_oracle(sys, s))
+    # the least-norm input V_r (c / s_r) has the norm of c / s_r
+    U, sv = factor_oracle(ctrb_oracle(sys, s))
     c, ok = reached(U, xf)
     if not ok:
         return math.inf, INFEASIBLE
-    return float(np.linalg.norm(V @ (c / sv))), OPTIMAL
+    return float(np.linalg.norm(c / sv)), OPTIMAL
 
 
 def polytope_oracle(sys, s, vertices):
-    U, sv, _ = factor_oracle(ctrb_oracle(sys, s))
+    U, sv = factor_oracle(ctrb_oracle(sys, s))
     c, ok = reached(U, vertices)
     if not ok.all():
         return math.inf, "unreachable_vertex"
     return float(np.max(np.sum((c / sv) ** 2, axis=1))), OPTIMAL
+
+
+def cross_vertices(n):
+    return 0.01 * np.vstack([np.eye(n), -np.eye(n)])
 
 
 def estimation_oracle(sys, s):
@@ -212,7 +239,7 @@ def run_all(sys):
     ones = np.ones(sys.n)
     w = LqrWeights.identity(sys.n, sys.m, T)
     gains = lti_gains(sys, w)
-    vertices = 0.01 * np.vstack([np.eye(sys.n), -np.eye(sys.n)])
+    vertices = cross_vertices(sys.n)
     return {
         "I": (worst_estimation_time(sys, K, T), lambda s: estimation_oracle(sys, s), True),
         "III-energy": (
@@ -276,6 +303,131 @@ def test_minimal_candidates_of_the_channel(plant):
             assert got == want, name
         else:
             assert got == pytest.approx(want, rel=1e-9, abs=0.0), name
+
+
+# --- III-energy's and IV's factor against C's own SVD -----------------------
+
+EPS = float(np.finfo(float).eps)
+
+
+def direct_oracles(C, xf, vertices):
+    """(rank, III-energy pair, IV pair) of C from np.linalg.svd(C), and cond(C) over its rank."""
+    U, sv, V = svd_oracle(C)
+    c, ok = reached(U, xf)
+    energy = (float(np.linalg.norm(V @ (c / sv))), OPTIMAL) if ok else (math.inf, INFEASIBLE)
+    c, ok = reached(U, vertices)
+    if ok.all():
+        poly = (float(np.max(np.sum((c / sv) ** 2, axis=1))), OPTIMAL)
+    else:
+        poly = (math.inf, "unreachable_vertex")
+    kappa = sv[0] / sv[-1] if len(sv) else 1.0
+    return len(sv), energy, poly, kappa
+
+
+def assert_within_backward_error(got, want, kappa, label):
+    # both factors are backward stable: values agree to about eps * cond(C)
+    if math.isinf(want):
+        assert got == want, label
+    else:
+        assert abs(got - want) <= 100 * EPS * kappa * abs(want), label
+
+
+@pytest.mark.parametrize("sample", [2, 3, 4], ids=[GENERATION_METHODS[i % 3] for i in (2, 3, 4)])
+def test_factor_matches_the_direct_svd_at_the_wide_horizon(sample):
+    # the study's samples at n=10, m=7, k=2, T=24: 2,640 minimal signals,
+    # cond(C) up to about 1e13, and matrices of rank below 10 on sample 4
+    method = GENERATION_METHODS[sample % len(GENERATION_METHODS)]
+    sys = random_system(10, 7, 7, method, _sample_rng(SEED, sample), screen_horizon=24)
+    k, T_wide = 2, 24
+    signals = candidate_signals(k, T_wide)
+    ones, vertices = np.ones(sys.n), cross_vertices(sys.n)
+    energy = worst_energy(sys, k, T_wide, ones)
+    poly = polytope_reachable(sys, k, T_wide, Polytope(vertices))[1]
+    blocks, rows = _ctrb_blocks(sys, T_wide), signals.to_array()
+    want_energy, want_poly, deficient = [], [], 0
+    for lo in range(0, len(rows), worstcase._CHUNK):
+        Cs = _ctrb_stack(blocks, rows[lo : lo + worstcase._CHUNK])
+        rank = _factor_stack(Cs)[2]
+        for i, C in enumerate(Cs):
+            r, e, p, kappa = direct_oracles(C, ones, vertices)
+            label = (method, str(signals.signals[lo + i]))
+            assert rank[i] == r, label
+            deficient += r < sys.n
+            for report, want, name in ((energy, e, "III-energy"), (poly, p, "IV")):
+                entry = report.per_signal[lo + i]
+                assert entry.status == want[1], (name, *label)
+                assert_within_backward_error(entry.value, want[0], kappa, (name, *label))
+            want_energy.append(e[0])
+            want_poly.append(p[0])
+    assert energy.argmax_signal == first_argmax(want_energy, signals)
+    assert poly.argmax_signal == first_argmax(want_poly, signals)
+    assert poly.info["reachable"] == (max(want_poly) <= 1.0 + FEAS_TOL)
+    counters = {"chunks": -(-len(rows) // worstcase._CHUNK), "rank_deficient": deficient}
+    assert energy.info["counters"] == poly.info["counters"] == counters
+    assert (deficient > 0) == (sample == 4)
+
+
+def test_short_horizon_factor_is_short_and_wide(monkeypatch):
+    # m T < n: C' = Q R has a 4 x 6 triangle R, and every C has rank at most 4
+    sys = random_system(6, 1, 1, "gaussian", _sample_rng(SEED, 0), screen_horizon=8)
+    T_short = 4
+    signals = candidate_signals(2, T_short, EXHAUSTIVE)
+    monkeypatch.setattr(worstcase, "candidate_signals", lambda *args, **kwargs: signals)
+    Cs = _ctrb_stack(_ctrb_blocks(sys, T_short), signals.to_array())
+    assert Cs.shape[1:] == (6, 4)
+    assert np.linalg.qr(Cs.swapaxes(1, 2), mode="r").shape == (len(signals), 4, 6)
+    U, sv, rank = _factor_stack(Cs)
+    assert U.shape == (len(signals), 6, 4) and sv.shape == (len(signals), 4)
+    # targets on the range of the all-ones matrix, which no other signal spans
+    full = controllability_matrix(sys, Signal.ones(T_short))
+    xf = full @ np.array([1.0, -1.0, 2.0, 0.5])
+    vertices = 0.01 * np.vstack([full.T, -full.T])
+    energy = worst_energy(sys, 2, T_short, xf).per_signal
+    poly = polytope_reachable(sys, 2, T_short, Polytope(vertices))[1].per_signal
+    for i, s in enumerate(signals):
+        C = controllability_matrix(sys, s)
+        assert (energy[i].value, energy[i].status) == energy_oracle(sys, s, xf)
+        assert (poly[i].value, poly[i].status) == polytope_oracle(sys, s, vertices)
+        r, e, p, kappa = direct_oracles(C, xf, vertices)
+        assert rank[i] == r <= T_short
+        assert energy[i].status == e[1] and poly[i].status == p[1]
+        assert_within_backward_error(energy[i].value, e[0], kappa, str(s))
+        assert_within_backward_error(poly[i].value, p[0], kappa, str(s))
+        res = min_energy(C, xf)
+        assert (res.status, math.inf if res.value is None else res.value) == (
+            energy[i].status, energy[i].value,
+        )
+        if res.status == OPTIMAL:
+            assert np.linalg.norm(C @ res.u - xf) <= FEAS_TOL * np.linalg.norm(xf)
+            assert np.linalg.norm(res.u) == pytest.approx(res.value, rel=1e-12)
+    assert [str(s) for s, e in zip(signals, energy) if e.status == OPTIMAL] == ["1111"]
+
+
+def test_all_dropout_row_has_rank_zero(monkeypatch):
+    plant = study_plant(1)
+    signals = SignalSet([Signal.zeros(T), Signal.ones(T)])
+    monkeypatch.setattr(worstcase, "candidate_signals", lambda *args, **kwargs: signals)
+    zero = controllability_matrix(plant, Signal.zeros(T))
+    assert not zero.any()
+    assert _factor_stack(np.stack([zero, ctrb_oracle(plant, Signal.ones(T))]))[2].tolist() == [
+        0, plant.n,
+    ]
+    ones = np.ones(plant.n)
+    energy = worst_energy(plant, K, T, ones)
+    poly = polytope_reachable(plant, K, T, Polytope(cross_vertices(plant.n)))[1]
+    assert (energy.per_signal[0].value, energy.per_signal[0].status) == (math.inf, INFEASIBLE)
+    assert (poly.per_signal[0].value, poly.per_signal[0].status) == (
+        math.inf, "unreachable_vertex",
+    )
+    assert energy.argmax_signal == poly.argmax_signal == Signal.zeros(T)
+    assert energy.info["counters"] == poly.info["counters"] == {"chunks": 1, "rank_deficient": 1}
+    res = min_energy(zero, ones)
+    assert res.status == INFEASIBLE and res.value is None
+    assert res.residual == np.linalg.norm(ones)
+    # the zero target is on the range of every matrix, the zero one included
+    res = min_energy(zero, np.zeros(plant.n))
+    assert (res.status, res.value, res.residual) == (OPTIMAL, 0.0, 0.0)
+    assert np.array_equal(res.u, np.zeros(zero.shape[1]))
 
 
 # II verdicts the LP path leaves uncertified and the lower screen decides:

@@ -204,6 +204,25 @@ def test_trie_counters_in_json_and_text(capsys, scalar_system):
     assert "counters: {'nodes': 10, 'row_steps': 12}" in out
 
 
+def test_factor_counters_in_json_and_text(capsys, scalar_system, tmp_path):
+    # k=2, T=2 admits 00, 01, 10 and 11: one chunk, and 00 has rank 0
+    xf = tmp_path / "xf.json"
+    xf.write_text(json.dumps([1.0]))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"vertices": [[0.5], [-0.5]]}))
+    common = ("--system", scalar_system, "--k", "2", "--T", "2", "--mode", "exhaustive")
+    counters = {"chunks": 1, "rank_deficient": 1}
+    for command, target in (("energy", ("--xf", str(xf))), ("reach", ("--polytope", str(poly)))):
+        code, out, _ = run_cli(capsys, command, *common, *target, "--out", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["info"]["counters"] == counters, command
+        assert doc["per_signal"][0]["signal"] == "00" and doc["per_signal"][0]["value"] == "inf"
+        code, out, _ = run_cli(capsys, command, *common, *target)
+        assert code == 0
+        assert f"counters: {counters}" in out, command
+
+
 def test_fuel_energy_commands(capsys, scalar_system, tmp_path):
     xf = tmp_path / "xf.json"
     xf.write_text(json.dumps({"rows": 1, "cols": 1, "data": [1.0]}))

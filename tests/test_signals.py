@@ -20,6 +20,15 @@ def test_signal_construction_and_str():
     assert Signal([1, 0]) == Signal("10")
 
 
+def test_signal_string_is_kept_from_construction():
+    for bits in ("0110", (0, 1, 1, 0), [False, True, True, False], np.array([0, 1, 1, 0])):
+        s = Signal(bits)
+        assert str(s) == "0110" and repr(s) == "Signal('0110')"
+        assert str(s) is str(s)
+    with pytest.raises(AttributeError):
+        Signal("01")._text = "10"
+
+
 def test_signal_rejects_bad_input():
     with pytest.raises(ValueError):
         Signal("")
