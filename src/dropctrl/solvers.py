@@ -17,12 +17,16 @@ the SVD; the combined 1-norm + 2-norm objective is handled by an
 operator-splitting iteration whose proximal step composes soft
 thresholding with a radial shrink.  Each LP or splitting solve takes
 one SVD of C: its range test, screens and LPs share it.  The least-norm value needs only
-U_r and s_r, which the n x n triangle R' of C' = Q R carries: the
-worst-case scan factors a chunk of controllability matrices with one QR
-call and one SVD call of the triangles, never forms their right singular
-vectors, and then cuts and tests the matrices of each rank together.
-min_energy takes its status and value from that code on one matrix, and
-its input from the same triangle with Q.
+U_r and s_r, which the n x n triangle R' of C' = Q R carries, and C's
+zero columns (the blocks of dropped steps, the inputs with a zero column
+of B) change neither, so the QR is taken of C's nonzero columns alone
+and the rank cut stays that of C's own shape: the worst-case scan
+factors a chunk of controllability matrices, with one count of
+successful steps, by one QR call and one SVD call of the triangles,
+never forms their right singular vectors, and then cuts and tests the
+matrices of each rank together.  min_energy takes its status and value
+from that code on one matrix, and its input from the same triangle with
+Q, zero on the dropped columns.
 """
 
 from __future__ import annotations
@@ -84,17 +88,20 @@ def _prep(Cmat, rhs):
     return C, v
 
 
-def _factor_stack(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin U and s of each matrix of a stack (N, n, q), and each matrix's rank r.
+def _factor_stack(
+    Ct: np.ndarray, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin U and s of each matrix C of `shape` (n, q), and its rank r, from a stack Ct of their C'.
 
-    C' = Q R gives C = R'Q', so the small triangle R' (n x n when q >= n)
-    has C's U and s, and its SVD costs no right singular vectors of C
-    (Chan, ACM TOMS 8, 1982).  Each step is one call over the stack.  r
-    counts the singular values above C's own rank cut, the one
-    numerical_rank applies; they lead, so U_r and s_r are the first r
-    columns.
+    Ct has shape (N, q', n): each matrix's transpose C', less any zero rows,
+    which change neither U nor s.  C' = Q R gives C = R'Q', so the small
+    triangle R' (n x n when q' >= n) has C's U and s, and its SVD costs no
+    right singular vectors of C (Chan, ACM TOMS 8, 1982).  Each step is one
+    call over the stack.  r counts the singular values above the rank cut
+    of C's own shape, the one numerical_rank applies; they lead, so U_r and
+    s_r are the first r columns.
     """
-    U, s, _, rank = _triangle_svd(np.linalg.qr(C.swapaxes(1, 2), mode="r"), C.shape[1:])
+    U, s, _, rank = _triangle_svd(np.linalg.qr(Ct, mode="r"), shape)
     return U, s, rank
 
 
@@ -139,17 +146,21 @@ def min_energy(Cmat, x_f) -> SolveResult:
     """Minimum 2-norm u with C u = x_f; the residual is a report.
 
     Status and value are the one-matrix case of _least_norm, which the
-    worst-case scan runs on a stack of controllability matrices; the
-    reduced C' = Q R has the triangle R of _factor_stack, bit for bit.  The
-    input is u = Q W_r (U_r' x_f / s_r) from the SVD R' = U S W': C =
-    U S (Q W)', so Q W holds C's right singular vectors.
+    worst-case scan runs on a stack of controllability matrices.  Like the
+    scan, it factors C's nonzero columns only: their reduced C_+' = Q R
+    has the triangle R of _factor_stack, bit for bit, and the rank cut is
+    that of C's own shape.  The input is u = Q W_r (U_r' x_f / s_r) on
+    those columns, from the SVD R' = U S W' (C_+ = U S (Q W)', so Q W holds
+    C_+'s right singular vectors), and zero on the others.
     """
     C, xf = _prep(Cmat, x_f)
-    Q, R = np.linalg.qr(C.T)
+    live = C.any(axis=0)
+    Q, R = np.linalg.qr(C[:, live].T)
     U, s, Wt, rank = _triangle_svd(R[None], C.shape)
     value, reached = _least_norm(U, s, rank, xf)
     r = rank[0]
-    u = Q @ (Wt[0, :r].T @ (xf @ U[0, :, :r] / s[0, :r]))
+    u = np.zeros(C.shape[1])
+    u[live] = Q @ (Wt[0, :r].T @ (xf @ U[0, :, :r] / s[0, :r]))
     residual = float(np.linalg.norm(C @ u - xf))
     if reached[0]:
         return SolveResult(OPTIMAL, u=u, value=float(value[0]), residual=residual)

@@ -7,6 +7,9 @@ rank of signal-masked block matrices.  The blocks A^{T-1-i} B and C A^i
 depend only on the horizon, so the worst-case scans build them once per
 call: a chunk's controllability matrices are the blocks times its
 (N, T) bool mask, and controllability_matrix is the one-signal case.
+III-energy and IV need only C's U and s, which its zero columns do not
+change, so for them the blocks of each row's successful steps alone are
+gathered, transposed, into stacks of rows with the same count of them.
 """
 
 from __future__ import annotations
@@ -148,6 +151,29 @@ def _ctrb_stack(blocks: np.ndarray, mask: np.ndarray) -> np.ndarray:
     # written in C order, so the reshape is a view and not a second copy
     stack = np.multiply(mask[:, None, :, None], blocks.transpose(1, 0, 2), order="C")
     return stack.reshape(N, n, T * m)
+
+
+def _active_stacks(blocks: np.ndarray, mask: np.ndarray, size: int):
+    """Transposed controllability matrices C' of the rows of an (N, T) bool mask, less zero rows.
+
+    Yields (rows, stack) for chunks of at most `size` rows with the same
+    count c of successful steps, in increasing c and, within a count, in
+    row order.  stack has shape (len(rows), c m', n): the transposed blocks
+    (A^{T-1-i} B)' of each row's successful steps i, in step order, less
+    the m - m' inputs whose column is zero in every block.  A dropped
+    step's block and a dead input are zero rows of C', which change
+    neither C's U nor its s.
+    """
+    live = blocks.any(axis=(0, 1))
+    blocks_t = blocks[:, :, live].swapaxes(1, 2)  # (T, m', n)
+    _, width, n = blocks_t.shape
+    counts = mask.sum(axis=1)
+    for c in range(mask.shape[1] + 1):
+        group = np.flatnonzero(counts == c)
+        for start in range(0, len(group), size):
+            rows = group[start : start + size]
+            steps = np.nonzero(mask[rows])[1].reshape(len(rows), c)
+            yield rows, blocks_t[steps].reshape(len(rows), c * width, n)
 
 
 def controllability_matrix(sys: SwitchedLinearSystem, s: Signal) -> np.ndarray:

@@ -19,12 +19,16 @@ V walks the suffix trie of blocks of 256 rows sorted by suffix, one
 Riccati step per distinct suffix; VI rolls the prefix trie of blocks of
 256 rows in lexicographic order, one state per distinct prefix; I and II
 keep each prefix's verdict in a memo keyed on its bits, made fresh for
-each call.  III-energy and IV build the controllability stack of 64 rows
-at a time, factor the n x n triangle of each matrix (one QR call, then
-one SVD call, no right singular vectors) and decide the chunk in array
-code, one group of equal rank at a time; the LP objectives of III solve
-a program per row.  I and II read the horizon-t matrices of a row from
-the call's blocks C A^i and A^{T-1-i} B.  II decides each horizon with
+each call.  III-energy and IV group the rows by their count of
+successful steps and, 64 rows of one count at a time, stack each
+controllability matrix's transpose C' without the zero rows of its
+dropped steps (and of inputs with a zero column of B), factor the n x n
+triangle of each (one QR call, then one SVD call, no right singular
+vectors, the rank cut of C's own shape) and decide the chunk in array
+code, one group of equal rank at a time, the results going back to row
+order; the LP objectives of III solve a program per row.  I and II read
+the horizon-t matrices of a row from the call's blocks C A^i and
+A^{T-1-i} B.  II decides each horizon with
 solvers.peak_within, whose screens on the range test's SVD (a
 least-norm witness inside the unit box, a weak-duality bound above it)
 leave few horizons to an LP.  info["counters"] says how much work was
@@ -72,6 +76,7 @@ from .solvers import (
 )
 from .systems import (
     SwitchedLinearSystem,
+    _active_stacks,
     _ctrb_blocks,
     _ctrb_stack,
     _first_full_rank_time,
@@ -104,11 +109,13 @@ MINIMAL = "minimal"
 EXHAUSTIVE = "exhaustive"
 DEFAULT_EXHAUSTIVE_CAP = 2**20
 
-# rows per controllability stack in III and IV: at n=10, m=7, T=24,
-# III-energy and IV on three plants take 0.88 s at 64 rows, 0.95 s at 128
-# and 1.08 s at 256 (medians of six interleaved rounds, one BLAS thread),
-# and a chunk's stack, QR copy and factor take 1.8 MB (traced peak of one
-# plant's two calls 2.5 MB, 7.8 MB at 256)
+# rows per factored stack in III-energy and IV, among rows of one count:
+# at n=10, m=7, k=2, T=24, III-energy and IV on three plants take
+# 0.46-0.48 s at 64 rows, 0.44-0.50 s at 128 and 0.48-0.51 s at 256
+# (medians of twelve interleaved rounds in each of two sessions, one BLAS
+# thread), and a chunk's stack and factor take 0.9 MB at 64 rows, 1.8 MB
+# at 128 and 3.5 MB at 256 (traced peaks): no size is faster in both
+# sessions, and 64 takes the least memory
 _CHUNK = 64
 # rows per trie walk in V and VI: a level holds at most this many nodes
 _TRIE_BLOCK = 256
@@ -218,15 +225,6 @@ def _scan(
         feasible=math.isfinite(worst),
         info=info,
     )
-
-
-def _by_chunk(
-    evaluate: Callable[[np.ndarray], list[tuple[float, str]]]
-) -> Callable[[np.ndarray], list[tuple[float, str]]]:
-    """An evaluator of the whole mask that hands `evaluate` _CHUNK rows at a time."""
-    return lambda mask: [
-        result for lo in range(0, len(mask), _CHUNK) for result in evaluate(mask[lo : lo + _CHUNK])
-    ]
 
 
 def _with_steps(report: WorstCaseReport) -> WorstCaseReport:
@@ -342,35 +340,58 @@ def worst_control_time(
 
 
 def _input_norm(
-    sys: SwitchedLinearSystem, T: int, solve: Callable[[np.ndarray], list[tuple[float, str]]]
+    sys: SwitchedLinearSystem, T: int, solve_one: Callable[[np.ndarray], object]
 ) -> Callable[[np.ndarray], list[tuple[float, str]]]:
-    """A III evaluator: `solve` maps a chunk's (N, n, m T) controllability stack to N pairs."""
+    """A III evaluator that runs a one-matrix solver per row; an infeasible target scores +inf."""
     blocks = _ctrb_blocks(sys, T)
-    return _by_chunk(lambda chunk: solve(_ctrb_stack(blocks, chunk)))
+
+    def evaluate(mask: np.ndarray) -> list[tuple[float, str]]:
+        results = []
+        for row in mask:
+            res = solve_one(_ctrb_stack(blocks, row[None])[0])
+            if res.status == INFEASIBLE or res.value is None:
+                results.append((math.inf, res.status))
+            else:
+                results.append((float(res.value), res.status))
+        return results
+
+    return evaluate
 
 
-def _factor_counted(Cs: np.ndarray, counters: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_factor_stack of a chunk's (N, n, q) stack, counted in III-energy's or IV's counters."""
-    U, s, rank = _factor_stack(Cs)
-    counters["chunks"] += 1
-    counters["rank_deficient"] += int(np.count_nonzero(rank < Cs.shape[1]))
-    return U, s, rank
-
-
-def _each(
-    solve_one: Callable[[np.ndarray], object]
+def _factored(
+    sys: SwitchedLinearSystem,
+    T: int,
+    decide: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    unreached: str,
+    counters: dict,
 ) -> Callable[[np.ndarray], list[tuple[float, str]]]:
-    """A III stack solver from a one-matrix solver; an infeasible target scores +inf."""
+    """A III-energy or IV evaluator over the factors of the rows' controllability matrices.
 
-    def solve(Cs: np.ndarray) -> list[tuple[float, str]]:
+    The rows are factored _CHUNK at a time among rows of the same count of
+    successful steps, from their C' less its zero rows, with the rank cut
+    of C's own shape (n, m T); `decide(U, s, rank)` maps a chunk's factor to
+    each row's value and whether the row reached its targets, and a row
+    that did not scores +inf with status `unreached`.  The results go back
+    to row order.  counters counts the chunks and the matrices of rank
+    below n.
+    """
+    blocks = _ctrb_blocks(sys, T)
+    shape = (sys.n, T * sys.m)
+
+    def evaluate(mask: np.ndarray) -> list[tuple[float, str]]:
+        values = np.empty(len(mask))
+        reached = np.empty(len(mask), dtype=bool)
+        for rows, stack in _active_stacks(blocks, mask, _CHUNK):
+            U, s, rank = _factor_stack(stack, shape)
+            counters["chunks"] += 1
+            counters["rank_deficient"] += int(np.count_nonzero(rank < sys.n))
+            values[rows], reached[rows] = decide(U, s, rank)
         return [
-            (math.inf, res.status)
-            if res.status == INFEASIBLE or res.value is None
-            else (float(res.value), res.status)
-            for res in map(solve_one, Cs)
+            (value, OPTIMAL) if ok else (math.inf, unreached)
+            for value, ok in zip(values.tolist(), reached.tolist())
         ]
 
-    return solve
+    return evaluate
 
 
 def worst_fuel(
@@ -385,7 +406,7 @@ def worst_fuel(
     """Problem III with a pure 1-norm objective (per-signal LP)."""
     signals = candidate_signals(constraint, T, mode, cap)
     x_f = np.asarray(x_f, dtype=float).ravel()
-    evaluate = _input_norm(sys, T, _each(lambda C: min_fuel(C, x_f, input_bound)))
+    evaluate = _input_norm(sys, T, lambda C: min_fuel(C, x_f, input_bound))
     info = {"objective": "fuel", "input_bound": input_bound}
     return _scan("III", signals, mode, evaluate, info)
 
@@ -406,15 +427,9 @@ def worst_energy(
     signals = candidate_signals(constraint, T, mode, cap)
     x_f = np.asarray(x_f, dtype=float).ravel()
     counters = {"chunks": 0, "rank_deficient": 0}
-
-    def solve(Cs: np.ndarray) -> list[tuple[float, str]]:
-        norms, reached = _least_norm(*_factor_counted(Cs, counters), x_f)
-        return [
-            (value, OPTIMAL) if ok else (math.inf, INFEASIBLE)
-            for value, ok in zip(norms.tolist(), reached.tolist())
-        ]
-
-    evaluate = _input_norm(sys, T, solve)
+    evaluate = _factored(
+        sys, T, lambda U, s, rank: _least_norm(U, s, rank, x_f), INFEASIBLE, counters
+    )
     return _scan("III", signals, mode, evaluate, {"objective": "energy", "counters": counters})
 
 
@@ -431,7 +446,7 @@ def worst_fuel_energy(
     """Problem III with the combined weighted 1-norm + 2-norm objective."""
     signals = candidate_signals(constraint, T, mode, cap)
     x_f = np.asarray(x_f, dtype=float).ravel()
-    evaluate = _input_norm(sys, T, _each(lambda C: min_fuel_energy(C, x_f, gamma1, gamma2)))
+    evaluate = _input_norm(sys, T, lambda C: min_fuel_energy(C, x_f, gamma1, gamma2))
     info = {"objective": "fuel+energy", "gamma1": gamma1, "gamma2": gamma2}
     return _scan("III", signals, mode, evaluate, info)
 
@@ -458,24 +473,20 @@ def polytope_reachable(
     if V.shape[1] != sys.n:
         raise ValueError(f"vertices must have dimension {sys.n}")
     signals = candidate_signals(constraint, T, mode, cap)
-    blocks = _ctrb_blocks(sys, T)
     counters = {"chunks": 0, "rank_deficient": 0}
 
-    def evaluate(chunk: np.ndarray) -> list[tuple[float, str]]:
-        U, sv, rank = _factor_counted(_ctrb_stack(blocks, chunk), counters)
-        values = np.empty(len(chunk))
-        all_reached = np.empty(len(chunk), dtype=bool)
+    def decide(U: np.ndarray, sv: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = np.empty(len(U))
+        all_reached = np.empty(len(U), dtype=bool)
         for r, idx in _ranks(rank):
             coeff, reached = _range_test(U[idx, :, :r], V)
             values[idx] = np.max(np.sum((coeff / sv[idx, None, :r]) ** 2, axis=2), axis=1)
             all_reached[idx] = reached.all(axis=1)
-        return [
-            (value, OPTIMAL) if ok else (math.inf, "unreachable_vertex")
-            for value, ok in zip(values.tolist(), all_reached.tolist())
-        ]
+        return values, all_reached
 
+    evaluate = _factored(sys, T, decide, "unreachable_vertex", counters)
     info = {"tolerance": FEAS_TOL, "counters": counters}
-    report = _scan("IV", signals, mode, _by_chunk(evaluate), info)
+    report = _scan("IV", signals, mode, evaluate, info)
     reachable = report.worst_value <= 1.0 + FEAS_TOL
     report.info["reachable"] = reachable
     report.feasible = reachable

@@ -26,6 +26,7 @@ from dropctrl import (
     Polytope,
     Signal,
     SignalSet,
+    SwitchedLinearSystem,
     candidate_signals,
     controllability_matrix,
     degraded_cost,
@@ -49,6 +50,7 @@ from dropctrl import worstcase
 from dropctrl.solvers import FEAS_TOL, _factor_stack
 from dropctrl.study import GENERATION_METHODS, _sample_rng, random_system
 from dropctrl.systems import (
+    _active_stacks,
     _ctrb_blocks,
     _ctrb_stack,
     _first_full_rank_time,
@@ -94,12 +96,16 @@ def ctrb_oracle(sys, s):
 
 
 def rank_cut(C, sv):
-    return int(np.count_nonzero(sv > max(C.shape) * np.finfo(float).eps * sv[0]))
+    # sv is empty for the triangle of a C with no nonzero column
+    return int(np.count_nonzero(sv > max(C.shape) * np.finfo(float).eps * sv[:1]))
 
 
 def factor_oracle(C):
-    """U_r and s_r of C from the triangle of C' = Q R: C = R'Q', so R' has C's U and s."""
-    R = np.linalg.qr(C.T, mode="r")
+    """U_r and s_r of C from the triangle of C_+' = Q R, C_+ being C's nonzero columns.
+
+    C_+ = R'Q' has C's U and s; the rank cut is that of C's own shape.
+    """
+    R = np.linalg.qr(C[:, C.any(axis=0)].T, mode="r")
     U, sv, _ = np.linalg.svd(R.T, full_matrices=False)
     r = rank_cut(C, sv)
     return U[:, :r], sv[:r]
@@ -332,6 +338,19 @@ def assert_within_backward_error(got, want, kappa, label):
         assert abs(got - want) <= 100 * EPS * kappa * abs(want), label
 
 
+def factor_ranks(sys, T, rows):
+    """Each row's rank from the scan's factor: C' less its zero rows, stacked by count."""
+    rank = np.full(len(rows), -1)
+    for idx, stack in _active_stacks(_ctrb_blocks(sys, T), rows, worstcase._CHUNK):
+        rank[idx] = _factor_stack(stack, (sys.n, T * sys.m))[2]
+    return rank
+
+
+def chunks_by_count(rows):
+    """Chunks of at most _CHUNK rows among the rows of each count of successful steps."""
+    return int(sum(-(-size // worstcase._CHUNK) for size in np.bincount(rows.sum(axis=1))))
+
+
 @pytest.mark.parametrize("sample", [2, 3, 4], ids=[GENERATION_METHODS[i % 3] for i in (2, 3, 4)])
 def test_factor_matches_the_direct_svd_at_the_wide_horizon(sample):
     # the study's samples at n=10, m=7, k=2, T=24: 2,640 minimal signals,
@@ -344,40 +363,46 @@ def test_factor_matches_the_direct_svd_at_the_wide_horizon(sample):
     energy = worst_energy(sys, k, T_wide, ones)
     poly = polytope_reachable(sys, k, T_wide, Polytope(vertices))[1]
     blocks, rows = _ctrb_blocks(sys, T_wide), signals.to_array()
+    rank = factor_ranks(sys, T_wide, rows)
     want_energy, want_poly, deficient = [], [], 0
-    for lo in range(0, len(rows), worstcase._CHUNK):
-        Cs = _ctrb_stack(blocks, rows[lo : lo + worstcase._CHUNK])
-        rank = _factor_stack(Cs)[2]
-        for i, C in enumerate(Cs):
-            r, e, p, kappa = direct_oracles(C, ones, vertices)
-            label = (method, str(signals.signals[lo + i]))
-            assert rank[i] == r, label
-            deficient += r < sys.n
-            for report, want, name in ((energy, e, "III-energy"), (poly, p, "IV")):
-                entry = report.per_signal[lo + i]
-                assert entry.status == want[1], (name, *label)
-                assert_within_backward_error(entry.value, want[0], kappa, (name, *label))
-            want_energy.append(e[0])
-            want_poly.append(p[0])
+    for i, s in enumerate(signals):
+        # C's own SVD, zero columns and all
+        r, e, p, kappa = direct_oracles(_ctrb_stack(blocks, rows[i : i + 1])[0], ones, vertices)
+        label = (method, str(s))
+        assert rank[i] == r, label
+        deficient += r < sys.n
+        for report, want, name in ((energy, e, "III-energy"), (poly, p, "IV")):
+            entry = report.per_signal[i]
+            assert entry.status == want[1], (name, *label)
+            assert_within_backward_error(entry.value, want[0], kappa, (name, *label))
+        want_energy.append(e[0])
+        want_poly.append(p[0])
     assert energy.argmax_signal == first_argmax(want_energy, signals)
     assert poly.argmax_signal == first_argmax(want_poly, signals)
     assert poly.info["reachable"] == (max(want_poly) <= 1.0 + FEAS_TOL)
-    counters = {"chunks": -(-len(rows) // worstcase._CHUNK), "rank_deficient": deficient}
+    # 8 to 12 successes of 24: five counts, 43 chunks where 2,640 rows in order make 42
+    assert chunks_by_count(rows) == 43
+    counters = {"chunks": chunks_by_count(rows), "rank_deficient": deficient}
     assert energy.info["counters"] == poly.info["counters"] == counters
     assert (deficient > 0) == (sample == 4)
 
 
 def test_short_horizon_factor_is_short_and_wide(monkeypatch):
-    # m T < n: C' = Q R has a 4 x 6 triangle R, and every C has rank at most 4
+    # m T < n: a row of c successes stacks a c x 6 C' and a c x 6 triangle
+    # R, and every C has rank at most 4
     sys = random_system(6, 1, 1, "gaussian", _sample_rng(SEED, 0), screen_horizon=8)
     T_short = 4
     signals = candidate_signals(2, T_short, EXHAUSTIVE)
     monkeypatch.setattr(worstcase, "candidate_signals", lambda *args, **kwargs: signals)
-    Cs = _ctrb_stack(_ctrb_blocks(sys, T_short), signals.to_array())
-    assert Cs.shape[1:] == (6, 4)
-    assert np.linalg.qr(Cs.swapaxes(1, 2), mode="r").shape == (len(signals), 4, 6)
-    U, sv, rank = _factor_stack(Cs)
-    assert U.shape == (len(signals), 6, 4) and sv.shape == (len(signals), 4)
+    rows = signals.to_array()
+    for idx, stack in _active_stacks(_ctrb_blocks(sys, T_short), rows, worstcase._CHUNK):
+        c = int(rows[idx[0]].sum())
+        assert (rows[idx].sum(axis=1) == c).all()
+        assert stack.shape == (len(idx), c, 6)
+        assert np.linalg.qr(stack, mode="r").shape == (len(idx), c, 6)
+        U, sv, _ = _factor_stack(stack, (6, T_short))
+        assert U.shape == (len(idx), 6, c) and sv.shape == (len(idx), c)
+    rank = factor_ranks(sys, T_short, rows)
     # targets on the range of the all-ones matrix, which no other signal spans
     full = controllability_matrix(sys, Signal.ones(T_short))
     xf = full @ np.array([1.0, -1.0, 2.0, 0.5])
@@ -389,7 +414,7 @@ def test_short_horizon_factor_is_short_and_wide(monkeypatch):
         assert (energy[i].value, energy[i].status) == energy_oracle(sys, s, xf)
         assert (poly[i].value, poly[i].status) == polytope_oracle(sys, s, vertices)
         r, e, p, kappa = direct_oracles(C, xf, vertices)
-        assert rank[i] == r <= T_short
+        assert rank[i] == r <= s.count_ones()
         assert energy[i].status == e[1] and poly[i].status == p[1]
         assert_within_backward_error(energy[i].value, e[0], kappa, str(s))
         assert_within_backward_error(poly[i].value, p[0], kappa, str(s))
@@ -409,9 +434,13 @@ def test_all_dropout_row_has_rank_zero(monkeypatch):
     monkeypatch.setattr(worstcase, "candidate_signals", lambda *args, **kwargs: signals)
     zero = controllability_matrix(plant, Signal.zeros(T))
     assert not zero.any()
-    assert _factor_stack(np.stack([zero, ctrb_oracle(plant, Signal.ones(T))]))[2].tolist() == [
-        0, plant.n,
+    rows = signals.to_array()
+    # the all-dropout row stacks a C' with no row: its own chunk, rank 0
+    stacks = _active_stacks(_ctrb_blocks(plant, T), rows, worstcase._CHUNK)
+    assert [(idx.tolist(), stack.shape) for idx, stack in stacks] == [
+        ([0], (1, 0, plant.n)), ([1], (1, T * plant.m, plant.n)),
     ]
+    assert factor_ranks(plant, T, rows).tolist() == [0, plant.n]
     ones = np.ones(plant.n)
     energy = worst_energy(plant, K, T, ones)
     poly = polytope_reachable(plant, K, T, Polytope(cross_vertices(plant.n)))[1]
@@ -420,7 +449,7 @@ def test_all_dropout_row_has_rank_zero(monkeypatch):
         math.inf, "unreachable_vertex",
     )
     assert energy.argmax_signal == poly.argmax_signal == Signal.zeros(T)
-    assert energy.info["counters"] == poly.info["counters"] == {"chunks": 1, "rank_deficient": 1}
+    assert energy.info["counters"] == poly.info["counters"] == {"chunks": 2, "rank_deficient": 1}
     res = min_energy(zero, ones)
     assert res.status == INFEASIBLE and res.value is None
     assert res.residual == np.linalg.norm(ones)
@@ -428,6 +457,99 @@ def test_all_dropout_row_has_rank_zero(monkeypatch):
     res = min_energy(zero, np.zeros(plant.n))
     assert (res.status, res.value, res.residual) == (OPTIMAL, 0.0, 0.0)
     assert np.array_equal(res.u, np.zeros(zero.shape[1]))
+
+
+def mixed_count_signals(with_zeros):
+    """Words of T=14 with 1, 3, 8 and 11 successes, 70 of them with 8, in lexicographic order.
+
+    With one input and n = 6 a word of fewer than 6 successes reaches no
+    target; the first of them in row order has 3 successes, where a scan
+    taken in the order of the counts would meet one with 1 first.
+    """
+    rng = np.random.default_rng(14)
+    words = {"01000000000000", "10000000000000", "00000000000111", "00100100100000"}
+    for c, size in ((8, 70), (11, 5)):
+        while sum(w.count("1") == c for w in words) < size:
+            words.add("".join(np.where(rng.permutation(T) < c, "1", "0")))
+    if with_zeros:
+        words.add("0" * T)
+    return SignalSet(Signal(w) for w in words)
+
+
+@pytest.mark.parametrize("with_zeros", [False, True], ids=["mixed", "mixed_and_all_dropout"])
+def test_count_groups_come_back_in_row_order(monkeypatch, with_zeros):
+    sys = random_system(6, 1, 1, "gaussian", _sample_rng(SEED, 0), screen_horizon=T)
+    signals = mixed_count_signals(with_zeros)
+    monkeypatch.setattr(worstcase, "candidate_signals", lambda *args, **kwargs: signals)
+    rows = signals.to_array()
+    counts = rows.sum(axis=1)
+    # the groups in increasing count, each in row order and cut at _CHUNK rows:
+    # the 70 rows of 8 successes take two chunks, and c m < n below 6 successes
+    chunks = [
+        (int(counts[idx[0]]), idx.tolist(), stack.shape)
+        for idx, stack in _active_stacks(_ctrb_blocks(sys, T), rows, worstcase._CHUNK)
+    ]
+    groups = [(0, 1)] * with_zeros + [(1, 2), (3, 2), (8, 64), (8, 6), (11, 5)]
+    assert [(c, len(idx)) for c, idx, _ in chunks] == groups
+    for c, idx, shape in chunks:
+        assert shape == (len(idx), c, sys.n)
+        assert idx == sorted(idx) and (counts[idx] == c).all()
+    assert sorted(i for _, idx, _ in chunks for i in idx) == list(range(len(rows)))
+    ones = np.ones(sys.n)
+    vertices = cross_vertices(sys.n)
+    energy = worst_energy(sys, K, T, ones)
+    poly = polytope_reachable(sys, K, T, Polytope(vertices))[1]
+    for report, oracle in (
+        (energy, lambda s: energy_oracle(sys, s, ones)),
+        (poly, lambda s: polytope_oracle(sys, s, vertices)),
+    ):
+        assert [e.signal for e in report.per_signal] == list(signals)
+        assert [(e.value, e.status) for e in report.per_signal] == [oracle(s) for s in signals]
+        assert report.info["counters"] == {
+            "chunks": len(groups), "rank_deficient": int(np.count_nonzero(counts < sys.n)),
+        }
+        # ties at +inf go to the first attainer in row order
+        first = Signal("0" * T) if with_zeros else Signal("00000000000111")
+        assert report.argmax_signal == first
+        assert report.argmax_signal == first_argmax([e.value for e in report.per_signal], signals)
+
+
+def test_dead_input_is_dropped_by_the_scan_and_min_energy(monkeypatch):
+    # an input whose column of B is zero has a zero column in every block:
+    # the scan stacks the other inputs only, and min_energy factors C's
+    # nonzero columns, so the two still agree bit for bit
+    base = study_plant(1)
+    B = base.B.copy()
+    B[:, 1] = 0.0
+    sys = SwitchedLinearSystem(base.A, B, base.C)
+    signals = some_signals(65)
+    monkeypatch.setattr(worstcase, "candidate_signals", lambda *args, **kwargs: signals)
+    rows = signals.to_array()
+    for idx, stack in _active_stacks(_ctrb_blocks(sys, T), rows, worstcase._CHUNK):
+        assert stack.shape == (len(idx), 2 * int(rows[idx[0]].sum()), sys.n)
+    ones = np.ones(sys.n)
+    vertices = cross_vertices(sys.n)
+    energy = worst_energy(sys, K, T, ones).per_signal
+    poly = polytope_reachable(sys, K, T, Polytope(vertices))[1].per_signal
+    assert energy[0].signal == Signal.zeros(T)
+    reached = 0
+    for e, p, s, row in zip(energy, poly, signals, rows):
+        C = controllability_matrix(sys, s)
+        assert (e.value, e.status) == energy_oracle(sys, s, ones), str(s)
+        assert (p.value, p.status) == polytope_oracle(sys, s, vertices), str(s)
+        r, want_e, want_p, kappa = direct_oracles(C, ones, vertices)
+        assert r <= 2 * s.count_ones()
+        assert (e.status, p.status) == (want_e[1], want_p[1]), str(s)
+        assert_within_backward_error(e.value, want_e[0], kappa, str(s))
+        assert_within_backward_error(p.value, want_p[0], kappa, str(s))
+        res = min_energy(C, ones)
+        assert (res.status, math.inf if res.value is None else res.value) == (e.status, e.value)
+        if res.status == OPTIMAL:
+            reached += 1
+            u = res.u.reshape(T, sys.m)
+            assert not u[:, 1].any() and not u[~row].any()
+            assert np.linalg.norm(C @ res.u - ones) <= FEAS_TOL * np.linalg.norm(ones)
+    assert 0 < reached < len(signals)
 
 
 # II verdicts the LP path leaves uncertified and the lower screen decides:

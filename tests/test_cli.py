@@ -205,13 +205,14 @@ def test_trie_counters_in_json_and_text(capsys, scalar_system):
 
 
 def test_factor_counters_in_json_and_text(capsys, scalar_system, tmp_path):
-    # k=2, T=2 admits 00, 01, 10 and 11: one chunk, and 00 has rank 0
+    # k=2, T=2 admits 00, 01, 10 and 11: a chunk for each count of
+    # successful steps, and 00 has rank 0
     xf = tmp_path / "xf.json"
     xf.write_text(json.dumps([1.0]))
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({"vertices": [[0.5], [-0.5]]}))
     common = ("--system", scalar_system, "--k", "2", "--T", "2", "--mode", "exhaustive")
-    counters = {"chunks": 1, "rank_deficient": 1}
+    counters = {"chunks": 3, "rank_deficient": 1}
     for command, target in (("energy", ("--xf", str(xf))), ("reach", ("--polytope", str(poly)))):
         code, out, _ = run_cli(capsys, command, *common, *target, "--out", "json")
         assert code == 0

@@ -371,8 +371,10 @@ def test_bounded_min_fuel_takes_one_svd(monkeypatch, bound, by):
     assert counts == {"svd": 1, "pinv": 0, "eigh": 0, "eigvalsh": 0}
 
 
-# 5 minimal signals at T=6; 89 admissible ones at T=9, two chunks
-@pytest.mark.parametrize("mode, T, chunks", [(MINIMAL, 6, 1), (EXHAUSTIVE, 9, 2)])
+# the scan factors _CHUNK rows at a time among the rows of one count of
+# successes: the 5 minimal signals at T=6 have 3 or 4 (two chunks), the
+# 89 admissible ones at T=9 have 4 to 9 (six chunks)
+@pytest.mark.parametrize("mode, T, chunks", [(MINIMAL, 6, 2), (EXHAUSTIVE, 9, 6)])
 def test_polytope_one_svd_per_chunk(monkeypatch, mode, T, chunks):
     rng = np.random.default_rng(67)
     sys = SwitchedLinearSystem(
@@ -381,5 +383,6 @@ def test_polytope_one_svd_per_chunk(monkeypatch, mode, T, chunks):
     poly = Polytope(rng.standard_normal((4, 3)))
     counts = count_decompositions(monkeypatch)
     _, rep = polytope_reachable(sys, 1, T, poly, mode=mode)
-    assert chunks == -(-len(rep.per_signal) // _CHUNK)
+    sizes = np.bincount([e.signal.count_ones() for e in rep.per_signal])
+    assert chunks == sum(-(-size // _CHUNK) for size in sizes) == rep.info["counters"]["chunks"]
     assert counts == {"svd": chunks, "pinv": 0, "eigh": 0, "eigvalsh": 0}
