@@ -13,9 +13,25 @@ tried first: x_B moved onto A_B x_B = b, x_N = 0, and y solving
 A_B' y = c_B, so basic optima, zero optima included, come back exact.
 Anything else is "iteration_limit".
 
+The iteration runs on a stack of programs of one shape at once, and one
+program is the stack of one (solve_standard_lp).  The scaling, the
+normal matrices A D A' and their solves, the step lengths, sigma and mu
+and the certificates are each one call over the programs still
+iterating, and a program leaves the stack when it certifies or stalls.
+Least squares, which numpy does not stack and whose rank cut the
+ill-conditioned programs need, stay one program at a time: the two
+lstsq calls of the starting point and the two of the support polish,
+whose y_B depends on the support alone and is kept for the next polish
+on the same support; the polished pairs are certified in one call.  Every product is the
+BLAS call of one program (a dot for an inner product or a norm, gemv,
+gemm) and every reduction runs along one program's row, so a program's
+arithmetic does not depend on the others in its stack: each ends with
+the result it gets alone, bit for bit.
+
 Nothing here detects infeasibility or unboundedness: every program the
-package builds is feasible and bounded (see solvers._solve_lp), and any
-other program ends as "iteration_limit".
+package builds is feasible and bounded (see solvers._min_inf_norm and
+solvers._min_fuel_rows), and any other program ends as
+"iteration_limit".
 """
 
 from __future__ import annotations
@@ -47,9 +63,42 @@ def _lstsq(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(M, v, rcond=None)[0]
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    shrinking = dv < 0
-    return min(1.0, float((-v[shrinking] / dv[shrinking]).min())) if shrinking.any() else 1.0
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] @ v[i] for each program: the BLAS dot that a product of two vectors takes."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(v, v))
+
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M[i] @ v[i] for each program."""
+    return (M @ v[:, :, None])[:, :, 0]
+
+
+def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M[i]^-1 rhs[i] for each program; a singular M[i] takes least squares, its program alone.
+
+    np.linalg.solve refuses the whole stack when one matrix is singular
+    (rows that are not independent), so then each program is solved by
+    itself, the others with the same LAPACK call as in the stack.
+    """
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(rhs)
+        for i in range(len(M)):
+            try:
+                out[i] = np.linalg.solve(M[i], rhs[i])
+            except np.linalg.LinAlgError:
+                out[i] = _lstsq(M[i], rhs[i])
+        return out
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """The longest step in (0, 1] along dv that keeps each program's v >= 0."""
+    return np.minimum(np.where(dv < 0, -v / dv, np.inf).min(axis=1), 1.0)
 
 
 def solve_standard_lp(c, A, b) -> LpResult:
@@ -59,77 +108,137 @@ def solve_standard_lp(c, A, b) -> LpResult:
     m, n = A.shape
     if c.size != n or b.size != m:
         raise ValueError("inconsistent LP dimensions")
+    return _solve_stack(c[None], A[None], b[None])[0]
+
+
+# a program that divides by zero or overflows fails its certificate and
+# leaves the stack as "iteration_limit"; numpy need not warn about it
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _solve_stack(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> list[LpResult]:
+    """Solve min c[i]'x subject to A[i] x = b[i], x >= 0 for each program of a stack.
+
+    c is (N, n), A (N, m, n) and b (N, m); one LpResult per program, in
+    order.  The programs still iterating are kept contiguous: when some
+    leave, the stack is compacted once, not gathered at every iteration.
+    """
+    N, m, n = A.shape
+    results: list[LpResult | None] = [None] * N
 
     # unit row, then column, infinity-norms; scaled x, y map back times the scales
-    row_norm = np.abs(A).max(axis=1)
+    # (the stack-sized temporaries share one buffer, which ends as As)
+    row_norm = np.abs(A).max(axis=2)
     row_scale = 1.0 / np.where(row_norm > 0, row_norm, 1.0)
-    col_norm = np.abs(A * row_scale[:, None]).max(axis=0)
+    As = A * row_scale[:, :, None]
+    col_norm = np.abs(As, out=As).max(axis=1)
     col_scale = 1.0 / np.where(col_norm > 0, col_norm, 1.0)
-    As = A * np.outer(row_scale, col_scale)
+    As = np.multiply(row_scale[:, :, None], col_scale[:, None, :], out=As)
+    As *= A
     bs, cs = b * row_scale, c * col_scale
+    b_norm, c_norm = _norm(b), _norm(c)
+    b_tol = _TOL * np.where(b_norm > 0, b_norm, 1.0)
+    c_tol = _TOL * np.where(c_norm > 0, c_norm, 1.0)
 
     def certified(x_s, y_s):
-        """The caller's (x, y, c'x) when the scaled pair certifies in the caller's units."""
+        """(ok, x, y, c'x): each program's pair in the caller's units, and whether it certifies."""
         x, y = np.maximum(x_s, 0.0) * col_scale, y_s * row_scale
-        value = float(c @ x)
-        if (
-            np.linalg.norm(A @ x - b) <= _TOL * (np.linalg.norm(b) or 1.0)
-            and np.linalg.norm(np.maximum(A.T @ y - c, 0.0)) <= _TOL * (np.linalg.norm(c) or 1.0)
-            and abs(value - float(b @ y)) <= _TOL * abs(value)
-        ):
-            return x, y, value
-        return None
+        value = _dot(c, x)
+        ok = (
+            (_norm(_mv(A, x) - b) <= b_tol)
+            & (_norm(np.maximum(_mv(A.swapaxes(1, 2), y) - c, 0.0)) <= c_tol)
+            & (np.abs(value - _dot(b, y)) <= _TOL * np.abs(value))
+        )
+        return ok, x, y, value
 
-    # Mehrotra's starting point: least-norm x and least-squares y, shifted inside
-    AAt = As @ As.T
-    x = As.T @ _lstsq(AAt, bs)
-    y = _lstsq(AAt, As @ cs)
-    s = cs - As.T @ y
-    x += max(-1.5 * x.min(), 0.0)
-    s += max(-1.5 * s.min(), 0.0)
-    xs = float(x @ s)
-    dx, ds = (0.5 * xs / s.sum(), 0.5 * xs / x.sum()) if xs > 0 else (1.0, 1.0)
-    x, s = x + dx, s + ds
+    # Mehrotra's starting point: least-norm x and least-squares y, shifted inside;
+    # AA' solved without lstsq's rank cut starts an ill-conditioned program
+    # elsewhere, which can change its verdict
+    AAt = As @ As.swapaxes(1, 2)
+    x = _mv(As.swapaxes(1, 2), np.stack([_lstsq(M, v) for M, v in zip(AAt, bs)]))
+    y = np.stack([_lstsq(M, v) for M, v in zip(AAt, _mv(As, cs))])
+    s = cs - _mv(As.swapaxes(1, 2), y)
+    x += np.maximum(-1.5 * x.min(axis=1), 0.0)[:, None]
+    s += np.maximum(-1.5 * s.min(axis=1), 0.0)[:, None]
+    xs = _dot(x, s)
+    dx = np.where(xs > 0, 0.5 * xs / s.sum(axis=1), 1.0)
+    ds = np.where(xs > 0, 0.5 * xs / x.sum(axis=1), 1.0)
+    x, s = x + dx[:, None], s + ds[:, None]
 
+    ids = np.arange(N)  # each stacked program's place in the input
     support = None
+    # y_B of each program's last polish, by its place in the input: it depends
+    # on the support B alone, which the polish often meets again
+    polish_y: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for it in range(1, _MAX_ITER + 1):
-        rp = bs - As @ x
-        rd = cs - As.T @ y - s
+        rp = bs - _mv(As, x)
+        rd = cs - _mv(As.swapaxes(1, 2), y) - s
         d = x / s
-        M = (As * d) @ As.T
+        M = (As * d[:, None, :]) @ As.swapaxes(1, 2)
 
         def direction(rxs):
             # S dx + X ds = rxs, A dx = rp, A'dy + ds = rd
-            rhs = rp - As @ (rxs / s - d * rd)
-            try:
-                dy = np.linalg.solve(M, rhs)
-            except np.linalg.LinAlgError:  # rows that are not independent
-                dy = _lstsq(M, rhs)
-            ds = rd - As.T @ dy
+            rhs = rp - _mv(As, rxs / s - d * rd)
+            dy = _solve(M, rhs[:, :, None])[:, :, 0]
+            ds = rd - _mv(As.swapaxes(1, 2), dy)
             return (rxs - x * ds) / s, dy, ds
 
         dx_a, _, ds_a = direction(-x * s)
         ap, ad = _max_step(x, dx_a), _max_step(s, ds_a)
-        mu = float(x @ s) / n
-        sigma = (float((x + ap * dx_a) @ (s + ad * ds_a)) / n / mu) ** 3
-        dx, dy, ds = direction(sigma * mu - x * s - dx_a * ds_a)
+        mu = _dot(x, s) / n
+        ratio = _dot(x + ap[:, None] * dx_a, s + ad[:, None] * ds_a) / n / mu
+        # the C library's pow, which numpy's vectorised power misses by an ulp at times
+        sigma = np.array([r**3 for r in ratio.tolist()])
+        dx, dy, ds = direction((sigma * mu)[:, None] - x * s - dx_a * ds_a)
         ap, ad = _STEP * _max_step(x, dx), _STEP * _max_step(s, ds)
-        x, y, s = x + ap * dx, y + ad * dy, s + ad * ds
-        if not all(np.isfinite(v).all() for v in (x, y, s)):
-            break
+        x, y, s = x + ap[:, None] * dx, y + ad[:, None] * dy, s + ad[:, None] * ds
+        finite = np.isfinite(np.hstack([x, y, s])).all(axis=1)
 
-        found = certified(x, y)
+        found, x_c, y_c, value = certified(x, y)
         # complementarity below the rounding of the objective: no progress is left
-        stalled = x @ s <= _EPS * (np.abs(cs) @ x)
+        stalled = _dot(x, s) <= _EPS * _dot(np.abs(cs), x)
+        found &= finite
         prev, support = support, x > s
-        if found is not None or stalled or np.array_equal(prev, support):
-            AB = As[:, support]
-            vx = np.zeros(n)
-            vx[support] = x[support] + _lstsq(AB, bs - AB @ x[support])
-            found = certified(vx, _lstsq(AB.T, cs[support])) or found
-        if found is not None:
-            x, y, value = found
-            return LpResult("optimal", x=x, value=value, dual=y, iterations=it)
-        if stalled:
-            break
-    return LpResult("iteration_limit", iterations=it)
+        settled = found | stalled
+        if prev is not None:
+            settled |= (prev == support).all(axis=1)
+        polish = np.flatnonzero(settled & finite)
+        if len(polish):
+            # the polished pairs, certified in one call with the other rows' iterates
+            vx, vy = x.copy(), y.copy()
+            for i in polish:
+                B = support[i]
+                AB = As[i][:, B]
+                vx[i] = 0.0
+                vx[i, B] = x[i, B] + _lstsq(AB, bs[i] - AB @ x[i, B])
+                last = polish_y.get(ids[i])
+                if last is None or not np.array_equal(last[0], B):
+                    last = polish_y[ids[i]] = B, _lstsq(AB.T, cs[i, B])
+                vy[i] = last[1]
+            ok, vx, vy, v_value = certified(vx, vy)
+            better = np.zeros_like(ok)
+            better[polish] = ok[polish]
+            found |= better
+            x_c[better], y_c[better], value[better] = vx[better], vy[better], v_value[better]
+
+        done = found | stalled | ~finite
+        for i in np.flatnonzero(done):
+            if found[i]:
+                results[ids[i]] = LpResult(
+                    "optimal", x=x_c[i].copy(), value=float(value[i]), dual=y_c[i].copy(),
+                    iterations=it,
+                )
+            else:
+                results[ids[i]] = LpResult("iteration_limit", iterations=it)
+        if done.all():
+            return results
+        if done.any():
+            keep = ~done
+            # the stack-sized arrays one at a time, so that few copies coexist
+            A = A[keep]
+            As = As[keep]
+            ids, b, c, bs, cs, row_scale, col_scale, b_tol, c_tol, x, y, s, support = (
+                v[keep]
+                for v in (ids, b, c, bs, cs, row_scale, col_scale, b_tol, c_tol, x, y, s, support)
+            )
+    for i in ids:
+        results[i] = LpResult("iteration_limit", iterations=_MAX_ITER)
+    return results

@@ -15,8 +15,12 @@ counted against its own rounding, rules the bound out; the LP runs only
 in between.  The 2-norm problem is closed form from
 the SVD; the combined 1-norm + 2-norm objective is handled by an
 operator-splitting iteration whose proximal step composes soft
-thresholding with a radial shrink.  Each LP or splitting solve takes
-one SVD of C: its range test, screens and LPs share it.  The least-norm value needs only
+thresholding with a radial shrink.  Each LP-based or splitting design
+takes one SVD of C, which its range test, screens and LPs share.  The
+worst-case scan's fuel LPs share more: those of one shape, i.e. of one
+rank r of U_r'C, are solved in stacks by the stacked
+interior-point iteration, and each ends as it would alone, so min_fuel
+is the scan's one-row case.  The least-norm value needs only
 U_r and s_r, which the n x n triangle R' of C' = Q R carries, and C's
 zero columns (the blocks of dropped steps, the inputs with a zero column
 of B) change neither, so the QR is taken of C's nonzero columns alone
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import solve_standard_lp
+from .simplex import _solve_stack, solve_standard_lp
 from .systems import _rank_cut
 
 __all__ = [
@@ -64,6 +68,18 @@ _EPS = float(np.finfo(float).eps)
 # operator-splitting iteration cap and scaled stopping tolerance
 _ADMM_MAX_ITER = 200_000
 _ADMM_TOL = 1e-9
+
+# constraint-matrix entries per stacked interior-point solve in III-fuel, so
+# that a stack's memory does not grow with its programs' size.  At study-lp's
+# shape (n=10, m=7, T=12, k=1: 10 x 168 programs; bench/run.py --seconds 10,
+# medians of five and four alternating rounds in two sessions), stacks of 7
+# programs read run_s 0.310 and 0.286 s, of 14 0.308 and 0.238 s and of 28
+# 0.298 and 0.253 s, and peak_rss_mb 41.6, 41.9 and 43.0 MB in the second
+# session (41.45 MB solving one program at a time): 14 is as fast as 28 at a
+# third of its memory.  A program with input_bound's box rows (94 x 252 there)
+# is solved alone: a bounded call took 325 ms alone against 273-282 ms in
+# stacks of 2 to 14, whose traced peaks grew from 1.1 to 12.5 MB
+_LP_STACK_ENTRIES = 14 * 10 * 168
 
 
 @dataclass
@@ -188,24 +204,19 @@ def _least_norm(
     return norms, reached
 
 
-def _solve_lp(
-    C: np.ndarray, target: np.ndarray, U: np.ndarray, coeff: np.ndarray, program
-) -> SolveResult:
-    """Solve program(U_r'C, U_r'target / ||target||), the LP whose first 2q columns are u+ and u-.
+def _zero_input(q: int) -> SolveResult:
+    return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0, duality_gap=0.0)
 
-    U and coeff = U_r'target are the caller's factor and range test, and
-    target is on C's range, so U_r'C has full row rank and the LP is
-    feasible and bounded.  An LP result counts only with its certificate
-    and a residual C u - target within FEAS_TOL * ||target||; anything else
-    is MAX_ITERATIONS.  duality_gap is the certified gap relative to the
+
+def _lp_verdict(C: np.ndarray, target: np.ndarray, scale: float, b: np.ndarray, lp) -> SolveResult:
+    """The design of an LP result for C u = target, its program's right side b scaled by 1 / scale.
+
+    An LP result counts only with its certificate and a residual
+    C u - target within FEAS_TOL * ||target||; anything else is
+    MAX_ITERATIONS.  duality_gap is the certified gap relative to the
     value.
     """
     q = C.shape[1]
-    scale = float(np.linalg.norm(target))
-    if scale == 0.0:
-        return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0, duality_gap=0.0)
-    c, A, b = program(U.T @ C, coeff / scale)
-    lp = solve_standard_lp(c, A, b)
     if lp.status == "optimal":
         u = scale * (lp.x[:q] - lp.x[q : 2 * q])
         residual = float(np.linalg.norm(C @ u - target))
@@ -231,30 +242,93 @@ def min_fuel(Cmat, x_f, input_bound: float | None = None) -> SolveResult:
     certified above input_bound * (1 + FEAS_TOL) is INFEASIBLE, a peak that
     is not certified is returned as it is, and the box widens to a
     witness's peak that lies within the tolerance above the bound.  The
-    range test, the screens and both LPs share one SVD of C.
+    range test, the screens and both LPs share one SVD of C.  This is the
+    one-matrix case of the worst-case scan's evaluator, _min_fuel_rows.
+    """
+    C, xf = _prep(Cmat, x_f)
+    return _min_fuel_rows(C[None], xf, input_bound, _lp_counters())[0]
+
+
+def _lp_counters() -> dict:
+    """Zeroed counters for _min_fuel_rows: LPs solved, their iterations, stacked solver calls."""
+    return {"lp_solves": 0, "iterations": 0, "stacks": 0}
+
+
+def _min_fuel_rows(
+    Cs: np.ndarray, xf: np.ndarray, input_bound: float | None, counters: dict
+) -> list[SolveResult]:
+    """min_fuel of each matrix of the stack Cs against one target x_f.
+
+    Each row takes its own SVD, range test and, with a bound, peak_within's
+    tests.  The rows that reach the fuel LP are grouped by the rank r of
+    their rows U_r'C, which fixes the program's shape, and each group is
+    solved in stacks of at most _LP_STACK_ENTRIES constraint entries by
+    one stacked interior-point iteration, whose rows do not depend on each
+    other.  counters adds the LPs solved (the fuel LPs and the peak LPs of
+    the bound's test), their iterations, and the calls of the LP solver
+    they took.
     """
     if input_bound is not None and input_bound <= 0:
         raise ValueError("input_bound must be positive")
-    C, xf = _prep(Cmat, x_f)
-    q = C.shape[1]
-    factor = _reach(C, xf)
-    if factor is None:
-        return SolveResult(INFEASIBLE)
-    U, _, _, coeff = factor
-    if input_bound is None:
-        return _solve_lp(C, xf, U, coeff, lambda Cr, b: (np.ones(2 * q), np.hstack([Cr, -Cr]), b))
-    peak = _peak_within(C, xf, input_bound, *factor)[1]
-    if peak.status != OPTIMAL:
-        return peak
-    bound = max(input_bound, peak.value)
+    q = Cs.shape[2]
+    scale = float(np.linalg.norm(xf))
+    results: list[SolveResult | None] = [None] * len(Cs)
+    waiting: dict[int, list[tuple]] = {}
+    for i, C in enumerate(Cs):
+        factor = _reach(C, xf)
+        if factor is None:
+            results[i] = SolveResult(INFEASIBLE)
+            continue
+        bound = None
+        if input_bound is not None:
+            by, peak = _peak_within(C, xf, input_bound, *factor)
+            if by == "lp_solves":
+                _count_lps(counters, 1, peak.iterations)
+            if peak.status != OPTIMAL:
+                results[i] = peak
+                continue
+            bound = max(input_bound, peak.value)
+        if scale == 0.0:
+            results[i] = _zero_input(q)
+            continue
+        U, _, _, coeff = factor
+        box = None if bound is None else bound / scale
+        waiting.setdefault(U.shape[1], []).append((i, U, coeff / scale, box))
+    boxed = input_bound is not None
+    for r, programs in waiting.items():
+        size = max(1, _LP_STACK_ENTRIES // ((r + boxed * q) * (2 + boxed) * q))
+        for lo in range(0, len(programs), size):
+            rows, U, b, box = zip(*programs[lo : lo + size])
+            b = np.stack(b)
+            if boxed:
+                b = np.hstack([b, np.repeat(np.array(box)[:, None], q, axis=1)])
+            c, A = _fuel_programs(np.stack([Ui.T @ Cs[i] for i, Ui in zip(rows, U)]), boxed)
+            lps = _solve_stack(c, A, b)
+            _count_lps(counters, len(lps), sum(lp.iterations for lp in lps))
+            for i, bi, lp in zip(rows, b, lps):
+                results[i] = _lp_verdict(Cs[i], xf, scale, bi, lp)
+    return results
 
-    def program(Cr, b):
-        # extra rows u+_i + u-_i + w_i = bound keep |u_i| within the box
-        A = np.block([[Cr, -Cr, np.zeros((Cr.shape[0], q))], [np.eye(q), np.eye(q), np.eye(q)]])
-        c = np.concatenate([np.ones(2 * q), np.zeros(q)])
-        return c, A, np.concatenate([b, np.full(q, bound / np.linalg.norm(xf))])
 
-    return _solve_lp(C, xf, U, coeff, program)
+def _count_lps(counters: dict, solves: int, iterations: int) -> None:
+    counters["lp_solves"] += solves
+    counters["iterations"] += iterations
+    counters["stacks"] += 1
+
+
+def _fuel_programs(Cr: np.ndarray, boxed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """c and A of the stacked fuel LPs over (u+, u-): min 1'(u+ + u-) subject to Cr (u+ - u-) = b.
+
+    A boxed program has q more rows, u+_i + u-_i + w_i = bound over a
+    slack w, which keep |u_i| within the bound of its right side.
+    """
+    N, r, q = Cr.shape
+    if not boxed:
+        return np.ones((N, 2 * q)), np.concatenate([Cr, -Cr], axis=2)
+    A = np.zeros((N, r + q, 3 * q))
+    A[:, :r, :q], A[:, :r, q : 2 * q] = Cr, -Cr
+    A[:, r:] = np.hstack([np.eye(q)] * 3)
+    return np.tile(np.concatenate([np.ones(2 * q), np.zeros(q)]), (N, 1)), A
 
 
 def min_inf_norm(Cmat, b) -> SolveResult:
@@ -268,22 +342,27 @@ def min_inf_norm(Cmat, b) -> SolveResult:
 
 
 def _min_inf_norm(C: np.ndarray, rhs: np.ndarray, U: np.ndarray, coeff: np.ndarray) -> SolveResult:
-    """min_inf_norm for a target on C's range, from the caller's U_r and coeff = U_r'rhs."""
+    """min_inf_norm for a target on C's range, from the caller's U_r and coeff = U_r'rhs.
+
+    The LP's rows are U_r'C, which have full row rank, and rhs is on C's
+    range, so the LP is feasible and bounded.
+    """
     q = C.shape[1]
-
-    def program(Cr, br):
-        # columns: u+ (q), u- (q), peak t (1), slack w (q)
-        A = np.block(
-            [
-                [Cr, -Cr, np.zeros((Cr.shape[0], q + 1))],
-                [np.eye(q), np.eye(q), -np.ones((q, 1)), np.eye(q)],
-            ]
-        )
-        c = np.zeros(3 * q + 1)
-        c[2 * q] = 1.0
-        return c, A, np.concatenate([br, np.zeros(q)])
-
-    return _solve_lp(C, rhs, U, coeff, program)
+    scale = float(np.linalg.norm(rhs))
+    if scale == 0.0:
+        return _zero_input(q)
+    Cr = U.T @ C
+    # columns: u+ (q), u- (q), peak t (1), slack w (q)
+    A = np.block(
+        [
+            [Cr, -Cr, np.zeros((Cr.shape[0], q + 1))],
+            [np.eye(q), np.eye(q), -np.ones((q, 1)), np.eye(q)],
+        ]
+    )
+    c = np.zeros(3 * q + 1)
+    c[2 * q] = 1.0
+    b = np.concatenate([coeff / scale, np.zeros(q)])
+    return _lp_verdict(C, rhs, scale, b, solve_standard_lp(c, A, b))
 
 
 def _peak_bounds(C, b, U, coeff, s, V) -> tuple[float, np.ndarray]:

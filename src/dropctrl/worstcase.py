@@ -26,7 +26,11 @@ dropped steps (and of inputs with a zero column of B), factor the n x n
 triangle of each (one QR call, then one SVD call, no right singular
 vectors, the rank cut of C's own shape) and decide the chunk in array
 code, one group of equal rank at a time, the results going back to row
-order; the LP objectives of III solve a program per row.  I and II read
+order.  III-fuel solves a certified LP per row, and the LPs of one
+shape in a chunk of 64 rows share one stacked interior-point iteration,
+up to 14 programs of 10 x 168 at a time; fuel+energy runs its splitting
+iteration per row.
+I and II read
 the horizon-t matrices of a row from the call's blocks C A^i and
 A^{T-1-i} B.  II decides each horizon with
 solvers.peak_within, whose screens on the range test's SVD (a
@@ -34,7 +38,9 @@ least-norm witness inside the unit box, a weak-duality bound above it)
 leave few horizons to an LP.  info["counters"] says how much work was
 shared: distinct prefixes and memo hits for I and II (and how II decided
 each prefix), trie nodes against row-steps for V and VI, chunks factored
-and matrices of rank below n for III-energy and IV.
+and matrices of rank below n for III-energy and IV, and LPs solved,
+their interior-point iterations and the stacked solver calls for
+III-fuel.
 
 PROBLEMS is the one table of analyses: a row per command of the command
 line, giving its problem label, entry point, the arguments it takes
@@ -68,9 +74,10 @@ from .solvers import (
     OPTIMAL,
     _factor_stack,
     _least_norm,
+    _lp_counters,
+    _min_fuel_rows,
     _range_test,
     _ranks,
-    min_fuel,
     min_fuel_energy,
     peak_within,
 )
@@ -339,21 +346,21 @@ def worst_control_time(
     return _with_steps(report)
 
 
+def _score(res) -> tuple[float, str]:
+    """A III row's (value, status); an infeasible target scores +inf."""
+    if res.status == INFEASIBLE or res.value is None:
+        return math.inf, res.status
+    return float(res.value), res.status
+
+
 def _input_norm(
     sys: SwitchedLinearSystem, T: int, solve_one: Callable[[np.ndarray], object]
 ) -> Callable[[np.ndarray], list[tuple[float, str]]]:
-    """A III evaluator that runs a one-matrix solver per row; an infeasible target scores +inf."""
+    """A III evaluator that runs a one-matrix solver per row."""
     blocks = _ctrb_blocks(sys, T)
 
     def evaluate(mask: np.ndarray) -> list[tuple[float, str]]:
-        results = []
-        for row in mask:
-            res = solve_one(_ctrb_stack(blocks, row[None])[0])
-            if res.status == INFEASIBLE or res.value is None:
-                results.append((math.inf, res.status))
-            else:
-                results.append((float(res.value), res.status))
-        return results
+        return [_score(solve_one(_ctrb_stack(blocks, row[None])[0])) for row in mask]
 
     return evaluate
 
@@ -403,11 +410,30 @@ def worst_fuel(
     input_bound: float | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
-    """Problem III with a pure 1-norm objective (per-signal LP)."""
+    """Problem III with a pure 1-norm objective: a certified LP per signal, solved in stacks.
+
+    The rows' controllability matrices are built _CHUNK at a time, and
+    each row takes min_fuel's SVD, range test and (with input_bound)
+    peak_within's tests; the fuel LPs of one shape then share a stacked
+    interior-point solve (solvers._min_fuel_rows), so min_fuel on a row's
+    matrix is the same row.  info["counters"] counts the LPs solved, their
+    interior-point iterations and the stacked solver calls.
+    """
     signals = candidate_signals(constraint, T, mode, cap)
     x_f = np.asarray(x_f, dtype=float).ravel()
-    evaluate = _input_norm(sys, T, lambda C: min_fuel(C, x_f, input_bound))
-    info = {"objective": "fuel", "input_bound": input_bound}
+    blocks = _ctrb_blocks(sys, T)
+    counters = _lp_counters()
+
+    def evaluate(mask: np.ndarray) -> list[tuple[float, str]]:
+        return [
+            _score(res)
+            for lo in range(0, len(mask), _CHUNK)
+            for res in _min_fuel_rows(
+                _ctrb_stack(blocks, mask[lo : lo + _CHUNK]), x_f, input_bound, counters
+            )
+        ]
+
+    info = {"objective": "fuel", "input_bound": input_bound, "counters": counters}
     return _scan("III", signals, mode, evaluate, info)
 
 

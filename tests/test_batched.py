@@ -1,8 +1,9 @@
 """Batched evaluators against per-signal oracles.
 
-III-energy, IV, V and VI evaluate a chunk of rows of the packed (N, T)
-candidate array at a time; I, II and III-fuel share the call's blocks
-C A^i or A^{T-1-i} B across signals.  The oracles below are per-signal
+III-energy, IV, V, VI and III-fuel evaluate a chunk of rows of the
+packed (N, T) candidate array at a time, III-fuel solving its LPs in
+stacks; I and II share the call's blocks C A^i or A^{T-1-i} B across
+signals.  The oracles below are per-signal
 loops in plain numpy or over the public solvers, the arithmetic the scan
 did one signal at a time.  Plants are drawn as `run_study` draws them, one
 per recipe, the ill-conditioned `gaussian_x10` included; the candidate
@@ -46,7 +47,7 @@ from dropctrl import (
     worst_fuel,
     worst_lqr,
 )
-from dropctrl import worstcase
+from dropctrl import solvers, worstcase
 from dropctrl.solvers import FEAS_TOL, _factor_stack
 from dropctrl.study import GENERATION_METHODS, _sample_rng, random_system
 from dropctrl.systems import (
@@ -210,8 +211,8 @@ def longdouble_peak_bound(C, b):
     return float((b @ y) / np.abs(y @ C).sum())
 
 
-def fuel_oracle(sys, s, xf):
-    res = min_fuel(controllability_matrix(sys, s), xf)
+def fuel_oracle(sys, s, xf, input_bound=None):
+    res = min_fuel(controllability_matrix(sys, s), xf, input_bound)
     if res.status == INFEASIBLE or res.value is None:
         return math.inf, res.status
     return float(res.value), res.status
@@ -246,8 +247,17 @@ def run_all(sys):
     w = LqrWeights.identity(sys.n, sys.m, T)
     gains = lti_gains(sys, w)
     vertices = cross_vertices(sys.n)
+    # twice the all-ones signal's least peak: the bound rules out the inputs
+    # of many sparser signals and leaves the others to the fuel LP
+    bound = 2.0 * min_inf_norm(controllability_matrix(sys, Signal.ones(T)), ones).value
     return {
         "I": (worst_estimation_time(sys, K, T), lambda s: estimation_oracle(sys, s), True),
+        "III-fuel": (worst_fuel(sys, K, T, ones), lambda s: fuel_oracle(sys, s, ones), True),
+        "III-fuel-bounded": (
+            worst_fuel(sys, K, T, ones, input_bound=bound),
+            lambda s: fuel_oracle(sys, s, ones, bound),
+            True,
+        ),
         "III-energy": (
             worst_energy(sys, K, T, ones), lambda s: energy_oracle(sys, s, ones), True,
         ),
@@ -266,7 +276,8 @@ def run_all(sys):
 
 
 def test_batched_scans_match_per_signal_oracles(plant, signals):
-    for name, (report, oracle, exact) in run_all(plant).items():
+    reports = run_all(plant)
+    for name, (report, oracle, exact) in reports.items():
         assert [e.signal for e in report.per_signal] == list(signals), name
         expected = [oracle(s) for s in signals]
         assert [e.status for e in report.per_signal] == [st for _, st in expected], name
@@ -277,6 +288,30 @@ def test_batched_scans_match_per_signal_oracles(plant, signals):
         else:
             assert got == pytest.approx(want, rel=1e-9, abs=0.0), name
         assert report.argmax_signal == first_argmax(want, signals), name
+    free, boxed = (reports[name][0] for name in ("III-fuel", "III-fuel-bounded"))
+    # each chunk's reachable rows solve their LPs by rank, in stacks of at
+    # most _LP_STACK_ENTRIES entries of the r x 2q constraint matrices
+    ranks = [
+        numerical_rank(controllability_matrix(plant, e.signal)) if e.status != INFEASIBLE else None
+        for e in free.per_signal
+    ]
+    stacks = 0
+    for lo in range(0, len(ranks), worstcase._CHUNK):
+        chunk = [r for r in ranks[lo : lo + worstcase._CHUNK] if r is not None]
+        for r in set(chunk):
+            size = solvers._LP_STACK_ENTRIES // (r * 2 * T * plant.m)
+            stacks += -(-chunk.count(r) // size)
+    counters = free.info["counters"]
+    assert counters["lp_solves"] == sum(r is not None for r in ranks)
+    ones = np.ones(plant.n)
+    assert counters["iterations"] == sum(
+        min_fuel(controllability_matrix(plant, s), ones).iterations for s in signals
+    )
+    assert counters["stacks"] == stacks
+    if len(signals) > 1:
+        # the bound decides some reachable rows infeasible and sends others to the LP
+        pairs = [(f.status, b.status) for f, b in zip(free.per_signal, boxed.per_signal)]
+        assert (OPTIMAL, INFEASIBLE) in pairs and (OPTIMAL, OPTIMAL) in pairs
 
 
 def test_public_functions_are_the_batch_row(plant, signals):

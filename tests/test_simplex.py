@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dropctrl.simplex import solve_standard_lp
+from dropctrl.simplex import _MAX_ITER, _solve_stack, solve_standard_lp
 
 
 def test_simple_lp():
@@ -97,10 +97,16 @@ def assert_certified(c, A, b, res):
     assert abs(res.value - float(b @ res.dual)) <= 1e-9 * abs(res.value)
 
 
-def random_program(rng, kind):
-    """A feasible, bounded program (c >= 0) of the given kind, with a feasible x0."""
-    m = int(rng.integers(1, 7))
-    n = m if kind == "square" else int(rng.integers(m + 1, 16))
+def random_program(rng, kind, shape=None):
+    """A feasible, bounded program (c >= 0) of the given kind, with a feasible x0.
+
+    `shape` fixes (m, n) of a generic-shaped kind; by default both are drawn.
+    """
+    if shape is None:
+        m = int(rng.integers(1, 7))
+        n = m if kind == "square" else int(rng.integers(m + 1, 16))
+    else:
+        m, n = shape
     A = rng.standard_normal((m, n))
     x0 = np.abs(rng.standard_normal(n))
     c = np.abs(rng.standard_normal(n))
@@ -161,3 +167,50 @@ def test_zero_optimum_is_certified():
         res = solve_standard_lp(c, A, A @ x0)
         assert_certified(c, A, A @ x0, res)
         assert res.value == 0.0
+
+
+def assert_same_result(got, want):
+    assert (got.status, got.value, got.iterations) == (want.status, want.value, want.iterations)
+    for u, v in ((got.x, want.x), (got.dual, want.dual)):
+        assert (u is None and v is None) or np.array_equal(u, v)
+
+
+def solve_as_stack(programs):
+    return _solve_stack(*(np.stack(part) for part in zip(*programs)))
+
+
+def test_stacked_programs_end_as_if_solved_alone():
+    # members leave the stack at different iterations, some uncertified;
+    # each keeps the arithmetic of its one-program stack, bit for bit
+    rng = np.random.default_rng(109)
+    kinds = ["generic", "degenerate", "scaled", "scaled_columns"] * 5
+    programs = [random_program(rng, kind, shape=(4, 10)) for kind in kinds]
+    alone = [solve_standard_lp(*p) for p in programs]
+    assert len({res.iterations for res in alone}) > 3
+    assert {res.status for res in alone} == {"optimal", "iteration_limit"}
+    for got, want in zip(solve_as_stack(programs), alone):
+        assert_same_result(got, want)
+
+
+def test_stack_with_a_singular_normal_matrix_and_a_stall():
+    rng = np.random.default_rng(113)
+    programs = [random_program(rng, "generic", shape=(4, 10)) for _ in range(3)]
+    # a repeated row: every normal matrix A D A' of this program is singular,
+    # so the stack's solve falls back to solving its programs one at a time
+    c, A, _ = random_program(rng, "generic", shape=(4, 10))
+    A[3] = A[0]
+    redundant = (c, A, A @ np.abs(rng.standard_normal(10)))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A @ A.T, redundant[2])
+    # a badly scaled program that stops uncertified well before the cap
+    while True:
+        stall = random_program(rng, "scaled_columns", shape=(4, 10))
+        if solve_standard_lp(*stall).status != "optimal":
+            break
+    programs[1:1] = [redundant, stall]
+    alone = [solve_standard_lp(*p) for p in programs]
+    assert alone[2].status == "iteration_limit" and alone[2].iterations < _MAX_ITER
+    for i in (0, 1, 3, 4):
+        assert_certified(*programs[i], alone[i])
+    for got, want in zip(solve_as_stack(programs), alone):
+        assert_same_result(got, want)

@@ -124,14 +124,15 @@ def test_min_fuel_bound_screens_skip_the_peak_lp(monkeypatch):
 def test_lp_result_off_target_is_not_optimal(monkeypatch):
     # a certified LP whose u misses C u = x_f by more than FEAS_TOL ||x_f||
     # (here, by 1e-6) is no optimal design
-    original = solvers.solve_standard_lp
+    original = solvers._solve_stack
 
     def off_target(c, A, b):
-        lp = original(c, A, b)
-        lp.x = lp.x * (1.0 + 1e-6)
-        return lp
+        lps = original(c, A, b)
+        for lp in lps:
+            lp.x = lp.x * (1.0 + 1e-6)
+        return lps
 
-    monkeypatch.setattr(solvers, "solve_standard_lp", off_target)
+    monkeypatch.setattr(solvers, "_solve_stack", off_target)
     res = min_fuel([[2.0, 1.0]], [1.0])
     assert res.status == MAX_ITERATIONS and res.u is None
 

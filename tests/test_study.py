@@ -132,9 +132,9 @@ def test_study_timings_recorded():
 @pytest.mark.parametrize(
     "problem, solver, status, reason",
     [
-        pytest.param("III", "min_fuel", MAX_ITERATIONS, "solver_failure",
+        pytest.param("III", "_min_fuel_rows", MAX_ITERATIONS, "solver_failure",
                      id="max_iterations-solver_failure"),
-        pytest.param("III", "min_fuel", INFEASIBLE, "nominal_input_design_infeasible",
+        pytest.param("III", "_min_fuel_rows", INFEASIBLE, "nominal_input_design_infeasible",
                      id="infeasible-nominal_input_design_infeasible"),
         pytest.param("II", "peak_within", MAX_ITERATIONS, "solver_failure",
                      id="II-max_iterations-solver_failure"),
@@ -147,8 +147,8 @@ def test_study_nominal_fuel_discard_reason(monkeypatch, problem, solver, status,
     result = SolveResult(status)
     if solver == "peak_within":  # II's decision also names the test that decided
         monkeypatch.setattr(worstcase, solver, lambda *a, **kw: ("lp_solves", result))
-    else:
-        monkeypatch.setattr(worstcase, solver, lambda *a, **kw: result)
+    else:  # III-fuel decides a stack of rows at a time
+        monkeypatch.setattr(worstcase, solver, lambda Cs, *a, **kw: [result] * len(Cs))
     res = run_study(StudyConfig(problem=problem, k=1, n=3, m=2, samples=3, T=6, seed=5))
     for row, rep in zip(res.rows, res.reports):
         assert row.status == f"discarded:{reason}"
