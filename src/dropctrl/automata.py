@@ -2,19 +2,25 @@
 
 An automaton is a directed graph whose edges carry nonempty bit strings.
 A signal is admissible when some walk from a start node spells it out
-exactly.  `minimal_admissible` generates the minimal admissible signals
-of any automaton directly, by a subset construction over pairs of state
-sets, without enumerating the language.  Two constructions are provided
-for the "at most k consecutive dropouts" family: the counter automaton
-generating the full admissible language, and the paper's compact
-k+1-node automaton whose paths are exactly the minimal signals,
-enumerated breadth-first.
+exactly.  Both generators determinize the automaton by Rabin and Scott's
+subset construction, breadth-first to the horizon T only, and walk the
+words of length T out of the table level by level as bit arrays:
+`enumerate_admissible` over the state sets reached by a prefix, and
+`minimal_admissible` over pairs of state sets, which gives the minimal
+admissible signals of any automaton without enumerating the language.
+The words come out distinct and in lexicographic order, with no sort.
+Two constructions are provided for the "at most k consecutive dropouts"
+family: the counter automaton generating the full admissible language,
+and the paper's compact k+1-node automaton whose paths are exactly the
+minimal signals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
+
+import numpy as np
 
 from .signals import Signal, SignalSet
 
@@ -105,44 +111,12 @@ def is_admissible(a: Automaton, s: Signal) -> bool:
     return False
 
 
-def enumerate_admissible(a: Automaton, T: int, cap: int | None = None) -> SignalSet:
-    """All admissible signals of length T; empty set if the language is empty.
+def _unit_steps(a: Automaton) -> Callable[[frozenset, str], frozenset]:
+    """The automaton's one-bit moves, as move(states, bit) -> states.
 
-    `cap` bounds the number of words: CapExceeded is raised as soon as the
-    depth-first walk has found more than `cap`, so the guard against
-    exponential languages costs work in proportion to `cap`, not to the
-    language.
+    A label of several bits passes through intermediate states (edge
+    index, bits spelled), which never accept.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    # (node, emitted prefix) pairs; words complete at exactly length T
-    seen: set[tuple[int, str]] = {(v, "") for v in a.start_nodes}
-    stack = list(seen)
-    out: set[str] = set()
-    while stack:
-        node, prefix = stack.pop()
-        if len(prefix) == T:
-            out.add(prefix)
-            if cap is not None and len(out) > cap:
-                raise CapExceeded(f"admissible set exceeds cap {cap}")
-            continue
-        for dst, label in a.out_edges(node):
-            word = prefix + label
-            if len(word) > T:
-                continue
-            state = (dst, word)
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
-    return SignalSet(Signal(w) for w in out)
-
-
-def _minimal_words(a: Automaton, T: int) -> tuple[str, ...]:
-    """The minimal admissible words of length T, in lexicographic order."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    # unit-step transitions; a label of several bits passes through
-    # intermediate states (edge index, bits spelled), which never accept
     step: dict[tuple, set] = {}
     for i, e in enumerate(a.edges):
         src = e.src
@@ -154,30 +128,129 @@ def _minimal_words(a: Automaton, T: int) -> tuple[str, ...]:
     def move(states: frozenset, bit: str) -> frozenset:
         return frozenset(d for s in states for d in step.get((s, bit), ()))
 
-    # Forward: the live pairs (E, L) after each number of bits, and each
-    # pair's successors under 0 and under 1.  Below w0 lies what lies below
-    # w, extended by 0; below w1, what lies below w extended by either bit,
-    # and w0.  Once E is inside L, every completion of w also completes a
-    # word below it, so the pair is dead and is cut.
-    start = (frozenset(a.start_nodes), frozenset())
-    levels = [{start}]
-    succ: dict[tuple, tuple] = {}
+    return move
+
+
+def _table(
+    start: Hashable,
+    successors: Callable[[Hashable], tuple],
+    accepts: Callable[[Hashable], bool],
+    T: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic transition table of the states reached within T bits.
+
+    `successors(p)` gives p's successors under 0 and under 1, None for a
+    dead one.  Row i of the (S, 2) table holds state i's successors by
+    index; state 0 is the dead sink and state 1 the start.  The table is
+    built breadth-first, and a state first reached after T bits keeps the
+    sink's row, which the walk never reads.  Also returns the (S,) bool
+    acceptance vector.
+    """
+    found = [None, start]
+    index = {start: 1}
+    rows = [(0, 0)]
     for _ in range(T):
-        live = set()
-        for E, L in levels[-1]:
-            E0, L0 = move(E, "0"), move(L, "0")
-            succ[E, L] = pairs = ((E0, L0), (move(E, "1"), L0 | move(L, "1") | E0))
-            live.update(p for p in pairs if not p[0] <= p[1])
-        levels.append(live)
-    # Backward: the completions of every live pair of a level, once each,
-    # 0 before 1, so that the words come out in lexicographic order.
-    done = {(E, L): ("",) for E, L in levels.pop() if E & a.nodes and not L & a.nodes}
-    for level in reversed(levels):
-        done = {
-            p: tuple(bit + w for bit, q in zip("01", succ[p]) for w in done.get(q, ()))
-            for p in level
-        }
-    return done[start]
+        level = found[len(rows):]  # the states first reached at this depth
+        if not level:
+            break
+        for p in level:
+            row = []
+            for q in successors(p):
+                i = 0 if q is None else index.get(q)
+                if i is None:
+                    i = index[q] = len(found)
+                    found.append(q)
+                row.append(i)
+            rows.append(row)
+    rows += [(0, 0)] * (len(found) - len(rows))
+    accept = np.array([False] + [accepts(q) for q in found[1:]])
+    return np.array(rows, dtype=np.intp), accept
+
+
+def _walk(table: np.ndarray, accept: np.ndarray, T: int, cap: int | None = None) -> np.ndarray:
+    """The accepted words of length T, as rows of an (N, T) bool array.
+
+    First marks, for each remaining length r, the states that accept after
+    exactly r more bits; then expands the frontier from the start one level
+    at a time, each parent's 0-child before its 1-child, keeping only
+    children that can still finish.  The rows are therefore distinct and in
+    lexicographic order, and every frontier prefix ends in a word, so a
+    frontier larger than `cap` means more than `cap` words (CapExceeded).
+    Each level keeps only its picks, (parent << 1) | bit, which spell the
+    words backwards at the end.
+    """
+    live = np.empty((T + 1, len(table)), dtype=bool)
+    live[0] = accept
+    for r in range(1, T + 1):
+        live[r] = live[r - 1][table].any(axis=1)
+    states = np.array([1] if live[T, 1] else [], dtype=np.intp)
+    picks = []
+    for r in range(T - 1, -1, -1):
+        children = table[states]
+        pick = np.flatnonzero(live[r][children])
+        if cap is not None and len(pick) > cap:
+            raise CapExceeded(f"admissible set exceeds cap {cap}")
+        states = children.ravel()[pick]
+        picks.append(pick)
+    words = np.empty((len(states), T), dtype=bool)
+    rows = np.arange(len(states))
+    for t in range(T - 1, -1, -1):
+        pick = picks[t][rows]
+        words[:, t] = pick & 1
+        rows = pick >> 1
+    return words
+
+
+def _language_table(a: Automaton, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The automaton determinized over the state sets E reached by a prefix.
+
+    E is dead when empty and accepts when it holds a node.
+    """
+    move = _unit_steps(a)
+    return _table(
+        frozenset(a.start_nodes),
+        lambda E: (move(E, "0") or None, move(E, "1") or None),
+        lambda E: bool(E & a.nodes),
+        T,
+    )
+
+
+def enumerate_admissible(a: Automaton, T: int, cap: int | None = None) -> SignalSet:
+    """All admissible signals of length T; empty set if the language is empty.
+
+    The automaton is determinized over the state sets reached by a prefix
+    and the words are walked out of that table level by level as bit
+    arrays, in lexicographic order.  `cap` bounds the number of words:
+    every prefix the walk keeps ends in a word, so CapExceeded is raised as
+    soon as one level holds more than `cap` prefixes, and the guard against
+    exponential languages costs work in proportion to `cap`, not to the
+    language.
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    return SignalSet._from_array(_walk(*_language_table(a, T), T, cap))
+
+
+def _minimal_table(a: Automaton, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The automaton determinized over pairs (E, L); see minimal_admissible."""
+    move = _unit_steps(a)
+
+    def successors(p: tuple[frozenset, frozenset]) -> tuple:
+        # Below w0 lies what lies below w, extended by 0; below w1, what
+        # lies below w extended by either bit, and w0.  Once E is inside L,
+        # every completion of w also completes a word below it, so the pair
+        # is dead.
+        E, L = p
+        E0, L0 = move(E, "0"), move(L, "0")
+        pairs = ((E0, L0), (move(E, "1"), L0 | move(L, "1") | E0))
+        return tuple(None if E <= L else (E, L) for E, L in pairs)
+
+    return _table(
+        (frozenset(a.start_nodes), frozenset()),
+        successors,
+        lambda p: bool(p[0] & a.nodes) and not p[1] & a.nodes,
+        T,
+    )
 
 
 def minimal_admissible(a: Automaton, T: int) -> SignalSet:
@@ -187,13 +260,16 @@ def minimal_admissible(a: Automaton, T: int) -> SignalSet:
     reached by spelling the prefix w, L the set reached by spelling some w'
     strictly below w in the support order.  A word is minimal when E holds
     a node and L none.  Labels of several bits are split into unit steps
-    through intermediate states, which never accept.  The completions of
-    each (E, L, remaining length) are computed once within the call and
-    dead pairs are cut, so the work follows the size of the output; the
-    walk is iterative, so T is not bounded by the recursion limit.
+    through intermediate states, which never accept.  The pairs reachable
+    within T bits form a deterministic table in which dead pairs (E inside
+    L) are cut, and the words are walked out of it level by level as bit
+    arrays, in lexicographic order, so the work follows the size of the
+    output and T is not bounded by the recursion limit.
     Equals minimal_filter(enumerate_admissible(a, T)).
     """
-    return SignalSet(Signal(w) for w in _minimal_words(a, T))
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    return SignalSet._from_array(_walk(*_minimal_table(a, T), T))
 
 
 def build_k_constraint_automaton(k: int) -> Automaton:
@@ -234,8 +310,8 @@ def build_k_minimal_automaton(k: int) -> Automaton:
 def minimal_signals_bfs(k: int, T: int) -> SignalSet:
     """Minimal signals of length T for at most k consecutive dropouts.
 
-    Breadth-first enumeration of the compact automaton's language, whose
-    words are exactly the minimal signals.  Equals minimal_filter over the
-    full admissible language.
+    The language of the compact automaton, whose words are exactly the
+    minimal signals, generated by enumerate_admissible's level walk.
+    Equals minimal_filter over the full admissible language.
     """
     return enumerate_admissible(build_k_minimal_automaton(k), T)

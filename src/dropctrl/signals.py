@@ -94,6 +94,10 @@ class Signal:
         raise AttributeError("Signal is immutable")
 
 
+# writes a Signal's slot past its validating constructor and its __setattr__
+_set_text = Signal._text.__set__
+
+
 class SignalSet:
     """Finite duplicate-free set of equal-length signals.
 
@@ -101,7 +105,7 @@ class SignalSet:
     reports and tie-breaking are deterministic.
     """
 
-    __slots__ = ("_signals", "_index")
+    __slots__ = ("_signals", "_index", "_bits")
 
     def __init__(self, signals: Iterable[Signal]):
         # keyed by the bit strings, so hashing and sorting stay in C
@@ -117,6 +121,30 @@ class SignalSet:
                 raise ValueError("signals in a set must share one length")
         object.__setattr__(self, "_signals", tuple(map(index.__getitem__, keys)))
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_bits", None)
+
+    @classmethod
+    def _from_array(cls, bits: np.ndarray) -> "SignalSet":
+        """The set of the rows of an (N, T) bool array, trusted as given.
+
+        The rows must be distinct and in lexicographic order, as the
+        automata's level walk makes them: nothing is validated, deduplicated
+        or sorted.  The array is kept, read-only, for to_array.
+        """
+        N, T = bits.shape
+        text = (bits.view(np.uint8) + ord("0")).tobytes().decode("ascii")
+        index: dict[str, Signal] = {}
+        for i in range(0, N * T, T):
+            word = text[i : i + T]
+            s = index[word] = object.__new__(Signal)
+            _set_text(s, word)
+        self = object.__new__(cls)
+        object.__setattr__(self, "_signals", tuple(index.values()))
+        object.__setattr__(self, "_index", index)
+        bits = bits.view()
+        bits.flags.writeable = False
+        object.__setattr__(self, "_bits", bits)
+        return self
 
     @property
     def signals(self) -> tuple[Signal, ...]:
@@ -133,6 +161,8 @@ class SignalSet:
 
     def to_array(self) -> np.ndarray:
         """The signals as rows of an (N, T) bool array, in iteration order."""
+        if self._bits is not None:
+            return self._bits
         texts = [s._text for s in self._signals]
         codes = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
         return (codes == ord("1")).reshape(len(texts), len(texts[0]) if texts else 0)

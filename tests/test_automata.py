@@ -18,7 +18,7 @@ from dropctrl import (
     minimal_filter,
     minimal_signals_bfs,
 )
-from dropctrl.automata import _minimal_words
+from dropctrl.automata import _minimal_table, _walk
 
 
 def brute_force_language(k, T):
@@ -105,6 +105,33 @@ def test_enumerate_dead_automaton_empty():
 def test_enumerate_cap():
     with pytest.raises(CapExceeded):
         enumerate_admissible(build_k_constraint_automaton(2), 12, cap=10)
+
+
+@pytest.mark.parametrize("k,T", [(1, 4), (1, 12), (2, 9), (3, 7)])
+def test_enumerate_cap_is_the_size_of_the_language(k, T):
+    a = build_k_constraint_automaton(k)
+    language = enumerate_admissible(a, T)
+    assert enumerate_admissible(a, T, cap=len(language)) == language
+    with pytest.raises(CapExceeded):
+        enumerate_admissible(a, T, cap=len(language) - 1)
+
+
+def test_enumerate_cap_far_past_the_language():
+    # 1.4e17 words; the walk stops at the first level of more than 1,000 prefixes
+    with pytest.raises(CapExceeded):
+        enumerate_admissible(build_k_constraint_automaton(3), 60, cap=1000)
+
+
+def test_words_past_63_bits():
+    # the language at T=70 is 1^70 and the 70 words with a single 0, which
+    # lie below 1^70 and not below one another
+    a = Automaton([1, 2], [(1, 1, "1"), (1, 2, "0"), (2, 2, "1")], [1])
+    T = 70
+    single_zero = ["1" * i + "0" + "1" * (T - 1 - i) for i in range(T)]
+    assert minimal_admissible(a, T).to_strings() == tuple(sorted(single_zero))
+    language = enumerate_admissible(a, T)
+    assert language.to_strings() == tuple(sorted(single_zero + ["1" * T]))
+    assert language.to_array().shape == (T + 1, T)
 
 
 def test_enumerate_members_are_admissible():
@@ -222,6 +249,20 @@ def test_minimal_admissible_equals_filter_on_random_automata():
     assert multibit > 200 and several_starts > 200 and empty > 50
 
 
+def test_generators_equal_brute_force_on_random_automata():
+    # the oracle shares no code with the walk: every word of {0,1}^T that
+    # is_admissible accepts, then minimal_filter
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        a = random_automaton(rng)
+        for T in (1, 3, 6, 9):
+            words = ("".join(bits) for bits in itertools.product("01", repeat=T))
+            language = sorted(w for w in words if is_admissible(a, Signal(w)))
+            assert enumerate_admissible(a, T).to_strings() == tuple(language), (a.edges, T)
+            expected = minimal_filter(SignalSet(language))
+            assert minimal_admissible(a, T).to_strings() == expected.to_strings(), (a.edges, T)
+
+
 def test_minimal_admissible_handcrafted():
     # labels of several bits: "000" lies below "100", so only "000" is minimal
     a = Automaton([1, 2], [(1, 2, "100"), (1, 2, "000"), (2, 1, "1")], [1])
@@ -237,13 +278,17 @@ def test_minimal_admissible_handcrafted():
 
 
 def test_minimal_admissible_is_generated_in_lexicographic_order():
+    # the walk's raw rows, before any SignalSet: the order is the walk's own
+    def walk(a, T):
+        return [tuple(row) for row in _walk(*_minimal_table(a, T), T).tolist()]
+
     for k, T in ((1, 12), (2, 16), (3, 14)):
-        words = _minimal_words(build_k_constraint_automaton(k), T)
-        assert list(words) == sorted(set(words)), (k, T)
+        words = walk(build_k_constraint_automaton(k), T)
+        assert words and words == sorted(set(words)), (k, T)
     rng = np.random.default_rng(11)
     for _ in range(50):
-        words = _minimal_words(random_automaton(rng), 8)
-        assert list(words) == sorted(set(words))
+        words = walk(random_automaton(rng), 8)
+        assert words == sorted(set(words))
 
 
 def test_minimal_admissible_long_horizon():

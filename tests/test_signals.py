@@ -60,6 +60,24 @@ def test_signalset_dedups_and_sorts():
     assert ss.length == 2
 
 
+def test_signalset_from_trusted_array():
+    strings = ["0011", "0101", "0110", "1001", "1111"]
+    bits = np.array([[c == "1" for c in w] for w in strings])
+    ss = SignalSet._from_array(bits)
+    assert ss == SignalSet(strings)
+    assert ss.to_strings() == tuple(strings)
+    assert all(isinstance(s, Signal) for s in ss)
+    assert ss.length == 4
+    kept = ss.to_array()
+    assert np.array_equal(kept, bits) and np.shares_memory(kept, bits)
+    assert not kept.flags.writeable  # the set's rows cannot be changed through it
+    assert "0110" in ss and Signal("1111") in ss
+    assert "0111" not in ss
+    empty = SignalSet._from_array(np.zeros((0, 4), dtype=bool))
+    assert len(empty) == 0 and empty == SignalSet([])
+    assert empty.to_array().shape == (0, 4)
+
+
 def test_signalset_rejects_mixed_lengths():
     with pytest.raises(ValueError):
         SignalSet([Signal("10"), Signal("100")])
