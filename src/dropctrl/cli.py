@@ -24,10 +24,8 @@ from .automata import (
     build_k_constraint_automaton,
     enumerate_admissible,
     minimal_admissible,
-    minimal_signals_bfs,
 )
 from .lqr import LqrWeights
-from .signals import minimal_filter
 from .study import PROBLEM_LABELS, SampleRow, StudyConfig, run_study
 from .worstcase import DEFAULT_EXHAUSTIVE_CAP, PROBLEMS
 
@@ -98,10 +96,6 @@ def build_parser() -> _Parser:
 
     p = cmd("minimal", help="enumerate the minimal signals of length T")
     _constraint_flags(p)
-    p.add_argument(
-        "--method", choices=["bfs", "filter"],
-        help="list through an oracle: the compact k-automaton or filtering the language",
-    )
 
     for command, problem in PROBLEMS.items():
         p = cmd(command, help=problem.summary)
@@ -187,18 +181,12 @@ def _print_report(report, out: str) -> None:
 def _signal_strings(ns: argparse.Namespace) -> tuple[str, ...]:
     """The listed words; an empty language lists nothing."""
     constraint = _constraint(ns)
-    method = getattr(ns, "method", None)
-    if method == "bfs":
-        if not isinstance(constraint, int):
-            raise CliError("--method bfs needs --k (automaton constraints use --method filter)")
-        return minimal_signals_bfs(constraint, ns.T).to_strings()
     if isinstance(constraint, int):
         constraint = build_k_constraint_automaton(constraint)
-    if ns.command == "minimal" and method is None:
+    if ns.command == "minimal":
         # the minimal candidates every analysis scans
         return minimal_admissible(constraint, ns.T).to_strings()
-    words = enumerate_admissible(constraint, ns.T, cap=ns.exhaustive_cap)
-    return (minimal_filter(words) if method == "filter" else words).to_strings()
+    return enumerate_admissible(constraint, ns.T, cap=ns.exhaustive_cap).to_strings()
 
 
 def _run_command(ns: argparse.Namespace) -> int:

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .signals import Signal
+from .signals import Signal, SignalSet
 from .systems import SwitchedLinearSystem
 
 __all__ = [
@@ -102,7 +102,7 @@ def riccati_backward(sys: SwitchedLinearSystem, s: Signal, w: LqrWeights) -> Ric
     The one-signal case of _riccati, which the worst-case scan runs on the
     suffix trie of a block of signals.
     """
-    steps = [P[0] for P, _ in _riccati(sys, np.array([list(s)], dtype=bool), w)]
+    steps = [P[0] for P, _ in _riccati(sys, SignalSet([s]).to_array(), w)]
     return RiccatiSolution(P=np.array(steps[::-1]))
 
 
@@ -180,7 +180,7 @@ def degraded_cost(
     never re-plans after a dropout.  The one-signal case of _rollout, which
     the worst-case scan runs on the prefix trie of a block of signals.
     """
-    return float(_rollout(sys, gains, np.array([list(s)], dtype=bool), w, x0)[0][0])
+    return float(_rollout(sys, gains, SignalSet([s]).to_array(), w, x0)[0][0])
 
 
 def _rollout(

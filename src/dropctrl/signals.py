@@ -4,7 +4,9 @@ A signal is a fixed-length word over {0, 1}: bit 1 marks a successful
 transmission, bit 0 a packet dropout.  Signals of equal length are
 partially ordered by support inclusion; the minimal elements of the
 admissible set are the worst-case candidates for every monotone
-performance measure.
+performance measure.  A set of signals is one read-only (N, T) bool
+array, and this module alone converts between words and bits: Signals
+and strings are decoded from the array's rows.
 """
 
 from __future__ import annotations
@@ -99,93 +101,82 @@ _set_text = Signal._text.__set__
 
 
 class SignalSet:
-    """Finite duplicate-free set of equal-length signals.
+    """Finite duplicate-free set of equal-length signals, kept as bits.
 
-    Iteration order is canonical (lexicographic) so that downstream
-    reports and tie-breaking are deterministic.
+    The set is one read-only (N, T) bool array whose rows are the distinct
+    words in lexicographic order, so downstream reports and tie-breaking
+    are deterministic.  Signals and strings are decoded from it on demand.
     """
 
-    __slots__ = ("_signals", "_index", "_bits")
+    __slots__ = ("_bits",)
 
     def __init__(self, signals: Iterable[Signal]):
-        # keyed by the bit strings, so hashing and sorting stay in C
-        index: dict[str, Signal] = {}
-        for s in signals:
-            if not isinstance(s, Signal):
-                s = Signal(s)
-            index[s._text] = s
-        keys = sorted(index)
-        if keys:
-            T = len(keys[0])
-            if any(len(b) != T for b in keys):
-                raise ValueError("signals in a set must share one length")
-        object.__setattr__(self, "_signals", tuple(map(index.__getitem__, keys)))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_bits", None)
+        words = sorted({s._text if isinstance(s, Signal) else Signal(s)._text for s in signals})
+        T = len(words[0]) if words else 0
+        if any(len(w) != T for w in words):
+            raise ValueError("signals in a set must share one length")
+        codes = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+        _keep(self, (codes == ord("1")).reshape(len(words), T))
 
     @classmethod
     def _from_array(cls, bits: np.ndarray) -> "SignalSet":
         """The set of the rows of an (N, T) bool array, trusted as given.
 
         The rows must be distinct and in lexicographic order, as the
-        automata's level walk makes them: nothing is validated, deduplicated
-        or sorted.  The array is kept, read-only, for to_array.
+        automata's level walk makes them; nothing is checked or sorted.
         """
-        N, T = bits.shape
-        text = (bits.view(np.uint8) + ord("0")).tobytes().decode("ascii")
-        index: dict[str, Signal] = {}
-        for i in range(0, N * T, T):
-            word = text[i : i + T]
-            s = index[word] = object.__new__(Signal)
-            _set_text(s, word)
         self = object.__new__(cls)
-        object.__setattr__(self, "_signals", tuple(index.values()))
-        object.__setattr__(self, "_index", index)
-        bits = bits.view()
-        bits.flags.writeable = False
-        object.__setattr__(self, "_bits", bits)
+        _keep(self, bits)
         return self
 
     @property
     def signals(self) -> tuple[Signal, ...]:
-        return self._signals
+        return tuple(self)
 
     @property
     def length(self) -> int:
-        if not self._signals:
+        if not len(self):
             raise ValueError("empty signal set has no length")
-        return len(self._signals[0])
+        return self._bits.shape[1]
 
     def to_strings(self) -> tuple[str, ...]:
-        return tuple(str(s) for s in self._signals)
+        N, T = self._bits.shape
+        text = (self._bits.view(np.uint8) + ord("0")).tobytes().decode("ascii")
+        return tuple(text[i : i + T] for i in range(0, N * T, T or 1))
 
     def to_array(self) -> np.ndarray:
-        """The signals as rows of an (N, T) bool array, in iteration order."""
-        if self._bits is not None:
-            return self._bits
-        texts = [s._text for s in self._signals]
-        codes = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
-        return (codes == ord("1")).reshape(len(texts), len(texts[0]) if texts else 0)
+        """The signals as rows of a read-only (N, T) bool array, in iteration order."""
+        return self._bits
 
     def __contains__(self, s) -> bool:
         if isinstance(s, str):
             s = Signal(s)
-        return isinstance(s, Signal) and s._text in self._index
+        return isinstance(s, Signal) and s._text in self.to_strings()
 
     def __iter__(self) -> Iterator[Signal]:
-        return iter(self._signals)
+        for word in self.to_strings():
+            s = object.__new__(Signal)
+            _set_text(s, word)
+            yield s
 
     def __len__(self) -> int:
-        return len(self._signals)
+        return len(self._bits)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SignalSet) and self._index.keys() == other._index.keys()
+        return isinstance(other, SignalSet) and self.to_strings() == other.to_strings()
 
     def __repr__(self) -> str:
         return f"SignalSet({list(self.to_strings())})"
 
     def __setattr__(self, name, value):
         raise AttributeError("SignalSet is immutable")
+
+
+def _keep(ss: SignalSet, bits: np.ndarray) -> None:
+    """Store a read-only view of bits as the set's rows."""
+    bits = bits.view()
+    bits.flags.writeable = False
+    object.__setattr__(ss, "_bits", bits)
 
 
 def dominates(s1: Signal, s2: Signal) -> bool:
@@ -195,37 +186,21 @@ def dominates(s1: Signal, s2: Signal) -> bool:
     return all(b1 <= b2 for b1, b2 in zip(s1.bits, s2.bits))
 
 
-def _pack(ss: SignalSet) -> np.ndarray:
-    bits = ss.to_array().astype(np.uint64)
-    weights = (np.uint64(1) << np.arange(len(ss.signals[0]), dtype=np.uint64))
-    return bits @ weights
-
-
 def minimal_filter(ss: SignalSet) -> SignalSet:
     """Minimal elements of ss under the support order (brute-force filter).
 
     Keeps s iff no other member's support is strictly contained in s's.
     Relative to the given set only; pass the full admissible set to get
-    the worst-case candidates.
+    the worst-case candidates.  Each row is packed into as many 64-bit
+    words as its horizon needs.
     """
-    sigs = ss.signals
-    if len(sigs) <= 1:
-        return SignalSet(sigs)
-    if len(sigs[0]) <= 63:
-        packed = _pack(ss)
-        keep = []
-        for i, code in enumerate(packed):
-            below = (packed & ~code) == 0  # support containment
-            if int(below.sum()) == 1:  # only s itself
-                keep.append(sigs[i])
-    else:
-        bits = ss.to_array()
-        keep = []
-        for i in range(len(sigs)):
-            below = ~(bits & ~bits[i]).any(axis=1)
-            if int(below.sum()) == 1:
-                keep.append(sigs[i])
-    return SignalSet(keep)
+    bits = ss.to_array()
+    packed = np.packbits(bits, axis=1)
+    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    # a row is minimal when every other row has a 1 outside its support
+    keep = [np.count_nonzero((words & ~w).any(axis=1)) == len(words) - 1 for w in words]
+    # a subset of distinct sorted rows is still distinct and sorted
+    return SignalSet._from_array(bits[np.array(keep, dtype=bool)])
 
 
 def is_minimal_k(s: Signal, k: int) -> bool:

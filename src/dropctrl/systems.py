@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signals import Signal
+from .signals import Signal, SignalSet
 
 __all__ = [
     "SwitchedLinearSystem",
@@ -113,7 +113,8 @@ class Gramian:
 
 def simulate(sys: SwitchedLinearSystem, s: Signal, x0, u) -> Trajectory:
     """Roll the dropout-masked dynamics forward over the signal."""
-    T = len(s)
+    row = SignalSet([s]).to_array()[0]
+    T = len(row)
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
@@ -124,7 +125,7 @@ def simulate(sys: SwitchedLinearSystem, s: Signal, x0, u) -> Trajectory:
     states[0] = x0
     outputs: list = []
     for t in range(T):
-        if s[t]:
+        if row[t]:
             outputs.append(sys.C @ states[t])
             states[t + 1] = sys.A @ states[t] + sys.B @ u[t]
         else:
@@ -184,7 +185,8 @@ def controllability_matrix(sys: SwitchedLinearSystem, s: Signal) -> np.ndarray:
     chunk of signals: the blocks A^{T-1-i} B, built by iterated
     multiplication, times the signal's bits.
     """
-    return _ctrb_stack(_ctrb_blocks(sys, len(s)), np.array([list(s)], dtype=bool))[0]
+    mask = SignalSet([s]).to_array()
+    return _ctrb_stack(_ctrb_blocks(sys, mask.shape[1]), mask)[0]
 
 
 def _obsv_blocks(sys: SwitchedLinearSystem, T: int) -> np.ndarray:
@@ -200,7 +202,8 @@ def _obsv_blocks(sys: SwitchedLinearSystem, T: int) -> np.ndarray:
 
 def observability_matrix(sys: SwitchedLinearSystem, s: Signal) -> np.ndarray:
     """Stacked rows s(i) C A^i for i = 0..T-1, shape (p T) x n."""
-    return np.vstack([b * M for b, M in zip(s, _obsv_blocks(sys, len(s)))])
+    row = SignalSet([s]).to_array()[0]
+    return np.vstack([b * M for b, M in zip(row, _obsv_blocks(sys, len(row)))])
 
 
 def reachability_gramian(sys: SwitchedLinearSystem, s: Signal) -> Gramian:
@@ -237,7 +240,8 @@ def first_full_rank_time(sys: SwitchedLinearSystem, s: Signal) -> int | None:
     C A^i once per call and shares them across its signals, and shares the
     verdict of each prefix through a memo.
     """
-    return _first_full_rank_time(_obsv_blocks(sys, len(s)), np.array(list(s), dtype=bool))
+    row = SignalSet([s]).to_array()[0]
+    return _first_full_rank_time(_obsv_blocks(sys, len(row)), row)
 
 
 def _full_rank(blocks: np.ndarray, row: np.ndarray, t: int) -> bool:

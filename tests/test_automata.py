@@ -134,6 +134,14 @@ def test_words_past_63_bits():
     assert language.to_array().shape == (T + 1, T)
 
 
+@pytest.mark.parametrize("T", [63, 64, 65, 70])
+def test_filter_across_the_64_bit_word_boundary(T):
+    # the filter packs each row into ceil(T / 64) words; a single 0 past
+    # bit 63 must still tell two rows apart
+    a = Automaton([1, 2], [(1, 1, "1"), (1, 2, "0"), (2, 2, "1")], [1])
+    assert minimal_filter(enumerate_admissible(a, T)) == minimal_admissible(a, T)
+
+
 def test_enumerate_members_are_admissible():
     a = build_k_constraint_automaton(2)
     for s in enumerate_admissible(a, 6):

@@ -37,17 +37,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_minimal_bfs_output(capsys):
-    code, out, _ = run_cli(capsys, "minimal", "--k", "1", "--T", "4", "--method", "bfs")
+def test_minimal_listing(capsys):
+    code, out, _ = run_cli(capsys, "minimal", "--k", "1", "--T", "4")
     assert code == 0
     assert out.split() == ["0101", "0110", "1010"]
-
-
-def test_minimal_filter_matches_bfs(capsys):
-    _, bfs_out, _ = run_cli(capsys, "minimal", "--k", "1", "--T", "4", "--method", "bfs")
-    code, filt_out, _ = run_cli(capsys, "minimal", "--k", "1", "--T", "4", "--method", "filter")
-    assert code == 0
-    assert filt_out == bfs_out
 
 
 def test_admissible_language(capsys):
@@ -83,14 +76,6 @@ def test_automaton_file_constraint(capsys, tmp_path):
     assert set(out.split()) == {"01", "10", "11"}
     code, out, _ = run_cli(capsys, "minimal", "--automaton", str(path), "--T", "2")
     assert set(out.split()) == {"01", "10"}
-
-
-def test_automaton_with_bfs_method_is_an_error(capsys, tmp_path):
-    path = tmp_path / "a.json"
-    path.write_text(json.dumps({"nodes": [1], "start": [1], "edges": [{"from": 1, "to": 1, "label": "1"}]}))
-    code, _, err = run_cli(capsys, "minimal", "--automaton", str(path), "--T", "2", "--method", "bfs")
-    assert code == 1
-    assert "bfs" in err
 
 
 def test_minimal_automaton_listing_needs_no_language(capsys, tmp_path):

@@ -5,10 +5,13 @@ from dropctrl import (
     LqrWeights,
     Signal,
     SwitchedLinearSystem,
+    controllability_matrix,
     degraded_cost,
     dominates,
+    first_full_rank_time,
     lqr_cost,
     lti_gains,
+    observability_matrix,
     riccati_backward,
     simulate,
 )
@@ -169,3 +172,25 @@ def test_horizon_mismatch_errors():
     gains = lti_gains(sys, w)
     with pytest.raises(ValueError):
         degraded_cost(sys, gains, Signal("11"), w, [1.0])
+
+
+def test_one_signal_functions_read_bit_strings():
+    # a string means what Signal(str) means: each '0' is a dropout
+    sys, w = random_instance(np.random.default_rng(5), 4)
+    gains = lti_gains(sys, w)
+    x0, u = np.ones(sys.n), np.ones((4, sys.m))
+    calls = [
+        lambda s: controllability_matrix(sys, s),
+        lambda s: observability_matrix(sys, s),
+        lambda s: first_full_rank_time(sys, s),
+        lambda s: riccati_backward(sys, s, w).P,
+        lambda s: degraded_cost(sys, gains, s, w, x0),
+        lambda s: simulate(sys, s, x0, u).states,
+        lambda s: [y is None for y in simulate(sys, s, x0, u).outputs],
+    ]
+    for call in calls:
+        assert np.array_equal(call("0101"), call(Signal("0101")))
+        with pytest.raises(ValueError):
+            call("012")
+    assert first_full_rank_time(sys, "0101") == 1
+    assert np.array_equal(controllability_matrix(sys, "00"), np.zeros((sys.n, 2 * sys.m)))

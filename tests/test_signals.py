@@ -78,6 +78,20 @@ def test_signalset_from_trusted_array():
     assert empty.to_array().shape == (0, 4)
 
 
+def test_signalset_is_its_read_only_array():
+    ss = SignalSet(["10", Signal("01"), (1, 1)])
+    kept = ss.to_array()
+    assert kept is ss.to_array()
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0, 0] = True
+    trusted = SignalSet._from_array(np.array(kept))
+    assert trusted == ss
+    assert list(trusted) == list(ss) == [Signal("01"), Signal("10"), Signal("11")]
+    assert trusted.signals == ss.signals
+    assert SignalSet._from_array(np.zeros((0, 3), dtype=bool)) == SignalSet._from_array(np.zeros((0, 5), dtype=bool))
+
+
 def test_signalset_rejects_mixed_lengths():
     with pytest.raises(ValueError):
         SignalSet([Signal("10"), Signal("100")])
