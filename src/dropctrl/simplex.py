@@ -28,6 +28,16 @@ gemm) and every reduction runs along one program's row, so a program's
 arithmetic does not depend on the others in its stack: each ends with
 the result it gets alone, bit for bit.
 
+A caller may also pass a test on the dual iterates, stop(i, y) for the
+program at place i of the stack, y its dual in the caller's units: a
+program whose iterate the test accepts leaves the stack at that
+iteration as "stopped", with that dual, the way a certified program
+leaves it.  The test is asked only of finite programs that did not
+certify at the iteration, and it changes no arithmetic, so a program it
+does not stop ends bit for bit as it does without it.  solvers' peak LP
+stops this way once its dual certifies the least peak above the box, by
+weak duality, which holds for every y and so for an iterate.
+
 Nothing here detects infeasibility or unboundedness: every program the
 package builds is feasible and bounded (see solvers._min_inf_norm and
 solvers._min_fuel_rows), and any other program ends as
@@ -36,6 +46,7 @@ solvers._min_fuel_rows), and any other program ends as
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +63,7 @@ _EPS = np.finfo(float).eps
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "iteration_limit"
+    status: str  # "optimal" | "stopped" | "iteration_limit"
     x: np.ndarray | None = None
     value: float | None = None
     dual: np.ndarray | None = None  # one multiplier per input row
@@ -101,25 +112,33 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return np.minimum(np.where(dv < 0, -v / dv, np.inf).min(axis=1), 1.0)
 
 
-def solve_standard_lp(c, A, b) -> LpResult:
+def solve_standard_lp(c, A, b, stop: Callable[[np.ndarray], bool] | None = None) -> LpResult:
+    """The one-program stack; stop(y), if given, is its test on the dual iterates."""
     c = np.asarray(c, dtype=float).ravel()
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
     m, n = A.shape
     if c.size != n or b.size != m:
         raise ValueError("inconsistent LP dimensions")
-    return _solve_stack(c[None], A[None], b[None])[0]
+    test = None if stop is None else lambda i, y: stop(y)
+    return _solve_stack(c[None], A[None], b[None], test)[0]
 
 
 # a program that divides by zero or overflows fails its certificate and
 # leaves the stack as "iteration_limit"; numpy need not warn about it
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _solve_stack(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> list[LpResult]:
+def _solve_stack(
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    stop: Callable[[int, np.ndarray], bool] | None = None,
+) -> list[LpResult]:
     """Solve min c[i]'x subject to A[i] x = b[i], x >= 0 for each program of a stack.
 
     c is (N, n), A (N, m, n) and b (N, m); one LpResult per program, in
-    order.  The programs still iterating are kept contiguous: when some
-    leave, the stack is compacted once, not gathered at every iteration.
+    order.  stop(i, y), if given, stops program i at a dual iterate y.
+    The programs still iterating are kept contiguous: when some leave,
+    the stack is compacted once, not gathered at every iteration.
     """
     N, m, n = A.shape
     results: list[LpResult | None] = [None] * N
@@ -219,13 +238,19 @@ def _solve_stack(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> list[LpResult]:
             found |= better
             x_c[better], y_c[better], value[better] = vx[better], vy[better], v_value[better]
 
-        done = found | stalled | ~finite
+        stopped = np.zeros_like(found)
+        if stop is not None:
+            for i in np.flatnonzero(finite & ~found):
+                stopped[i] = stop(int(ids[i]), y_c[i])
+        done = found | stopped | stalled | ~finite
         for i in np.flatnonzero(done):
             if found[i]:
                 results[ids[i]] = LpResult(
                     "optimal", x=x_c[i].copy(), value=float(value[i]), dual=y_c[i].copy(),
                     iterations=it,
                 )
+            elif stopped[i]:
+                results[ids[i]] = LpResult("stopped", dual=y_c[i].copy(), iterations=it)
             else:
                 results[ids[i]] = LpResult("iteration_limit", iterations=it)
         if done.all():

@@ -12,7 +12,8 @@ its certificate is MAX_ITERATIONS.  peak_within asks only whether the
 least peak input is within a bound, and most of the time the same SVD
 answers: the least-norm input is a witness, or a weak-duality bound,
 counted against its own rounding, rules the bound out; the LP runs only
-in between.  The 2-norm problem is closed form from
+in between, and stops as soon as the same bound at its dual iterate
+rules the bound out.  The 2-norm problem is closed form from
 the SVD; the combined 1-norm + 2-norm objective is handled by an
 operator-splitting iteration whose proximal step composes soft
 thresholding with a radial shrink.  Each LP-based or splitting design
@@ -35,6 +36,7 @@ Q, zero on the dropped columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +239,8 @@ def min_fuel(Cmat, x_f, input_bound: float | None = None) -> SolveResult:
     """Minimum 1-norm u with C u = x_f and optionally |u_i| <= input_bound.
 
     Split u into positive/negative parts and solve the equality-form LP.
-    With a bound, the program is feasible exactly when the least peak input
+    An infinite bound is no bound, and a NaN bound is refused.  With a
+    finite bound, the program is feasible exactly when the least peak input
     is at most the bound, so peak_within's tests decide that first: a peak
     certified above input_bound * (1 + FEAS_TOL) is INFEASIBLE, a peak that
     is not certified is returned as it is, and the box widens to a
@@ -268,8 +271,10 @@ def _min_fuel_rows(
     the bound's test), their iterations, and the calls of the LP solver
     they took.
     """
-    if input_bound is not None and input_bound <= 0:
+    if input_bound is not None and not input_bound > 0:  # NaN included
         raise ValueError("input_bound must be positive")
+    if input_bound == math.inf:
+        input_bound = None
     q = Cs.shape[2]
     scale = float(np.linalg.norm(xf))
     results: list[SolveResult | None] = [None] * len(Cs)
@@ -341,51 +346,57 @@ def min_inf_norm(Cmat, b) -> SolveResult:
     return _min_inf_norm(C, rhs, U, coeff)
 
 
-def _min_inf_norm(C: np.ndarray, rhs: np.ndarray, U: np.ndarray, coeff: np.ndarray) -> SolveResult:
+def _min_inf_norm(
+    C: np.ndarray, rhs: np.ndarray, U: np.ndarray, coeff: np.ndarray, limit: float | None = None
+) -> SolveResult:
     """min_inf_norm for a target on C's range, from the caller's U_r and coeff = U_r'rhs.
 
     The LP's rows are U_r'C, which have full row rank, and rhs is on C's
-    range, so the LP is feasible and bounded.
+    range, so the LP is feasible and bounded.  With a limit, the LP stops
+    as soon as its dual iterate y_1 on those rows certifies the least peak
+    above the limit: _peak_lower of y = U_r y_1, since C'y = (U_r'C)'y_1.
+    That result is INFEASIBLE, with the iterations the LP took.
     """
     q = C.shape[1]
     scale = float(np.linalg.norm(rhs))
     if scale == 0.0:
         return _zero_input(q)
     Cr = U.T @ C
+    r = Cr.shape[0]
     # columns: u+ (q), u- (q), peak t (1), slack w (q)
     A = np.block(
         [
-            [Cr, -Cr, np.zeros((Cr.shape[0], q + 1))],
+            [Cr, -Cr, np.zeros((r, q + 1))],
             [np.eye(q), np.eye(q), -np.ones((q, 1)), np.eye(q)],
         ]
     )
     c = np.zeros(3 * q + 1)
     c[2 * q] = 1.0
     b = np.concatenate([coeff / scale, np.zeros(q)])
-    return _lp_verdict(C, rhs, scale, b, solve_standard_lp(c, A, b))
+    stop = None if limit is None else (lambda y: _peak_lower(C, rhs, U @ y[:r]) > limit)
+    lp = solve_standard_lp(c, A, b, stop=stop)
+    if lp.status == "stopped":
+        return SolveResult(INFEASIBLE, iterations=lp.iterations)
+    return _lp_verdict(C, rhs, scale, b, lp)
 
 
-def _peak_bounds(C, b, U, coeff, s, V) -> tuple[float, np.ndarray]:
-    """A certified lower bound on min{||u||_inf : C u = b}, and the least-norm input u2.
+def _peak_lower(C: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
+    """A certified lower bound b'y / ||C'y||_1 on min{||u||_inf : C u = b}, for any y.
 
-    coeff = U_r'b.  Weak LP duality gives ||u||_inf >= b'y / ||C'y||_1 for
-    every y and every u with C u = b; y = U_r (coeff / s_r^2) makes C'y the
-    least-norm input u2 = V_r (coeff / s_r) up to rounding.  The products
-    are taken as computed, their rounding bounds n eps |C'||y| and
-    n eps |b'||y| (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, sec. 3.1) counted against the bound, and a relative (q + 4) eps
-    more covers the sum and the quotient.  The bound is exact arithmetic's
-    for C and b as stored; the LP path accepts an input within
-    FEAS_TOL ||b|| of b, a looser test.
+    Weak LP duality gives ||u||_inf >= b'y / ||C'y||_1 for every y and
+    every u with C u = b.  The products are taken as computed, their
+    rounding bounds n eps |C'||y| and n eps |b'||y| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 3.1) counted against
+    the bound, and a relative (q + 4) eps more covers the sum and the
+    quotient.  The bound is exact arithmetic's for C, b and y as stored;
+    the LP path accepts an input within FEAS_TOL ||b|| of b, a looser test.
     """
     n, q = C.shape
-    u2 = V @ (coeff / s)
-    y = U @ (coeff / s**2)
     norm1 = float((np.abs(y @ C) + n * _EPS * (np.abs(y) @ np.abs(C))).sum())
     dual = float(b @ y) - n * _EPS * float(np.abs(b) @ np.abs(y))
     if dual <= 0.0 or norm1 <= 0.0:
-        return 0.0, u2
-    return dual / norm1 * (1.0 - (q + 4) * _EPS), u2
+        return 0.0
+    return dual / norm1 * (1.0 - (q + 4) * _EPS)
 
 
 def peak_within(Cmat, b, bound: float) -> tuple[str, SolveResult]:
@@ -397,10 +408,13 @@ def peak_within(Cmat, b, bound: float) -> tuple[str, SolveResult]:
     decided, in this order, each from the range test's one SVD:
     "off_range" (b is off C's range), "upper_screen" (the least-norm input
     u2 passes the LP path's own acceptance: peak within the bound and
-    ||C u2 - b|| <= FEAS_TOL ||b||), "lower_screen" (_peak_bounds certifies
+    ||C u2 - b|| <= FEAS_TOL ||b||), "lower_screen" (_peak_lower certifies
     the least peak above the bound) or "lp_solves" (the min_inf_norm LP,
-    on the same SVD, decides).
+    on the same SVD, decides).  An infinite bound admits every input on
+    C's range; a NaN bound is refused.
     """
+    if math.isnan(bound):
+        raise ValueError("bound must not be NaN")
     C, rhs = _prep(Cmat, b)
     factor = _reach(C, rhs)
     if factor is None:
@@ -409,16 +423,24 @@ def peak_within(Cmat, b, bound: float) -> tuple[str, SolveResult]:
 
 
 def _peak_within(C, rhs, bound, U, s, V, coeff) -> tuple[str, SolveResult]:
-    """peak_within for a target on C's range, from the caller's factor and coeff = U_r'rhs."""
+    """peak_within for a target on C's range, from the caller's factor and coeff = U_r'rhs.
+
+    The upper screen tries the least-norm input u2 = V_r (coeff / s_r); the
+    lower screen takes _peak_lower at y = U_r (coeff / s_r^2), for which
+    C'y is u2 up to rounding.  The LP then only decides: it stops at the
+    first dual iterate whose _peak_lower lies above the limit
+    bound * (1 + FEAS_TOL), and only an LP that no iterate rules out runs
+    on to its certified optimum.
+    """
     limit = bound * (1.0 + FEAS_TOL)
-    lower, u2 = _peak_bounds(C, rhs, U, coeff, s, V)
+    u2 = V @ (coeff / s)
     peak = float(np.abs(u2).max(initial=0.0))
     residual = float(np.linalg.norm(C @ u2 - rhs))
     if peak <= limit and residual <= FEAS_TOL * float(np.linalg.norm(rhs)):
         return "upper_screen", SolveResult(OPTIMAL, u=u2, value=peak, residual=residual)
-    if lower > limit:
+    if _peak_lower(C, rhs, U @ (coeff / s**2)) > limit:
         return "lower_screen", SolveResult(INFEASIBLE)
-    res = _min_inf_norm(C, rhs, U, coeff)
+    res = _min_inf_norm(C, rhs, U, coeff, limit)
     if res.status == OPTIMAL and res.value > limit:
         return "lp_solves", SolveResult(INFEASIBLE, iterations=res.iterations)
     return "lp_solves", res

@@ -37,10 +37,10 @@ solvers.peak_within, whose screens on the range test's SVD (a
 least-norm witness inside the unit box, a weak-duality bound above it)
 leave few horizons to an LP.  info["counters"] says how much work was
 shared: distinct prefixes and memo hits for I and II (and how II decided
-each prefix), trie nodes against row-steps for V and VI, chunks factored
-and matrices of rank below n for III-energy and IV, and LPs solved,
-their interior-point iterations and the stacked solver calls for
-III-fuel.
+each prefix, and its LPs' interior-point iterations), trie nodes against
+row-steps for V and VI, chunks factored and matrices of rank below n for
+III-energy and IV, and LPs solved, their interior-point iterations and
+the stacked solver calls for III-fuel.
 
 PROBLEMS is the one table of analyses: a row per command of the command
 line, giving its problem label, entry point, the arguments it takes
@@ -296,13 +296,14 @@ def worst_control_time(
     C's range is infeasible, a least-norm input within the box is a
     witness, and a weak-duality bound above the box (certified against
     rounding) is infeasible; only a horizon neither screen decides reaches
-    the min_inf_norm LP.  The verdict depends only on the prefix, so a
+    the min_inf_norm LP, which stops at the first dual iterate whose bound
+    lies above the box.  The verdict depends only on the prefix, so a
     memo made fresh for each call shares it between signals.  An LP that
     is not certified ends the signal's scan as MAX_ITERATIONS with value
     +inf, and the signal is listed in info["failed_signals"].
-    info["counters"] counts the distinct prefixes decided, the memo hits
-    and the decisions by each test (off_range, upper_screen, lower_screen,
-    lp_solves).
+    info["counters"] counts the distinct prefixes decided, the memo hits,
+    the decisions by each test (off_range, upper_screen, lower_screen,
+    lp_solves) and the interior-point iterations of the LPs (iterations).
     """
     signals = candidate_signals(constraint, T, mode, cap)
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -315,7 +316,11 @@ def worst_control_time(
     # the prefix s(0..t) has the blocks A^{t-i} B, the last t + 1 of the horizon's
     blocks = _ctrb_blocks(sys, T)
     counters = dict.fromkeys(
-        ("prefixes", "memo_hits", "off_range", "upper_screen", "lower_screen", "lp_solves"), 0
+        (
+            "prefixes", "memo_hits", "off_range", "upper_screen", "lower_screen", "lp_solves",
+            "iterations",
+        ),
+        0,
     )
     memo: dict[bytes, str] = {}
 
@@ -328,6 +333,7 @@ def worst_control_time(
         by, res = peak_within(C, targets[t], 1.0)
         counters["prefixes"] += 1
         counters[by] += 1
+        counters["iterations"] += res.iterations
         memo[key] = res.status
         return res.status
 

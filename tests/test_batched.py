@@ -206,7 +206,11 @@ def longdouble_peak_bound(C, b):
     a valid bound, and long double leaves its rounding near 1e-19.
     """
     u2 = np.linalg.lstsq(C, b, rcond=None)[0]
-    y = np.linalg.lstsq(C.T, u2, rcond=None)[0]
+    return longdouble_dual_bound(C, b, np.linalg.lstsq(C.T, u2, rcond=None)[0])
+
+
+def longdouble_dual_bound(C, b, y):
+    """b'y / ||C'y||_1, a lower bound on ||u||_inf for every u with C u = b, in long double."""
     C, b, y = (np.asarray(a, dtype=np.longdouble) for a in (C, b, y))
     return float((b @ y) / np.abs(y @ C).sum())
 

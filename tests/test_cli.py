@@ -165,7 +165,7 @@ def test_control_time_json_carries_the_decision_counters(capsys, scalar_system, 
     # 0110 reuses the verdicts of the prefixes 0 and 01 that 0101 decided
     assert doc["info"]["counters"] == {
         "prefixes": 7, "memo_hits": 2,
-        "off_range": 1, "upper_screen": 1, "lower_screen": 5, "lp_solves": 0,
+        "off_range": 1, "upper_screen": 1, "lower_screen": 5, "lp_solves": 0, "iterations": 0,
     }
 
 

@@ -8,7 +8,7 @@ benign standard-normal matrices.
 import numpy as np
 import pytest
 
-from test_batched import control_time_oracle
+from test_batched import control_time_oracle, longdouble_dual_bound
 from test_simplex import assert_certified
 
 import dropctrl.solvers as solvers
@@ -21,6 +21,7 @@ from dropctrl import (
     controllability_matrix,
     min_fuel,
     min_inf_norm,
+    peak_within,
     worst_control_time,
 )
 from dropctrl.simplex import _MAX_ITER
@@ -35,17 +36,40 @@ def study_plant(seed, sample, n=10, m=7, T=12):
 
 @pytest.fixture
 def lp_log(monkeypatch):
-    """Every (c, A, b, result) the solvers send through the LP layer."""
-    log = []
-    original = solvers.solve_standard_lp
+    """Every (c, A, b, result, call) the solvers send through the LP layer.
 
-    def logged(c, A, b):
-        res = original(c, A, b)
-        log.append((c, A, b, res))
+    call is the (C, rhs, U, limit) of the _min_inf_norm call that built
+    the LP, against which a stopped LP is checked.
+    """
+    log, calls = [], []
+    inf_norm, solve = solvers._min_inf_norm, solvers.solve_standard_lp
+
+    def logged_inf_norm(C, rhs, U, coeff, limit=None):
+        calls.append((C, rhs, U, limit))
+        return inf_norm(C, rhs, U, coeff, limit)
+
+    def logged(c, A, b, stop=None):
+        res = solve(c, A, b, stop=stop)
+        log.append((c, A, b, res, calls[-1]))
         return res
 
+    monkeypatch.setattr(solvers, "_min_inf_norm", logged_inf_norm)
     monkeypatch.setattr(solvers, "solve_standard_lp", logged)
     return log
+
+
+def assert_lp_decided(c, A, b, res, call):
+    """An optimal LP carries its certificate; a stopped one, a dual whose bound lies above its limit.
+
+    The bound b'y / ||C'y||_1 of y = U_r y_1, y_1 the dual on the LP's
+    U_r'C rows, is recomputed in long double from the returned dual.
+    """
+    if res.status == "stopped":
+        C, rhs, U, limit = call
+        assert limit is not None
+        assert longdouble_dual_bound(C, rhs, U @ res.dual[: U.shape[1]]) > limit
+    else:
+        assert_certified(c, A, b, res)
 
 
 def assert_solve_certified(res, target):
@@ -88,8 +112,8 @@ def test_control_time_lps_are_certified_on_study_plants(lp_log, sample):
     assert [(e.value, e.status) for e in report.per_signal] == verdicts
     assert len(memo) == report.info["counters"]["prefixes"]
     assert lp_log
-    for c, A, b, res in lp_log:
-        assert_certified(c, A, b, res)
+    for entry in lp_log:
+        assert_lp_decided(*entry)
 
 
 def test_min_fuel_on_gaussian_x10_is_certified_or_stops_early():
@@ -130,9 +154,9 @@ def test_control_time_finishes_inside_the_iteration_cap(lp_log):
     verdicts, memo = unscreened_scan(sys, report, x0)
     assert [(e.value, e.status) for e in report.per_signal] == verdicts
     assert len(memo) == report.info["counters"]["prefixes"]
-    assert max(res.iterations for *_, res in lp_log) < _MAX_ITER
-    for c, A, b, res in lp_log:
-        assert_certified(c, A, b, res)
+    assert max(entry[3].iterations for entry in lp_log) < _MAX_ITER
+    for entry in lp_log:
+        assert_lp_decided(*entry)
 
 
 def prefix_targets(sys, T, x0):
@@ -155,7 +179,8 @@ def test_screen_bounds_bracket_the_certified_lp_value(sample):
         if not reached:
             assert res.status == INFEASIBLE
             continue
-        lower, u2 = solvers._peak_bounds(C, b, U, coeff, s, V)
+        lower = solvers._peak_lower(C, b, U @ (coeff / s**2))
+        u2 = V @ (coeff / s)
         if res.status == OPTIMAL:
             assert lower <= res.value * (1.0 + 1e-9), key
             assert res.value <= np.abs(u2).max() * (1.0 + 1e-9), key
@@ -191,3 +216,82 @@ def test_exhaustive_control_time_equals_minimal_at_paper_shape(sample):
     assert len(full.per_signal) == 377 and len(fast.per_signal) == 28
     assert (full.worst_value, full.argmax_signal) == (fast.worst_value, fast.argmax_signal)
     assert "failed_signals" not in full.info
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3], ids=["x0=1", "x0=0.3"])
+def test_peak_lp_stop_agrees_with_the_optimum(lp_log, scale):
+    # every prefix the LP decides gets the verdict of min_inf_norm solved to
+    # its optimum, and a stopping dual's bound is at most that optimum
+    decided = stopped = 0
+    for sample in (2, 3, 4):
+        sys = study_plant(7, sample)
+        for key, C, b in prefix_targets(sys, 12, scale * np.ones(sys.n)):
+            lp_log.clear()
+            by, res = peak_within(C, b, 1.0)
+            if by != "lp_solves":
+                continue
+            [(*_, lp, (_, _, U, limit))] = lp_log
+            optimum = min_inf_norm(C, b)
+            assert optimum.status == OPTIMAL, key
+            assert res.status == (OPTIMAL if optimum.value <= limit else INFEASIBLE), key
+            assert res.iterations == lp.iterations <= optimum.iterations, key
+            if lp.status == "stopped":
+                bound = solvers._peak_lower(C, b, U @ lp.dual[: U.shape[1]])
+                assert limit < bound <= optimum.value * (1.0 + 1e-9), key
+                stopped += 1
+            decided += 1
+    # x0 = 1 leaves 5 prefixes to the LP, all on orthogonal_diag; x0 = 0.3
+    # leaves 130, on orthogonal_diag and gaussian.  Every LP whose optimum
+    # is above the box stops: all 5, and 44 of the 130
+    assert decided == (5 if scale == 1.0 else 130)
+    assert stopped == (5 if scale == 1.0 else 44)
+
+
+def test_peak_lp_a_hair_off_its_optimum():
+    # the stop never fires while the optimum is within the limit, so a limit
+    # a hair above a certified optimum returns that optimum, from the same
+    # iterations; a hair below, no input is within the limit
+    sys = study_plant(7, 3)
+    checked = 0
+    for key, C, b in prefix_targets(sys, 12, 0.3 * np.ones(sys.n)):
+        if peak_within(C, b, 1.0)[0] != "lp_solves":
+            continue
+        optimum = min_inf_norm(C, b)
+        assert optimum.status == OPTIMAL, key
+        for hair in (1e-12, -1e-12):
+            by, res = peak_within(C, b, optimum.value * (1.0 + hair) / (1.0 + FEAS_TOL))
+            if hair > 0:
+                assert res.status == OPTIMAL, key
+                if by == "lp_solves":
+                    assert (res.value, res.iterations) == (optimum.value, optimum.iterations), key
+            else:
+                assert res.status == INFEASIBLE, key
+        checked += 1
+    assert checked == 73
+
+
+def test_control_time_counts_its_lp_iterations(lp_log):
+    # seed 7's orthogonal_diag plant at x0 = 1: the 5 LPs stop within the
+    # first two iterations (66 iterations when solved to their optima)
+    sys = study_plant(7, 3)
+    counters = worst_control_time(sys, 1, 12, np.ones(sys.n)).info["counters"]
+    assert (counters["prefixes"], counters["lower_screen"], counters["lp_solves"]) == (137, 127, 5)
+    assert counters["iterations"] == sum(entry[3].iterations for entry in lp_log) <= 10
+    assert all(entry[3].status == "stopped" for entry in lp_log)
+
+
+@pytest.mark.parametrize(
+    "T, scale, lps", [(10, 1.0, 148), (12, 0.25, 17)], ids=["T=10-x0=1", "T=12-x0=0.25"]
+)
+def test_exhaustive_control_time_equals_minimal_where_lps_decide(T, scale, lps):
+    # on orthogonal_diag the least-norm dual is loose, so the LP decides
+    # many prefixes; x0 = 0.25 * 1 parks every signal, by t = 9 at worst
+    sys = study_plant(7, 3)
+    x0 = scale * np.ones(sys.n)
+    fast = worst_control_time(sys, 1, T, x0)
+    full = worst_control_time(sys, 1, T, x0, mode="exhaustive")
+    assert full.info["counters"]["lp_solves"] == lps > 0
+    assert (full.worst_value, full.argmax_signal) == (fast.worst_value, fast.argmax_signal)
+    assert "failed_signals" not in full.info
+    verdicts = {e.signal.bits: (e.value, e.status) for e in full.per_signal}
+    assert all(verdicts[e.signal.bits] == (e.value, e.status) for e in fast.per_signal)

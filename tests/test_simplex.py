@@ -175,8 +175,8 @@ def assert_same_result(got, want):
         assert (u is None and v is None) or np.array_equal(u, v)
 
 
-def solve_as_stack(programs):
-    return _solve_stack(*(np.stack(part) for part in zip(*programs)))
+def solve_as_stack(programs, stop=None):
+    return _solve_stack(*(np.stack(part) for part in zip(*programs)), stop)
 
 
 def test_stacked_programs_end_as_if_solved_alone():
@@ -213,4 +213,27 @@ def test_stack_with_a_singular_normal_matrix_and_a_stall():
     for i in (0, 1, 3, 4):
         assert_certified(*programs[i], alone[i])
     for got, want in zip(solve_as_stack(programs), alone):
+        assert_same_result(got, want)
+
+
+def test_stopped_programs_end_as_if_solved_alone():
+    # the caller's test stops the even programs once b'y reaches half their
+    # optimum; stopped or not, each program ends as it does alone, and one
+    # the test does not stop as it does without a test
+    rng = np.random.default_rng(127)
+    programs = [random_program(rng, kind, shape=(4, 10)) for kind in ["generic", "degenerate"] * 4]
+    plain = [solve_standard_lp(*p) for p in programs]
+    assert all(res.status == "optimal" and res.value > 0 for res in plain)
+
+    def stop(i, y):
+        return i % 2 == 0 and float(programs[i][2] @ y) >= 0.5 * plain[i].value
+
+    alone = [solve_standard_lp(*p, stop=lambda y, i=i: stop(i, y)) for i, p in enumerate(programs)]
+    for i, (res, base) in enumerate(zip(alone, plain)):
+        if i % 2:
+            assert_same_result(res, base)
+        else:
+            assert res.status == "stopped" and res.x is None and res.value is None
+            assert stop(i, res.dual) and res.iterations < base.iterations
+    for got, want in zip(solve_as_stack(programs, stop), alone):
         assert_same_result(got, want)

@@ -121,6 +121,20 @@ def test_min_fuel_bound_screens_skip_the_peak_lp(monkeypatch):
     assert res.status == INFEASIBLE and res.iterations == 0
 
 
+def test_nan_bound_is_refused_and_an_infinite_one_is_no_bound():
+    # value > nan is False, so a NaN bound would pass every LP as within it
+    with pytest.raises(ValueError):
+        peak_within(np.eye(2), [1.0, 0.0], float("nan"))
+    with pytest.raises(ValueError):
+        min_fuel(np.eye(2), [1.0, 0.0], input_bound=float("nan"))
+    by, res = peak_within(np.eye(2), [1.0, 0.0], math.inf)
+    assert (by, res.status, res.value) == ("upper_screen", OPTIMAL, 1.0)
+    C, xf = [[2.0, 1.0]], [3.0]
+    unbounded, res = min_fuel(C, xf), min_fuel(C, xf, input_bound=math.inf)
+    assert (res.status, res.value) == (unbounded.status, unbounded.value) == (OPTIMAL, 1.5)
+    assert np.array_equal(res.u, unbounded.u)
+
+
 def test_lp_result_off_target_is_not_optimal(monkeypatch):
     # a certified LP whose u misses C u = x_f by more than FEAS_TOL ||x_f||
     # (here, by 1e-6) is no optimal design
