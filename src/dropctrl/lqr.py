@@ -6,7 +6,8 @@ pure Lyapunov step Q + A'PA.  Gains designed for the ideal loop can be
 replayed through a lossy channel to price the degradation of a fixed
 controller.  P(t) depends only on the suffix s(t..T-1), and the rolled
 state x(t) and its running cost only on the prefix s(0..t-1), so the
-worst-case scans walk the signal trie of a block of rows level by level:
+worst-case scans walk the signal trie of a block of rows level by level,
+each level numbered by _children (as in I's and II's prefix walk):
 _riccati keeps one P per distinct suffix and _rollout one state per
 distinct prefix, each computed once from its parent node, with the
 correction applied only to the nodes whose bit is 1.  riccati_backward
@@ -118,9 +119,8 @@ def _children(
     keys = node * 2 + bits
     present = np.zeros(2 * nodes, dtype=bool)
     present[keys] = True
-    index = np.cumsum(present) - 1
-    new = np.flatnonzero(present)
-    return new // 2, (new % 2).astype(bool), index[keys]
+    new = present.nonzero()[0]
+    return new >> 1, (new & 1).astype(bool), present.cumsum()[keys] - 1
 
 
 def _riccati(

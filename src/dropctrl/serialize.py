@@ -3,7 +3,7 @@
 Matrices travel as JSON {"rows": n, "cols": m, "data": [...]} (row major)
 or as plain CSV.  Floats are written with repr, the shortest decimal that
 round-trips binary64 exactly.  Non-finite worst-case values appear as the
-strings "inf" / "-inf" in JSON and CSV so the documents stay standard.
+strings "inf" / "-inf" / "nan" in JSON and CSV so the documents stay standard.
 """
 
 from __future__ import annotations
@@ -49,17 +49,14 @@ REPORT_CSV_HEADER = ["problem", "mode", "worst_value", "argmax_signal", "wallclo
 
 
 def _float_cell(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    # repr writes the non-finite floats as inf, -inf and nan
     return repr(float(x))
 
 
 def _json_value(x: float | None) -> Any:
     if x is None:
         return None
-    if math.isfinite(x):
-        return float(x)
-    return "inf" if x > 0 else "-inf"
+    return float(x) if math.isfinite(x) else str(float(x))
 
 
 def matrix_to_dict(M) -> dict:
@@ -221,8 +218,10 @@ def report_to_dict(report: WorstCaseReport) -> dict:
         "feasible": report.feasible,
         "wallclock": report.wallclock,
         "info": {k: _json_value(v) if isinstance(v, float) else v for k, v in report.info.items()},
+        # _json_value inlined: a report may carry thousands of entries
         "per_signal": [
-            {"signal": str(e.signal), "value": _json_value(e.value), "status": e.status}
+            {"signal": str(e.signal), "value": e.value if math.isfinite(e.value) else str(e.value),
+             "status": e.status}
             for e in report.per_signal
         ],
     }

@@ -237,27 +237,19 @@ def first_full_rank_time(sys: SwitchedLinearSystem, s: Signal) -> int | None:
 
     Returns None when no prefix achieves rank n (estimation infeasible for
     this signal at this horizon).  The worst-case scan builds the blocks
-    C A^i once per call and shares them across its signals, and shares the
-    verdict of each prefix through a memo.
+    C A^i once per call and walks its signals' prefix trie, testing each
+    distinct prefix once with _full_rank.
     """
     row = SignalSet([s]).to_array()[0]
-    return _first_full_rank_time(_obsv_blocks(sys, len(row)), row)
+    blocks = _obsv_blocks(sys, len(row))
+    for successes, t in enumerate(np.flatnonzero(row).tolist(), 1):
+        # rank cannot reach n before p * successes >= n
+        if successes * sys.p >= sys.n and _full_rank(blocks, row, t):
+            return t
+    return None
 
 
 def _full_rank(blocks: np.ndarray, row: np.ndarray, t: int) -> bool:
     """Whether the rows s(i) C A^i, i <= t, of the (T,) bool row have rank n."""
     n = blocks.shape[2]
     return numerical_rank(blocks[: t + 1][row[: t + 1]].reshape(-1, n)) == n
-
-
-def _first_full_rank_time(blocks: np.ndarray, row: np.ndarray, full_rank=_full_rank) -> int | None:
-    """first_full_rank_time of a (T,) bool row over the blocks C A^i of its horizon.
-
-    full_rank(blocks, row, t) decides a prefix; the scan passes a memoized one.
-    """
-    _, p, n = blocks.shape
-    for successes, t in enumerate(np.flatnonzero(row).tolist(), 1):
-        # rank cannot reach n before p * successes >= n
-        if successes * p >= n and full_rank(blocks, row, t):
-            return t
-    return None

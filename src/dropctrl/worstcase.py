@@ -5,21 +5,22 @@ candidate set: either the minimal signals (fast mode, justified by the
 antitone behaviour of each measure in the support order) or the full
 admissible language (exhaustive mode, the ground truth).  Infeasible
 per-signal outcomes count as +infinity; signals whose solver failed
-(MAX_ITERATIONS) are listed in info["failed_signals"].  Reports are
-deterministic: the candidate set is iterated in lexicographic order and
-the first attaining signal (the lexicographically smallest) is reported
-as the argmax.
+(MAX_ITERATIONS, as a NaN value counts) are listed in info["failed_signals"].
+Reports are deterministic: the candidate set is iterated in lexicographic
+order and the first attaining signal (the lexicographically smallest) is
+reported as the argmax.
 
 Each analysis resolves its candidates first, so that a bad T, mode or
 cap is refused before any work, builds its per-call data once and hands
 `_scan` the candidates and an evaluator; `_scan` packs them into an (N, T)
-bool array and hands over the whole array.  Work is shared over the
-signal trie wherever a quantity depends on a prefix or a suffix alone:
-V walks the suffix trie of blocks of 256 rows sorted by suffix, one
-Riccati step per distinct suffix; VI rolls the prefix trie of blocks of
-256 rows in lexicographic order, one state per distinct prefix; I and II
-keep each prefix's verdict in a memo keyed on its bits, made fresh for
-each call.  III-energy and IV group the rows by their count of
+bool array, hands over the whole array and reduces the values with
+np.argmax.  Work is shared over the signal trie (lqr._children numbers
+a level) wherever a quantity depends on a prefix or a suffix alone: V
+walks the suffix trie of rows sorted by suffix, one Riccati step per
+distinct suffix, and VI the prefix trie of rows in lexicographic order,
+one state per distinct prefix, in blocks sized by _TRIE_ENTRIES; I and
+II walk the prefix trie of the rows still undecided, deciding each
+distinct prefix once.  III-energy and IV group the rows by their count of
 successful steps and, 64 rows of one count at a time, stack each
 controllability matrix's transpose C' without the zero rows of its
 dropped steps (and of inputs with a zero column of B), factor the n x n
@@ -65,7 +66,7 @@ from .automata import (
     enumerate_admissible,
     minimal_admissible,
 )
-from .lqr import LqrWeights, _quadratic, _riccati, _rollout, lti_gains
+from .lqr import LqrWeights, _children, _quadratic, _riccati, _rollout, lti_gains
 from .signals import Signal, SignalSet
 from .solvers import (
     FEAS_TOL,
@@ -86,7 +87,6 @@ from .systems import (
     _active_stacks,
     _ctrb_blocks,
     _ctrb_stack,
-    _first_full_rank_time,
     _full_rank,
     _obsv_blocks,
 )
@@ -124,8 +124,9 @@ DEFAULT_EXHAUSTIVE_CAP = 2**20
 # at 128 and 3.5 MB at 256 (traced peaks): no size is faster in both
 # sessions, and 64 takes the least memory
 _CHUNK = 64
-# rows per trie walk in V and VI: a level holds at most this many nodes
-_TRIE_BLOCK = 256
+# float64 entries per trie level in V and VI: a V node holds P (n x n), a
+# VI node x (n), so at n=10 V walks 256 rows a block and VI 2,560
+_TRIE_ENTRIES = 25_600
 
 
 @dataclass
@@ -200,38 +201,44 @@ def _scan(
     problem: str,
     signals: SignalSet,
     mode: str,
-    evaluate: Callable[[np.ndarray], list[tuple[float, str]]],
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, list[str]]],
     info: dict | None = None,
 ) -> WorstCaseReport:
     """Evaluate the candidates and reduce them to the worst case.
 
     `signals` is the entry point's candidate_signals(constraint, T, mode,
     cap), resolved before the wallclock starts.  `evaluate` maps the packed
-    (N, T) bool candidate array to one (value, status) pair per row.
+    (N, T) bool candidate array to an (N,) float array of values and a
+    list of N statuses.  A NaN value is no verdict: its row scores +inf
+    as MAX_ITERATIONS.
     """
     start = time.perf_counter()
-    results = evaluate(signals.to_array())
-    per_signal = [PerSignal(s, v, st) for s, (v, st) in zip(signals, results)]
-    worst = -math.inf
-    argmax = None
-    for entry in per_signal:  # lexicographic order; first attainer wins ties
-        if entry.value > worst:
-            worst = entry.value
-            argmax = entry.signal
+    values, statuses = evaluate(signals.to_array())
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        statuses[i] = MAX_ITERATIONS
+    values = np.where(np.isnan(values), math.inf, values)
+    per_signal = list(map(PerSignal, signals, values.tolist(), statuses))
+    # lexicographic order: np.argmax returns the first attainer of a tie
+    top = int(np.argmax(values))
+    worst = per_signal[top].value
     info = dict(info or {})
-    failed = [str(e.signal) for e in per_signal if e.status == MAX_ITERATIONS]
-    if failed:
-        info["failed_signals"] = failed
+    if MAX_ITERATIONS in statuses:
+        info["failed_signals"] = [str(e.signal) for e in per_signal if e.status == MAX_ITERATIONS]
     return WorstCaseReport(
         problem=problem,
         mode=mode,
         worst_value=worst,
-        argmax_signal=argmax,
+        argmax_signal=per_signal[top].signal if worst > -math.inf else None,
         per_signal=per_signal,
         wallclock=time.perf_counter() - start,
         feasible=math.isfinite(worst),
         info=info,
     )
+
+
+def _unzip(pairs: list[tuple[float, str]]) -> tuple[np.ndarray, list[str]]:
+    """An evaluator's (value, status) pairs as its value array and status list."""
+    return np.array([v for v, _ in pairs], dtype=float), [st for _, st in pairs]
 
 
 def _with_steps(report: WorstCaseReport) -> WorstCaseReport:
@@ -240,6 +247,54 @@ def _with_steps(report: WorstCaseReport) -> WorstCaseReport:
         report.info["worst_t_index"] = int(report.worst_value)
         report.info["worst_steps"] = int(report.worst_value) + 1
     return report
+
+
+# the verdicts that end a row's walk, by their code in it; 0 walks on
+_FINAL = (INFEASIBLE, OPTIMAL, MAX_ITERATIONS)
+_CODE = {OPTIMAL: 1, MAX_ITERATIONS: 2}
+
+
+def _first_verdicts(
+    mask: np.ndarray,
+    asks: np.ndarray,
+    decide: Callable[[np.ndarray, int], str],
+    counters: dict,
+) -> tuple[np.ndarray, list[str]]:
+    """I and II: each row's first level t whose prefix s(0..t) has a final verdict.
+
+    Walks the prefix trie of the (N, T) bool mask over the rows still
+    undecided; at level t, decide(row, t) decides once each distinct prefix
+    whose rows ask (asks[row, t], a property of the prefix).  OPTIMAL ends
+    a row at value t, MAX_ITERATIONS at +inf, and a row never ended is
+    INFEASIBLE.  counters counts the prefixes decided and, as memo_hits,
+    the other rows that asked.
+    """
+    N, T = mask.shape
+    level = np.zeros(N)
+    code = np.zeros(N, dtype=np.intp)
+    live = np.arange(N)
+    node = np.zeros(N, dtype=np.intp)
+    nodes = 1
+    for t in range(T):
+        if not live.size:
+            break
+        parent, _, node = _children(node, mask[live, t], nodes)
+        nodes = len(parent)
+        asking = asks[live, t]
+        # one row of each prefix that asks
+        row = np.full(nodes, -1)
+        row[node[asking]] = live[asking]
+        todo = (row >= 0).nonzero()[0]
+        verdict = np.zeros(nodes, dtype=np.intp)
+        verdict[todo] = [_CODE.get(decide(mask[r], t), 0) for r in row[todo].tolist()]
+        counters["prefixes"] += len(todo)
+        counters["memo_hits"] += int(np.count_nonzero(asking)) - len(todo)
+        verdict = verdict[node]
+        done = verdict > 0
+        code[live[done]] = verdict[done]
+        level[live[done]] = t
+        live, node = live[~done], node[~done]
+    return np.where(code == 1, level, math.inf), np.array(_FINAL, dtype=object)[code].tolist()
 
 
 def worst_estimation_time(
@@ -251,31 +306,24 @@ def worst_estimation_time(
 ) -> WorstCaseReport:
     """Problem I: worst first time the masked observability matrix reaches rank n.
 
-    A prefix's rank verdict is shared between signals through a memo keyed
-    on its bits, made fresh for each call; info["counters"] counts the
-    distinct prefixes whose rank was tested and the memo hits.
+    A prefix s(0..t) is tested when s(t) = 1 and its p * successes reach
+    n; the rows walk their prefix trie (_first_verdicts), so each distinct
+    prefix is tested once per call.  info["counters"] counts the distinct
+    prefixes tested and the other rows that asked (memo_hits).
     """
     signals = candidate_signals(constraint, T, mode, cap)
     blocks = _obsv_blocks(sys, T)
     counters = {"prefixes": 0, "memo_hits": 0}
-    memo: dict[bytes, bool] = {}
 
-    def full_rank(blocks: np.ndarray, row: np.ndarray, t: int) -> bool:
-        key = row[: t + 1].tobytes()
-        if key in memo:
-            counters["memo_hits"] += 1
-        else:
-            counters["prefixes"] += 1
-            memo[key] = _full_rank(blocks, row, t)
-        return memo[key]
+    def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        # rank cannot reach n before p * successes >= n
+        asks = mask & (np.cumsum(mask, axis=1, dtype=np.int32) * sys.p >= sys.n)
+        return _first_verdicts(
+            mask, asks, lambda row, t: OPTIMAL if _full_rank(blocks, row, t) else INFEASIBLE,
+            counters,
+        )
 
-    def evaluate_one(row: np.ndarray) -> tuple[float, str]:
-        t = _first_full_rank_time(blocks, row, full_rank)
-        return (math.inf, INFEASIBLE) if t is None else (float(t), OPTIMAL)
-
-    report = _scan(
-        "I", signals, mode, lambda mask: [evaluate_one(row) for row in mask], {"counters": counters}
-    )
+    report = _scan("I", signals, mode, evaluate, {"counters": counters})
     return _with_steps(report)
 
 
@@ -297,12 +345,13 @@ def worst_control_time(
     witness, and a weak-duality bound above the box (certified against
     rounding) is infeasible; only a horizon neither screen decides reaches
     the min_inf_norm LP, which stops at the first dual iterate whose bound
-    lies above the box.  The verdict depends only on the prefix, so a
-    memo made fresh for each call shares it between signals.  An LP that
-    is not certified ends the signal's scan as MAX_ITERATIONS with value
-    +inf, and the signal is listed in info["failed_signals"].
-    info["counters"] counts the distinct prefixes decided, the memo hits,
-    the decisions by each test (off_range, upper_screen, lower_screen,
+    lies above the box.  The verdict depends only on the prefix, so the
+    rows walk their prefix trie (_first_verdicts) and each distinct prefix
+    is decided once per call.  An LP that is not certified ends the
+    signal's scan as MAX_ITERATIONS with value +inf, and the signal is
+    listed in info["failed_signals"].  info["counters"] counts the
+    distinct prefixes decided, the other rows that asked (memo_hits), the
+    decisions by each test (off_range, upper_screen, lower_screen,
     lp_solves) and the interior-point iterations of the LPs (iterations).
     """
     signals = candidate_signals(constraint, T, mode, cap)
@@ -322,33 +371,18 @@ def worst_control_time(
         ),
         0,
     )
-    memo: dict[bytes, str] = {}
 
-    def verdict(row: np.ndarray, t: int) -> str:
-        key = row[: t + 1].tobytes()
-        if key in memo:
-            counters["memo_hits"] += 1
-            return memo[key]
+    def decide(row: np.ndarray, t: int) -> str:
         C = _ctrb_stack(blocks[T - 1 - t :], row[None, : t + 1])[0]
         by, res = peak_within(C, targets[t], 1.0)
-        counters["prefixes"] += 1
         counters[by] += 1
         counters["iterations"] += res.iterations
-        memo[key] = res.status
         return res.status
 
-    def evaluate_one(row: np.ndarray) -> tuple[float, str]:
-        for t in range(T):
-            status = verdict(row, t)
-            if status == MAX_ITERATIONS:
-                return math.inf, MAX_ITERATIONS
-            if status == OPTIMAL:
-                return float(t), OPTIMAL
-        return math.inf, INFEASIBLE
+    def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        return _first_verdicts(mask, np.ones_like(mask), decide, counters)
 
-    report = _scan(
-        "II", signals, mode, lambda mask: [evaluate_one(row) for row in mask], {"counters": counters}
-    )
+    report = _scan("II", signals, mode, evaluate, {"counters": counters})
     return _with_steps(report)
 
 
@@ -361,12 +395,12 @@ def _score(res) -> tuple[float, str]:
 
 def _input_norm(
     sys: SwitchedLinearSystem, T: int, solve_one: Callable[[np.ndarray], object]
-) -> Callable[[np.ndarray], list[tuple[float, str]]]:
+) -> Callable[[np.ndarray], tuple[np.ndarray, list[str]]]:
     """A III evaluator that runs a one-matrix solver per row."""
     blocks = _ctrb_blocks(sys, T)
 
-    def evaluate(mask: np.ndarray) -> list[tuple[float, str]]:
-        return [_score(solve_one(_ctrb_stack(blocks, row[None])[0])) for row in mask]
+    def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        return _unzip([_score(solve_one(_ctrb_stack(blocks, row[None])[0])) for row in mask])
 
     return evaluate
 
@@ -377,7 +411,7 @@ def _factored(
     decide: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     unreached: str,
     counters: dict,
-) -> Callable[[np.ndarray], list[tuple[float, str]]]:
+) -> Callable[[np.ndarray], tuple[np.ndarray, list[str]]]:
     """A III-energy or IV evaluator over the factors of the rows' controllability matrices.
 
     The rows are factored _CHUNK at a time among rows of the same count of
@@ -391,7 +425,7 @@ def _factored(
     blocks = _ctrb_blocks(sys, T)
     shape = (sys.n, T * sys.m)
 
-    def evaluate(mask: np.ndarray) -> list[tuple[float, str]]:
+    def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
         values = np.empty(len(mask))
         reached = np.empty(len(mask), dtype=bool)
         for rows, stack in _active_stacks(blocks, mask, _CHUNK):
@@ -399,10 +433,7 @@ def _factored(
             counters["chunks"] += 1
             counters["rank_deficient"] += int(np.count_nonzero(rank < sys.n))
             values[rows], reached[rows] = decide(U, s, rank)
-        return [
-            (value, OPTIMAL) if ok else (math.inf, unreached)
-            for value, ok in zip(values.tolist(), reached.tolist())
-        ]
+        return np.where(reached, values, math.inf), np.where(reached, OPTIMAL, unreached).tolist()
 
     return evaluate
 
@@ -430,14 +461,14 @@ def worst_fuel(
     blocks = _ctrb_blocks(sys, T)
     counters = _lp_counters()
 
-    def evaluate(mask: np.ndarray) -> list[tuple[float, str]]:
-        return [
+    def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        return _unzip([
             _score(res)
             for lo in range(0, len(mask), _CHUNK)
             for res in _min_fuel_rows(
                 _ctrb_stack(blocks, mask[lo : lo + _CHUNK]), x_f, input_bound, counters
             )
-        ]
+        ])
 
     info = {"objective": "fuel", "input_bound": input_bound, "counters": counters}
     return _scan("III", signals, mode, evaluate, info)
@@ -536,26 +567,27 @@ def worst_lqr(
     """Problem V: worst optimal cost x0' P(0) x0 of the per-signal recursion.
 
     P(0) depends on the whole signal but P(t) only on its suffix, so the
-    rows are sorted by suffix and walked in blocks of _TRIE_BLOCK over
-    their suffix trie; info["counters"] counts the trie nodes stepped
-    against the row-steps of a per-signal recursion.
+    rows are sorted by suffix and walked over their suffix trie in blocks
+    of _TRIE_ENTRIES // n^2 rows (at least one); info["counters"] counts
+    the trie nodes stepped against the row-steps of a per-signal recursion.
     """
     signals = candidate_signals(constraint, weights.T, mode, cap)
     x0 = np.asarray(x0, dtype=float).ravel()
     counters = {"nodes": 0, "row_steps": 0}
 
-    def evaluate(mask: np.ndarray) -> list[tuple[float, str]]:
+    def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
         order = np.lexsort(mask.T)  # last column first: rows sharing a suffix sit together
         costs = np.empty(len(mask))
-        for lo in range(0, len(mask), _TRIE_BLOCK):
-            rows = order[lo : lo + _TRIE_BLOCK]
+        block = max(1, _TRIE_ENTRIES // sys.n**2)
+        for lo in range(0, len(mask), block):
+            rows = order[lo : lo + block]
             walk = _riccati(sys, mask[rows], weights)
             next(walk)  # the root, P(T) = Qf
             for P, node in walk:
                 counters["nodes"] += len(P)
             costs[rows] = _quadratic(x0[:, None], P)[node]
         counters["row_steps"] += mask.size
-        return [(cost, OPTIMAL) for cost in costs.tolist()]
+        return costs, [OPTIMAL] * len(mask)
 
     return _scan("V", signals, mode, evaluate, {"counters": counters})
 
@@ -571,9 +603,10 @@ def worst_fixed_input_lqr(
     """Problem VI: worst degraded cost of the ideal-loop gains under dropouts.
 
     The rolled state depends only on the signal's prefix, so blocks of
-    _TRIE_BLOCK rows, in the candidates' lexicographic order, are rolled
-    over their prefix trie; info["counters"] counts the trie nodes stepped
-    against the row-steps of a per-signal rollout.
+    _TRIE_ENTRIES // n rows (at least one), in the candidates'
+    lexicographic order, are rolled over their prefix trie;
+    info["counters"] counts the trie nodes stepped against the row-steps
+    of a per-signal rollout.
 
     Minimal mode is a heuristic here (the degraded cost is not proven
     antitone in the support order); exhaustive mode is the ground truth,
@@ -585,15 +618,15 @@ def worst_fixed_input_lqr(
 
     counters = {"nodes": 0, "row_steps": 0}
 
-    def evaluate(mask: np.ndarray) -> list[tuple[float, str]]:
+    def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
         # the candidates come in lexicographic order, so blocks share prefixes
-        costs = []
-        for lo in range(0, len(mask), _TRIE_BLOCK):
-            block_costs, nodes = _rollout(sys, gains, mask[lo : lo + _TRIE_BLOCK], weights, x0)
-            costs.extend(block_costs.tolist())
+        costs = np.empty(len(mask))
+        block = max(1, _TRIE_ENTRIES // sys.n)
+        for lo in range(0, len(mask), block):
+            costs[lo : lo + block], nodes = _rollout(sys, gains, mask[lo : lo + block], weights, x0)
             counters["nodes"] += nodes
         counters["row_steps"] += mask.size
-        return [(cost, OPTIMAL) for cost in costs]
+        return costs, [OPTIMAL] * len(mask)
 
     info: dict = {"counters": counters}
     if mode == MINIMAL:

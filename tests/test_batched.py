@@ -3,7 +3,8 @@
 III-energy, IV, V, VI and III-fuel evaluate a chunk of rows of the
 packed (N, T) candidate array at a time, III-fuel solving its LPs in
 stacks; I and II share the call's blocks C A^i or A^{T-1-i} B across
-signals.  The oracles below are per-signal
+signals and walk their prefix trie, deciding each distinct prefix once.
+The oracles below are per-signal
 loops in plain numpy or over the public solvers, the arithmetic the scan
 did one signal at a time.  Plants are drawn as `run_study` draws them, one
 per recipe, the ill-conditioned `gaussian_x10` included; the candidate
@@ -20,6 +21,7 @@ import pytest
 
 from dropctrl import (
     EXHAUSTIVE,
+    Automaton,
     INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
@@ -47,17 +49,10 @@ from dropctrl import (
     worst_fuel,
     worst_lqr,
 )
-from dropctrl import solvers, worstcase
+from dropctrl import solvers, systems, worstcase
 from dropctrl.solvers import FEAS_TOL, _factor_stack
 from dropctrl.study import GENERATION_METHODS, _sample_rng, random_system
-from dropctrl.systems import (
-    _active_stacks,
-    _ctrb_blocks,
-    _ctrb_stack,
-    _first_full_rank_time,
-    _full_rank,
-    _obsv_blocks,
-)
+from dropctrl.systems import _active_stacks, _ctrb_blocks, _ctrb_stack, _full_rank
 
 N_STATES, N_INPUTS, K, T = 6, 3, 2, 14
 SEED = 7
@@ -638,7 +633,7 @@ def test_lp_scans_match_per_signal_oracles(plant, count, monkeypatch, request):
         assert report.argmax_signal == first_argmax([v for v, _ in expected], signals), name
 
 
-# --- the trie walkers: V, VI and I share work between signals ---------------
+# --- the trie walkers: V, VI, I and II share work between signals ---------
 
 TRIE_COUNTS = [255, 256, 257]
 
@@ -653,7 +648,9 @@ def prefixes(signals):
 
 @pytest.mark.parametrize("count", TRIE_COUNTS, ids=[f"N{n}" for n in TRIE_COUNTS])
 def test_trie_walkers_match_per_signal_oracles(plant, count, monkeypatch):
-    # around one block of worstcase._TRIE_BLOCK rows; V walks them in suffix order
+    # a budget of 256 V rows a block (6 x 6 entries a node) and 1,536 VI
+    # rows (6 entries a node): N257 walks V in two blocks, in suffix order
+    monkeypatch.setattr(worstcase, "_TRIE_ENTRIES", 256 * N_STATES**2)
     signals = some_signals(count)
     rows = signals.to_array()
     order = np.lexsort(rows.T)
@@ -664,12 +661,12 @@ def test_trie_walkers_match_per_signal_oracles(plant, count, monkeypatch):
     ones = np.ones(plant.n)
     w = LqrWeights.identity(plant.n, plant.m, T)
     gains = lti_gains(plant, w)
-    for name, report, oracle, one_signal in (
+    for name, report, oracle, one_signal, block, distinct in (
         ("V", worst_lqr(plant, K, w, ones), lambda s: lqr_oracle(plant, s, w, ones),
-         lambda s: lqr_cost(riccati_backward(plant, s, w), ones)),
+         lambda s: lqr_cost(riccati_backward(plant, s, w), ones), 256, suffixes(signals)),
         ("VI", worst_fixed_input_lqr(plant, K, w, ones),
          lambda s: rollout_oracle(plant, gains, s, w, ones),
-         lambda s: degraded_cost(plant, gains, s, w, ones)),
+         lambda s: degraded_cost(plant, gains, s, w, ones), 256 * N_STATES, prefixes(signals)),
     ):
         assert [e.signal for e in report.per_signal] == list(signals), name
         got = [e.value for e in report.per_signal]
@@ -678,20 +675,36 @@ def test_trie_walkers_match_per_signal_oracles(plant, count, monkeypatch):
         assert got == [one_signal(s) for s in signals], name
         counters = report.info["counters"]
         assert counters["row_steps"] == count * T, name
-    # one block holds every row, so each distinct suffix or prefix is one node
-    blocks = -(-count // worstcase._TRIE_BLOCK)
-    lqr_nodes = worst_lqr(plant, K, w, ones).info["counters"]["nodes"]
-    rollout_nodes = worst_fixed_input_lqr(plant, K, w, ones).info["counters"]["nodes"]
-    if blocks == 1:
-        assert lqr_nodes == len(suffixes(signals))
-        assert rollout_nodes == len(prefixes(signals))
-    else:
-        assert len(suffixes(signals)) < lqr_nodes < count * T
-        assert len(prefixes(signals)) < rollout_nodes < count * T
+        # one block holds every row, so each distinct suffix or prefix is one node
+        if count <= block:
+            assert counters["nodes"] == len(distinct), name
+        else:
+            assert len(distinct) < counters["nodes"] < count * T, name
+
+
+def test_trie_budget_moves_only_the_node_count(plant, monkeypatch):
+    # one row a block walks each row alone; a budget past every row walks
+    # the set as one trie: the values are the same, bit for bit
+    signals = some_signals(130)
+    monkeypatch.setattr(worstcase, "candidate_signals", lambda *args, **kwargs: signals)
+    ones = np.ones(plant.n)
+    w = LqrWeights.identity(plant.n, plant.m, T)
+    runs = {}
+    for entries in (1, 10**9):
+        monkeypatch.setattr(worstcase, "_TRIE_ENTRIES", entries)
+        runs[entries] = (worst_lqr(plant, K, w, ones), worst_fixed_input_lqr(plant, K, w, ones))
+    for alone, whole, distinct in zip(runs[1], runs[10**9], (suffixes(signals), prefixes(signals))):
+        assert [(e.signal, e.value, e.status) for e in alone.per_signal] == [
+            (e.signal, e.value, e.status) for e in whole.per_signal
+        ]
+        assert (alone.worst_value, alone.argmax_signal) == (whole.worst_value, whole.argmax_signal)
+        assert alone.info["counters"] == {"nodes": 130 * T, "row_steps": 130 * T}
+        assert whole.info["counters"] == {"nodes": len(distinct), "row_steps": 130 * T}
 
 
 def test_exhaustive_fixed_gain_rollout_over_the_language():
-    # k=1, T=16 admits 2,584 words, ten blocks of the prefix trie
+    # k=1, T=16 admits 2,584 words: one block of the prefix trie at n=6
+    # (4,266 rows of 6 entries), two at n=10 (2,560 rows)
     plant = study_plant(0)
     T_full = 16
     w = LqrWeights.identity(plant.n, plant.m, T_full)
@@ -706,34 +719,105 @@ def test_exhaustive_fixed_gain_rollout_over_the_language():
     assert report.argmax_signal == first_argmax(want, [e.signal for e in report.per_signal])
     counters = report.info["counters"]
     assert counters["row_steps"] == 2584 * T_full
-    assert len(prefixes(e.signal for e in report.per_signal)) < counters["nodes"] < 2584 * T_full
+    assert counters["nodes"] == len(prefixes(e.signal for e in report.per_signal))
+
+
+def recorded(monkeypatch, module, name):
+    """Patch module.name to record each call's (t, prefix bits) before it runs."""
+    calls, fn = [], getattr(module, name)
+
+    def record(blocks, row, t):
+        calls.append((t, row[: t + 1].tobytes()))
+        return fn(blocks, row, t)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
 
 
 def test_estimation_memo_matches_the_unmemoized_scan(plant, monkeypatch):
     signals = candidate_signals(K, T)
-    ranked = []
-
-    def counted(blocks, row, t):
-        ranked.append(t)
-        return _full_rank(blocks, row, t)
-
-    monkeypatch.setattr(worstcase, "_full_rank", counted)
+    walked = recorded(monkeypatch, worstcase, "_full_rank")
     report = worst_estimation_time(plant, K, T)
-    # the scan tests each distinct prefix once
-    assert len(ranked) == report.info["counters"]["prefixes"]
-    blocks = _obsv_blocks(plant, T)
-    tested = []
-
-    def full_rank(blocks, row, t):
-        tested.append(row[: t + 1].tobytes())
-        return _full_rank(blocks, row, t)
-
+    # the walk tests each distinct prefix once
+    assert len(walked) == len(set(walked)) == report.info["counters"]["prefixes"]
+    tested = recorded(monkeypatch, systems, "_full_rank")
     want = []
-    for row in signals.to_array():
-        t = _first_full_rank_time(blocks, row, full_rank)
+    for s in signals:
+        t = first_full_rank_time(plant, s)
         want.append((math.inf, INFEASIBLE) if t is None else (float(t), OPTIMAL))
     assert [(e.value, e.status) for e in report.per_signal] == want
+    assert set(walked) == set(tested)
     assert report.info["counters"] == {
         "prefixes": len(set(tested)), "memo_hits": len(tested) - len(set(tested)),
     }
     assert report.info["counters"]["memo_hits"] > 0
+
+
+def control_time_walk_oracle(sys, signals, x0):
+    """II one signal at a time, peak_within on each horizon; counters as if per distinct prefix."""
+    counters = dict.fromkeys(
+        ("prefixes", "memo_hits", "off_range", "upper_screen", "lower_screen", "lp_solves",
+         "iterations"),
+        0,
+    )
+    targets, v = [], x0
+    for _ in range(len(signals[0])):
+        v = sys.A @ v
+        targets.append(-v)
+    seen, results = set(), []
+    for s in signals:
+        result = (math.inf, INFEASIBLE)
+        for t, target in enumerate(targets):
+            prefix = s.bits[: t + 1]
+            by, res = solvers.peak_within(controllability_matrix(sys, Signal(prefix)), target, 1.0)
+            if prefix in seen:
+                counters["memo_hits"] += 1
+            else:
+                seen.add(prefix)
+                counters["prefixes"] += 1
+                counters[by] += 1
+                counters["iterations"] += res.iterations
+            if res.status in (OPTIMAL, MAX_ITERATIONS):
+                result = (float(t) if res.status == OPTIMAL else math.inf, res.status)
+                break
+        results.append(result)
+    return results, counters
+
+
+# at most two dropouts in a row, and two successes after a pair of them
+THREE_STATE = Automaton(
+    [1, 2, 3], [(1, 1, "1"), (1, 2, "0"), (2, 1, "1"), (2, 3, "0"), (3, 1, "11")], [1]
+)
+WALKS = {
+    "minimal": (K, "minimal"),
+    "exhaustive": (1, EXHAUSTIVE),
+    "automaton_minimal": (THREE_STATE, "minimal"),
+    "automaton_exhaustive": (THREE_STATE, EXHAUSTIVE),
+}
+
+
+@pytest.mark.parametrize("walk", list(WALKS))
+def test_prefix_walks_equal_their_one_signal_oracles(plant, walk, monkeypatch):
+    constraint, mode = WALKS[walk]
+    # I: first_full_rank_time per signal, its rank tests counted per distinct prefix
+    signals = list(candidate_signals(constraint, T, mode))
+    report = worst_estimation_time(plant, constraint, T, mode=mode)
+    tested = recorded(monkeypatch, systems, "_full_rank")
+    times = [first_full_rank_time(plant, s) for s in signals]
+    assert [e.signal for e in report.per_signal] == signals
+    assert [(e.value, e.status) for e in report.per_signal] == [
+        (math.inf, INFEASIBLE) if t is None else (float(t), OPTIMAL) for t in times
+    ]
+    assert report.info["counters"] == {
+        "prefixes": len(set(tested)), "memo_hits": len(tested) - len(set(tested)),
+    }
+    # II: peak_within on each horizon until a final verdict; x0 = 0.1 parks at some horizons
+    x0 = 0.1 * np.ones(plant.n)
+    signals = list(candidate_signals(constraint, T_LP, mode))
+    report = worst_control_time(plant, constraint, T_LP, x0, mode=mode)
+    want, counters = control_time_walk_oracle(plant, signals, x0)
+    assert [e.signal for e in report.per_signal] == signals
+    assert [(e.value, e.status) for e in report.per_signal] == want
+    assert report.info["counters"] == counters
+    assert report.argmax_signal == first_argmax([v for v, _ in want], signals)
+    assert counters["memo_hits"] > 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dropctrl import Automaton, LqrWeights, Signal, SwitchedLinearSystem, worst_fuel
+from dropctrl.worstcase import PerSignal, WorstCaseReport
 from dropctrl import serialize as ser
 
 
@@ -117,3 +118,20 @@ def test_report_serialization_with_inf():
     assert lines[1].startswith("III,exhaustive,inf,00,")
     detailed = ser.report_csv(rep, per_signal=True)
     assert "signal,value,status" in detailed
+
+
+def test_report_serialization_with_nan():
+    # NaN is written as "nan" in JSON, as the CSV writes it, not as "-inf"
+    nan = float("nan")
+    rep = WorstCaseReport(
+        "V", "minimal", nan, None, [PerSignal(Signal("01"), nan, "optimal")], 0.0, False,
+        {"bound": nan},
+    )
+    assert ser._json_value(nan) == "nan"
+    doc = ser.report_to_dict(rep)
+    assert "NaN" not in json.dumps(doc)
+    assert (doc["worst_value"], doc["info"]["bound"]) == ("nan", "nan")
+    assert doc["per_signal"] == [{"signal": "01", "value": "nan", "status": "optimal"}]
+    lines = ser.report_csv(rep, per_signal=True).strip().splitlines()
+    assert lines[1].startswith("V,minimal,nan,,")
+    assert lines[-1] == "01,nan,optimal"

@@ -6,6 +6,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from dropctrl import (
     EXHAUSTIVE,
+    MAX_ITERATIONS,
     MINIMAL,
     Automaton,
     CapExceeded,
@@ -30,6 +31,7 @@ from dropctrl import (
     worst_lqr,
 )
 from dropctrl import worstcase
+from dropctrl.study import _discard_reason
 from dropctrl.worstcase import PROBLEMS
 
 
@@ -203,6 +205,22 @@ def test_worst_fixed_lqr_worked_example():
     assert {str(e.signal): e.value for e in rep.per_signal} == {"0": 6.0, "1": 3.0}
     rep_min = worst_fixed_input_lqr(scalar_sys(), a, w, [1.0], mode="minimal")
     assert "warning" in rep_min.info
+
+
+def test_nan_cost_is_a_solver_failure():
+    # A'PA overflows to inf - inf: every cost is NaN, which is no verdict
+    sys = SwitchedLinearSystem(np.diag([1e30, 1e30]), [[1.0], [0.0]], np.eye(2))
+    w = LqrWeights.identity(2, 1, 6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = worst_lqr(sys, 1, w, np.ones(2))
+    words = ["010101", "010110", "011010", "101010", "101101"]
+    assert [(str(e.signal), e.value, e.status) for e in rep.per_signal] == [
+        (word, math.inf, MAX_ITERATIONS) for word in words
+    ]
+    assert rep.info["failed_signals"] == words
+    assert (rep.worst_value, str(rep.argmax_signal), rep.feasible) == (math.inf, words[0], False)
+    # the study discards such a sample instead of reading its cost
+    assert _discard_reason(PROBLEMS["lqr-maxmin"], "nominal", rep) == "solver_failure"
 
 
 def test_fixed_lqr_all_ones_automaton_gives_nominal():
