@@ -143,14 +143,16 @@ def _riccati(
     yield P, node
     for t in range(T - 1, -1, -1):
         parent, on, node = _children(node, mask[:, t], len(P))
-        P = P[parent]
-        step = w.Q + A.T @ P @ A
-        if on.any():
-            Pon = P[on]
-            BtP = B.T @ Pon
-            gain = np.linalg.solve(w.R + BtP @ B, BtP @ A)
-            step[on] -= (A.T @ Pon @ B) @ gain
-        P = (step + step.swapaxes(1, 2)) / 2.0
+        # a plant that overflows has inf or NaN costs, which the scans report
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = P[parent]
+            step = w.Q + A.T @ P @ A
+            if on.any():
+                Pon = P[on]
+                BtP = B.T @ Pon
+                gain = np.linalg.solve(w.R + BtP @ B, BtP @ A)
+                step[on] -= (A.T @ Pon @ B) @ gain
+            P = (step + step.swapaxes(1, 2)) / 2.0
         yield P, node
 
 
@@ -183,6 +185,7 @@ def degraded_cost(
     return float(_rollout(sys, gains, SignalSet([s]).to_array(), w, x0)[0][0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or NaN costs are reported
 def _rollout(
     sys: SwitchedLinearSystem, gains: GainSchedule, mask: np.ndarray, w: LqrWeights, x0
 ) -> tuple[np.ndarray, int]:

@@ -2,42 +2,36 @@
 
 Each routine targets   C u = x_f   for a signal-masked controllability
 matrix C and returns a SolveResult rather than raising on unreachable
-targets.  One thin SVD of C, cut where numerical_rank cuts, decides the
-range test: x_f is reachable when its part off C's range is at most
-FEAS_TOL * ||x_f||.  The 1-norm and infinity-norm problems are linear
-programs in the rows U_r'C of that SVD, so their rows have full rank and,
-past the range test, every program is feasible and bounded; the
-interior-point solver in simplex.py certifies them, and a result without
-its certificate is MAX_ITERATIONS.  peak_within asks only whether the
-least peak input is within a bound, and most of the time the same SVD
-answers: the least-norm input is a witness, or a weak-duality bound,
-counted against its own rounding, rules the bound out; the LP runs only
-in between, and stops as soon as the same bound at its dual iterate
-rules the bound out.  The 2-norm problem is closed form from
-the SVD; the combined 1-norm + 2-norm objective is handled by an
-operator-splitting iteration whose proximal step composes soft
-thresholding with a radial shrink.  Each LP-based or splitting design
-takes one SVD of C, which its range test, screens and LPs share.  The
-worst-case scan's fuel LPs share more: those of one shape, i.e. of one
-rank r of U_r'C, are solved in stacks by the stacked
-interior-point iteration, and each ends as it would alone, so min_fuel
-is the scan's one-row case.  The least-norm value needs only
-U_r and s_r, which the n x n triangle R' of C' = Q R carries, and C's
-zero columns (the blocks of dropped steps, the inputs with a zero column
-of B) change neither, so the QR is taken of C's nonzero columns alone
-and the rank cut stays that of C's own shape: the worst-case scan
-factors a chunk of controllability matrices, with one count of
-successful steps, by one QR call and one SVD call of the triangles,
-never forms their right singular vectors, and then cuts and tests the
-matrices of each rank together.  min_energy takes its status and value
-from that code on one matrix, and its input from the same triangle with
-Q, zero on the dropped columns.
+targets.  Every U, s and V of C comes from one factorization (Chan, ACM
+TOMS 8, 1982): C' = Q R, then the SVD R' = U S W' of the small triangle,
+so C = U S (Q W)'; a stack of matrices takes one QR call and one SVD
+call, and the rank cut is numerical_rank's for C's own shape.  The range
+test accepts x_f when its part off C's range is at most FEAS_TOL *
+||x_f||.  The 1-norm and infinity-norm problems are linear programs in
+the rows U_r'C, which have full rank, so past the range test every
+program is feasible and bounded; the interior-point solver in simplex.py
+certifies them, and a result without its certificate is MAX_ITERATIONS.
+peak_within asks only whether the least peak input is within a bound:
+the least-norm input V_r (U_r'x_f / s_r) is a witness, or a
+weak-duality bound, counted against its own rounding, rules the bound
+out; the LP runs only in between, and stops as soon as the same bound at
+its dual iterate rules the bound out.  The combined 1-norm + 2-norm
+objective is an operator-splitting iteration that projects with V_r.
+The scans decide stacks: II's screens and III-fuel's range tests are
+array code per rank group, and the fuel LPs of one rank share a stacked
+interior-point iteration, in which each ends as it would alone, so
+peak_within and min_fuel are the one-matrix case.  The least-norm value
+needs only U_r and s_r, which C's zero columns (dropped steps, inputs
+with a zero column of B) do not change, so III-energy and IV factor C's
+nonzero columns alone and form no Q (_factor_stack); min_energy takes
+its value from that code and its input from Q W on those columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -112,12 +106,9 @@ def _factor_stack(
     """Thin U and s of each matrix C of `shape` (n, q), and its rank r, from a stack Ct of their C'.
 
     Ct has shape (N, q', n): each matrix's transpose C', less any zero rows,
-    which change neither U nor s.  C' = Q R gives C = R'Q', so the small
-    triangle R' (n x n when q' >= n) has C's U and s, and its SVD costs no
-    right singular vectors of C (Chan, ACM TOMS 8, 1982).  Each step is one
-    call over the stack.  r counts the singular values above the rank cut
-    of C's own shape, the one numerical_rank applies; they lead, so U_r and
-    s_r are the first r columns.
+    which change neither U nor s.  This is _factors without Q, so without
+    V: the rank r counts the leading singular values above the rank cut
+    of C's own shape, and U_r and s_r are the first r columns.
     """
     U, s, _, rank = _triangle_svd(np.linalg.qr(Ct, mode="r"), shape)
     return U, s, rank
@@ -131,11 +122,21 @@ def _triangle_svd(
     return U, s, Wt, np.count_nonzero(s > _rank_cut(shape, s), axis=1)
 
 
-def _factor(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U_r, s_r, V_r of one matrix's thin SVD, cut where numerical_rank cuts."""
-    U, s, Vt = np.linalg.svd(C, full_matrices=False)
-    r = np.count_nonzero(s > _rank_cut(C.shape, s))
-    return U[:, :r], s[:r], Vt[:r].T
+def _factors(Cs: np.ndarray, target: np.ndarray):
+    """Each rank group of a stack Cs (N, n, q): (idx, U_r, s_r, V_r, U_r'target, reached).
+
+    One reduced QR call C' = Q R over the stack and one SVD call of the
+    triangles R' = U S W' (_triangle_svd) give C = U S (Q W)', so V = Q W
+    holds C's right singular vectors; the rank cut is that of C's shape.
+    idx picks the group's matrices (_ranks), and reached is _range_test's
+    verdict on the one target.
+    """
+    Q, R = np.linalg.qr(Cs.swapaxes(1, 2))
+    U, s, Wt, rank = _triangle_svd(R, Cs.shape[1:])
+    for r, idx in _ranks(rank):
+        coeff, reached = _range_test(U[idx, :, :r], target[None])
+        V = Q[idx] @ Wt[idx, :r].swapaxes(1, 2)
+        yield idx, U[idx, :, :r], s[idx, :r], V, coeff[:, 0], reached[:, 0]
 
 
 def _ranks(rank: np.ndarray) -> list[tuple[int, np.ndarray | slice]]:
@@ -228,13 +229,6 @@ def _lp_verdict(C: np.ndarray, target: np.ndarray, scale: float, b: np.ndarray, 
     return SolveResult(MAX_ITERATIONS, iterations=lp.iterations)
 
 
-def _reach(C: np.ndarray, target: np.ndarray):
-    """C's factor U_r, s_r, V_r and coeff = U_r'target, or None when target is off C's range."""
-    U, s, V = _factor(C)
-    coeff, reached = _range_test(U, target)
-    return (U, s, V, coeff) if reached else None
-
-
 def min_fuel(Cmat, x_f, input_bound: float | None = None) -> SolveResult:
     """Minimum 1-norm u with C u = x_f and optionally |u_i| <= input_bound.
 
@@ -245,8 +239,8 @@ def min_fuel(Cmat, x_f, input_bound: float | None = None) -> SolveResult:
     certified above input_bound * (1 + FEAS_TOL) is INFEASIBLE, a peak that
     is not certified is returned as it is, and the box widens to a
     witness's peak that lies within the tolerance above the bound.  The
-    range test, the screens and both LPs share one SVD of C.  This is the
-    one-matrix case of the worst-case scan's evaluator, _min_fuel_rows.
+    range test, the screens and both LPs share one factor of C.  This is
+    the one-matrix case of the worst-case scan's evaluator, _min_fuel_rows.
     """
     C, xf = _prep(Cmat, x_f)
     return _min_fuel_rows(C[None], xf, input_bound, _lp_counters())[0]
@@ -262,55 +256,51 @@ def _min_fuel_rows(
 ) -> list[SolveResult]:
     """min_fuel of each matrix of the stack Cs against one target x_f.
 
-    Each row takes its own SVD, range test and, with a bound, peak_within's
-    tests.  The rows that reach the fuel LP are grouped by the rank r of
-    their rows U_r'C, which fixes the program's shape, and each group is
-    solved in stacks of at most _LP_STACK_ENTRIES constraint entries by
-    one stacked interior-point iteration, whose rows do not depend on each
-    other.  counters adds the LPs solved (the fuel LPs and the peak LPs of
-    the bound's test), their iterations, and the calls of the LP solver
-    they took.
+    Each rank group of the stack's one factor (_factors) takes its range
+    test and, with a bound, peak_within's tests (_peak_group); its rows that
+    reach the fuel LP, whose rows U_r'C have the group's shape, are solved
+    in stacks of at most _LP_STACK_ENTRIES constraint entries by one
+    stacked interior-point iteration.  counters adds the LPs solved (the
+    fuel LPs and the peak LPs of the bound's test), their iterations, and
+    the calls of the LP solver they took.
     """
     if input_bound is not None and not input_bound > 0:  # NaN included
         raise ValueError("input_bound must be positive")
     if input_bound == math.inf:
         input_bound = None
+    boxed = input_bound is not None
     q = Cs.shape[2]
     scale = float(np.linalg.norm(xf))
     results: list[SolveResult | None] = [None] * len(Cs)
-    waiting: dict[int, list[tuple]] = {}
-    for i, C in enumerate(Cs):
-        factor = _reach(C, xf)
-        if factor is None:
-            results[i] = SolveResult(INFEASIBLE)
+    for idx, U, s, V, coeff, reached in _factors(Cs, xf):
+        rows = np.arange(len(Cs))[idx]
+        fail = [SolveResult(INFEASIBLE)] * len(rows)
+        go, box = reached.copy(), np.zeros(len(rows))
+        if boxed:
+            peaks = _peak_group(Cs[idx], xf, input_bound, U, s, V, coeff, reached)
+            for j, (by, peak) in enumerate(peaks):
+                if by == "lp_solves":
+                    _count_lps(counters, 1, peak.iterations)
+                fail[j], go[j] = peak, peak.status == OPTIMAL
+                if go[j]:
+                    box[j] = max(input_bound, peak.value)
+        for j in np.flatnonzero(~go).tolist():
+            results[rows[j]] = fail[j]
+        live = np.flatnonzero(go)
+        if scale == 0.0 or not live.size:  # a zero target takes the zero input
+            for j in live.tolist():
+                results[rows[j]] = _zero_input(q)
             continue
-        bound = None
-        if input_bound is not None:
-            by, peak = _peak_within(C, xf, input_bound, *factor)
-            if by == "lp_solves":
-                _count_lps(counters, 1, peak.iterations)
-            if peak.status != OPTIMAL:
-                results[i] = peak
-                continue
-            bound = max(input_bound, peak.value)
-        if scale == 0.0:
-            results[i] = _zero_input(q)
-            continue
-        U, _, _, coeff = factor
-        box = None if bound is None else bound / scale
-        waiting.setdefault(U.shape[1], []).append((i, U, coeff / scale, box))
-    boxed = input_bound is not None
-    for r, programs in waiting.items():
-        size = max(1, _LP_STACK_ENTRIES // ((r + boxed * q) * (2 + boxed) * q))
-        for lo in range(0, len(programs), size):
-            rows, U, b, box = zip(*programs[lo : lo + size])
-            b = np.stack(b)
+        size = max(1, _LP_STACK_ENTRIES // ((U.shape[2] + boxed * q) * (2 + boxed) * q))
+        for lo in range(0, len(live), size):
+            j = live[lo : lo + size]
+            b = coeff[j] / scale
             if boxed:
-                b = np.hstack([b, np.repeat(np.array(box)[:, None], q, axis=1)])
-            c, A = _fuel_programs(np.stack([Ui.T @ Cs[i] for i, Ui in zip(rows, U)]), boxed)
+                b = np.hstack([b, np.repeat(box[j, None] / scale, q, axis=1)])
+            c, A = _fuel_programs(U[j].swapaxes(1, 2) @ Cs[rows[j]], boxed)
             lps = _solve_stack(c, A, b)
             _count_lps(counters, len(lps), sum(lp.iterations for lp in lps))
-            for i, bi, lp in zip(rows, b, lps):
+            for i, bi, lp in zip(rows[j].tolist(), b, lps):
                 results[i] = _lp_verdict(Cs[i], xf, scale, bi, lp)
     return results
 
@@ -339,10 +329,9 @@ def _fuel_programs(Cr: np.ndarray, boxed: bool) -> tuple[np.ndarray, np.ndarray]
 def min_inf_norm(Cmat, b) -> SolveResult:
     """Minimum infinity-norm u with C u = b (LP with a shared peak variable)."""
     C, rhs = _prep(Cmat, b)
-    factor = _reach(C, rhs)
-    if factor is None:
+    [(_, [U], _, _, [coeff], [reached])] = _factors(C[None], rhs)  # the one matrix
+    if not reached:
         return SolveResult(INFEASIBLE)
-    U, _, _, coeff = factor
     return _min_inf_norm(C, rhs, U, coeff)
 
 
@@ -380,7 +369,7 @@ def _min_inf_norm(
     return _lp_verdict(C, rhs, scale, b, lp)
 
 
-def _peak_lower(C: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
+def _peak_lower(C: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     """A certified lower bound b'y / ||C'y||_1 on min{||u||_inf : C u = b}, for any y.
 
     Weak LP duality gives ||u||_inf >= b'y / ||C'y||_1 for every y and
@@ -390,13 +379,15 @@ def _peak_lower(C: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
     the bound, and a relative (q + 4) eps more covers the sum and the
     quotient.  The bound is exact arithmetic's for C, b and y as stored;
     the LP path accepts an input within FEAS_TOL ||b|| of b, a looser test.
+    C and y may be stacks (N, n, q) and (N, n), one bound per matrix; each
+    product is the one a single C and y take.
     """
-    n, q = C.shape
-    norm1 = float((np.abs(y @ C) + n * _EPS * (np.abs(y) @ np.abs(C))).sum())
-    dual = float(b @ y) - n * _EPS * float(np.abs(b) @ np.abs(y))
-    if dual <= 0.0 or norm1 <= 0.0:
-        return 0.0
-    return dual / norm1 * (1.0 - (q + 4) * _EPS)
+    n, q = C.shape[-2:]
+    y = y[..., None, :]
+    norm1 = (np.abs(y @ C) + n * _EPS * (np.abs(y) @ np.abs(C))).sum(axis=(-2, -1))
+    dual = (y @ b[:, None] - n * _EPS * (np.abs(y) @ np.abs(b)[:, None]))[..., 0, 0]
+    ok = (dual > 0.0) & (norm1 > 0.0)
+    return np.divide(dual, norm1, out=np.zeros(np.shape(dual)), where=ok) * (1.0 - (q + 4) * _EPS)
 
 
 def peak_within(Cmat, b, bound: float) -> tuple[str, SolveResult]:
@@ -405,45 +396,62 @@ def peak_within(Cmat, b, bound: float) -> tuple[str, SolveResult]:
     Returns (by, result).  result is OPTIMAL with a witness u and its peak
     as value, INFEASIBLE when no such input exists, or MAX_ITERATIONS when
     the LP that had to decide is not certified.  by names the test that
-    decided, in this order, each from the range test's one SVD:
+    decided, in this order, each from the range test's one factor:
     "off_range" (b is off C's range), "upper_screen" (the least-norm input
     u2 passes the LP path's own acceptance: peak within the bound and
     ||C u2 - b|| <= FEAS_TOL ||b||), "lower_screen" (_peak_lower certifies
     the least peak above the bound) or "lp_solves" (the min_inf_norm LP,
-    on the same SVD, decides).  An infinite bound admits every input on
-    C's range; a NaN bound is refused.
+    on the same factor, decides).  An infinite bound admits every input on
+    C's range; a NaN bound is refused.  This is the one-matrix case of
+    _peak_rows, which the worst-case scan runs on a stack.
     """
+    C, rhs = _prep(Cmat, b)
+    return _peak_rows(C[None], rhs, bound)[0]
+
+
+def _peak_rows(Cs: np.ndarray, rhs: np.ndarray, bound: float) -> list[tuple[str, SolveResult]]:
+    """peak_within of each matrix of the stack Cs against one target, from one factor."""
     if math.isnan(bound):
         raise ValueError("bound must not be NaN")
-    C, rhs = _prep(Cmat, b)
-    factor = _reach(C, rhs)
-    if factor is None:
-        return "off_range", SolveResult(INFEASIBLE)
-    return _peak_within(C, rhs, bound, *factor)
+    verdicts: list = [None] * len(Cs)
+    for idx, *factor in _factors(Cs, rhs):
+        rows = np.arange(len(Cs))[idx].tolist()
+        for i, verdict in zip(rows, _peak_group(Cs[idx], rhs, bound, *factor)):
+            verdicts[i] = verdict
+    return verdicts
 
 
-def _peak_within(C, rhs, bound, U, s, V, coeff) -> tuple[str, SolveResult]:
-    """peak_within for a target on C's range, from the caller's factor and coeff = U_r'rhs.
+def _peak_group(Cs, rhs, bound, U, s, V, coeff, reached) -> Iterator[tuple[str, SolveResult]]:
+    """peak_within of each matrix of one rank group, from their factor and range test.
 
-    The upper screen tries the least-norm input u2 = V_r (coeff / s_r); the
-    lower screen takes _peak_lower at y = U_r (coeff / s_r^2), for which
-    C'y is u2 up to rounding.  The LP then only decides: it stops at the
-    first dual iterate whose _peak_lower lies above the limit
+    The screens are array code over the group.  The upper screen tries the
+    least-norm inputs u2 = V_r (coeff / s_r); the lower screen takes
+    _peak_lower at y = U_r (coeff / s_r^2), for which C'y is u2 up to
+    rounding.  The LP then only decides, one matrix at a time: it stops at
+    the first dual iterate whose _peak_lower lies above the limit
     bound * (1 + FEAS_TOL), and only an LP that no iterate rules out runs
     on to its certified optimum.
     """
     limit = bound * (1.0 + FEAS_TOL)
-    u2 = V @ (coeff / s)
-    peak = float(np.abs(u2).max(initial=0.0))
-    residual = float(np.linalg.norm(C @ u2 - rhs))
-    if peak <= limit and residual <= FEAS_TOL * float(np.linalg.norm(rhs)):
-        return "upper_screen", SolveResult(OPTIMAL, u=u2, value=peak, residual=residual)
-    if _peak_lower(C, rhs, U @ (coeff / s**2)) > limit:
-        return "lower_screen", SolveResult(INFEASIBLE)
-    res = _min_inf_norm(C, rhs, U, coeff, limit)
-    if res.status == OPTIMAL and res.value > limit:
-        return "lp_solves", SolveResult(INFEASIBLE, iterations=res.iterations)
-    return "lp_solves", res
+    u2 = (V @ (coeff / s)[..., None])[..., 0]
+    peak = np.abs(u2).max(axis=1, initial=0.0)
+    residual = np.linalg.norm((Cs @ u2[..., None])[..., 0] - rhs, axis=1)
+    upper = reached & (peak <= limit) & (residual <= FEAS_TOL * np.linalg.norm(rhs))
+    lower = reached & ~upper
+    y = (U[lower] @ (coeff[lower] / s[lower] ** 2)[..., None])[..., 0]
+    lower[lower] = _peak_lower(Cs[lower], rhs, y) > limit
+    for i in range(len(Cs)):
+        if not reached[i]:
+            yield "off_range", SolveResult(INFEASIBLE)
+        elif upper[i]:
+            yield "upper_screen", SolveResult(OPTIMAL, u2[i], float(peak[i]), float(residual[i]))
+        elif lower[i]:
+            yield "lower_screen", SolveResult(INFEASIBLE)
+        else:
+            res = _min_inf_norm(Cs[i], rhs, U[i], coeff[i], limit)
+            if res.status == OPTIMAL and res.value > limit:
+                res = SolveResult(INFEASIBLE, iterations=res.iterations)
+            yield "lp_solves", res
 
 
 def _shrink(v: np.ndarray, l1: float, l2: float) -> np.ndarray:
@@ -478,8 +486,7 @@ def min_fuel_energy(Cmat, x_f, gamma1: float, gamma2: float) -> SolveResult:
     scale = float(np.linalg.norm(xf))
     if scale == 0.0:
         return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0)
-    U, s, V = _factor(C)
-    coeff, reached = _range_test(U, xf / scale)
+    [(_, _, [s], [V], [coeff], [reached])] = _factors(C[None], xf / scale)  # the one matrix
     if not reached:
         return SolveResult(INFEASIBLE)
     u_part = V @ (coeff / s)

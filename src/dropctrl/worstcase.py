@@ -19,29 +19,22 @@ a level) wherever a quantity depends on a prefix or a suffix alone: V
 walks the suffix trie of rows sorted by suffix, one Riccati step per
 distinct suffix, and VI the prefix trie of rows in lexicographic order,
 one state per distinct prefix, in blocks sized by _TRIE_ENTRIES; I and
-II walk the prefix trie of the rows still undecided, deciding each
-distinct prefix once.  III-energy and IV group the rows by their count of
-successful steps and, 64 rows of one count at a time, stack each
-controllability matrix's transpose C' without the zero rows of its
-dropped steps (and of inputs with a zero column of B), factor the n x n
-triangle of each (one QR call, then one SVD call, no right singular
-vectors, the rank cut of C's own shape) and decide the chunk in array
-code, one group of equal rank at a time, the results going back to row
-order.  III-fuel solves a certified LP per row, and the LPs of one
-shape in a chunk of 64 rows share one stacked interior-point iteration,
-up to 14 programs of 10 x 168 at a time; fuel+energy runs its splitting
-iteration per row.
-I and II read
-the horizon-t matrices of a row from the call's blocks C A^i and
-A^{T-1-i} B.  II decides each horizon with
-solvers.peak_within, whose screens on the range test's SVD (a
-least-norm witness inside the unit box, a weak-duality bound above it)
-leave few horizons to an LP.  info["counters"] says how much work was
-shared: distinct prefixes and memo hits for I and II (and how II decided
-each prefix, and its LPs' interior-point iterations), trie nodes against
-row-steps for V and VI, chunks factored and matrices of rank below n for
-III-energy and IV, and LPs solved, their interior-point iterations and
-the stacked solver calls for III-fuel.
+II walk the prefix trie of the rows still undecided, deciding a level's
+distinct prefixes once, from the call's blocks C A^i and A^{T-1-i} B.
+Every controllability matrix is factored in stacks of at most 64 by the
+solvers' one factorization (a QR call over the stack's C', an SVD call
+over its n x n triangles) and decided in array code, one group of equal
+rank at a time: II's screens (a least-norm witness inside the unit box,
+a weak-duality bound above it) leave few prefixes to an LP, III-fuel's
+LPs of one rank share a stacked interior-point iteration, and III-energy
+and IV, grouping the rows by their count of successful steps, factor C'
+without the zero rows of dropped steps and form no Q.  Fuel+energy runs
+its splitting iteration per row.  info["counters"] says how much work
+was shared: distinct prefixes and memo hits for I and II (and how II
+decided each prefix, and its LPs' interior-point iterations), trie
+nodes against row-steps for V and VI, chunks factored and matrices of
+rank below n for III-energy and IV, and LPs solved, their
+interior-point iterations and the stacked solver calls for III-fuel.
 
 PROBLEMS is the one table of analyses: a row per command of the command
 line, giving its problem label, entry point, the arguments it takes
@@ -77,10 +70,10 @@ from .solvers import (
     _least_norm,
     _lp_counters,
     _min_fuel_rows,
+    _peak_rows,
     _range_test,
     _ranks,
     min_fuel_energy,
-    peak_within,
 )
 from .systems import (
     SwitchedLinearSystem,
@@ -257,17 +250,17 @@ _CODE = {OPTIMAL: 1, MAX_ITERATIONS: 2}
 def _first_verdicts(
     mask: np.ndarray,
     asks: np.ndarray,
-    decide: Callable[[np.ndarray, int], str],
+    decide: Callable[[np.ndarray, int], list[str]],
     counters: dict,
 ) -> tuple[np.ndarray, list[str]]:
     """I and II: each row's first level t whose prefix s(0..t) has a final verdict.
 
     Walks the prefix trie of the (N, T) bool mask over the rows still
-    undecided; at level t, decide(row, t) decides once each distinct prefix
-    whose rows ask (asks[row, t], a property of the prefix).  OPTIMAL ends
-    a row at value t, MAX_ITERATIONS at +inf, and a row never ended is
-    INFEASIBLE.  counters counts the prefixes decided and, as memo_hits,
-    the other rows that asked.
+    undecided; at level t, decide(rows, t) gets one row of each distinct
+    prefix whose rows ask (asks[row, t], a property of the prefix), all
+    at once, and returns their statuses.  OPTIMAL ends a row at value t,
+    MAX_ITERATIONS at +inf, and a row never ended is INFEASIBLE.  counters
+    counts the prefixes decided and, as memo_hits, the other rows that asked.
     """
     N, T = mask.shape
     level = np.zeros(N)
@@ -286,7 +279,7 @@ def _first_verdicts(
         row[node[asking]] = live[asking]
         todo = (row >= 0).nonzero()[0]
         verdict = np.zeros(nodes, dtype=np.intp)
-        verdict[todo] = [_CODE.get(decide(mask[r], t), 0) for r in row[todo].tolist()]
+        verdict[todo] = [_CODE.get(status, 0) for status in decide(mask[row[todo]], t)]
         counters["prefixes"] += len(todo)
         counters["memo_hits"] += int(np.count_nonzero(asking)) - len(todo)
         verdict = verdict[node]
@@ -318,10 +311,10 @@ def worst_estimation_time(
     def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
         # rank cannot reach n before p * successes >= n
         asks = mask & (np.cumsum(mask, axis=1, dtype=np.int32) * sys.p >= sys.n)
-        return _first_verdicts(
-            mask, asks, lambda row, t: OPTIMAL if _full_rank(blocks, row, t) else INFEASIBLE,
-            counters,
-        )
+        def decide(rows: np.ndarray, t: int) -> list[str]:
+            return [OPTIMAL if _full_rank(blocks, row, t) else INFEASIBLE for row in rows]
+
+        return _first_verdicts(mask, asks, decide, counters)
 
     report = _scan("I", signals, mode, evaluate, {"counters": counters})
     return _with_steps(report)
@@ -340,14 +333,15 @@ def worst_control_time(
     Candidate horizons are scanned in increasing order; horizon t is
     feasible for a signal when some input of peak at most 1 + FEAS_TOL
     reaches x(t+1) = 0, i.e. C u = -A^{t+1} x0 over the prefix s(0..t).
-    peak_within decides each horizon from the range test's one SVD: off
-    C's range is infeasible, a least-norm input within the box is a
-    witness, and a weak-duality bound above the box (certified against
-    rounding) is infeasible; only a horizon neither screen decides reaches
-    the min_inf_norm LP, which stops at the first dual iterate whose bound
-    lies above the box.  The verdict depends only on the prefix, so the
-    rows walk their prefix trie (_first_verdicts) and each distinct prefix
-    is decided once per call.  An LP that is not certified ends the
+    The verdict depends only on the prefix, so the rows walk their prefix
+    trie (_first_verdicts), and each level's distinct prefixes are decided
+    once per call, _CHUNK at a time, by peak_within's stacked case: one
+    factor per chunk, whose range test (off C's range is infeasible) and
+    screens (a least-norm input within the box is a witness, a
+    weak-duality bound above it, certified against rounding, is
+    infeasible) run as array code; only a prefix neither screen decides
+    reaches the min_inf_norm LP, which stops at the first dual iterate
+    whose bound lies above the box.  An LP that is not certified ends the
     signal's scan as MAX_ITERATIONS with value +inf, and the signal is
     listed in info["failed_signals"].  info["counters"] counts the
     distinct prefixes decided, the other rows that asked (memo_hits), the
@@ -372,12 +366,15 @@ def worst_control_time(
         0,
     )
 
-    def decide(row: np.ndarray, t: int) -> str:
-        C = _ctrb_stack(blocks[T - 1 - t :], row[None, : t + 1])[0]
-        by, res = peak_within(C, targets[t], 1.0)
-        counters[by] += 1
-        counters["iterations"] += res.iterations
-        return res.status
+    def decide(rows: np.ndarray, t: int) -> list[str]:
+        statuses = []
+        for lo in range(0, len(rows), _CHUNK):
+            Cs = _ctrb_stack(blocks[T - 1 - t :], rows[lo : lo + _CHUNK, : t + 1])
+            for by, res in _peak_rows(Cs, targets[t], 1.0):
+                counters[by] += 1
+                counters["iterations"] += res.iterations
+                statuses.append(res.status)
+        return statuses
 
     def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
         return _first_verdicts(mask, np.ones_like(mask), decide, counters)
@@ -391,18 +388,6 @@ def _score(res) -> tuple[float, str]:
     if res.status == INFEASIBLE or res.value is None:
         return math.inf, res.status
     return float(res.value), res.status
-
-
-def _input_norm(
-    sys: SwitchedLinearSystem, T: int, solve_one: Callable[[np.ndarray], object]
-) -> Callable[[np.ndarray], tuple[np.ndarray, list[str]]]:
-    """A III evaluator that runs a one-matrix solver per row."""
-    blocks = _ctrb_blocks(sys, T)
-
-    def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
-        return _unzip([_score(solve_one(_ctrb_stack(blocks, row[None])[0])) for row in mask])
-
-    return evaluate
 
 
 def _factored(
@@ -449,10 +434,10 @@ def worst_fuel(
 ) -> WorstCaseReport:
     """Problem III with a pure 1-norm objective: a certified LP per signal, solved in stacks.
 
-    The rows' controllability matrices are built _CHUNK at a time, and
-    each row takes min_fuel's SVD, range test and (with input_bound)
-    peak_within's tests; the fuel LPs of one shape then share a stacked
-    interior-point solve (solvers._min_fuel_rows), so min_fuel on a row's
+    The rows' controllability matrices are built and factored _CHUNK at a
+    time (solvers._min_fuel_rows): each rank group takes its range test
+    and, with input_bound, peak_within's tests as array code, and its fuel
+    LPs share a stacked interior-point solve, so min_fuel on a row's
     matrix is the same row.  info["counters"] counts the LPs solved, their
     interior-point iterations and the stacked solver calls.
     """
@@ -506,10 +491,15 @@ def worst_fuel_energy(
     mode: str = MINIMAL,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
-    """Problem III with the combined weighted 1-norm + 2-norm objective."""
+    """Problem III with the combined weighted 1-norm + 2-norm objective, one solve per row."""
     signals = candidate_signals(constraint, T, mode, cap)
     x_f = np.asarray(x_f, dtype=float).ravel()
-    evaluate = _input_norm(sys, T, lambda C: min_fuel_energy(C, x_f, gamma1, gamma2))
+    blocks = _ctrb_blocks(sys, T)
+
+    def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        Cs = (_ctrb_stack(blocks, row[None])[0] for row in mask)
+        return _unzip([_score(min_fuel_energy(C, x_f, gamma1, gamma2)) for C in Cs])
+
     info = {"objective": "fuel+energy", "gamma1": gamma1, "gamma2": gamma2}
     return _scan("III", signals, mode, evaluate, info)
 

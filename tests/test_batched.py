@@ -821,3 +821,44 @@ def test_prefix_walks_equal_their_one_signal_oracles(plant, walk, monkeypatch):
     assert report.info["counters"] == counters
     assert report.argmax_signal == first_argmax([v for v, _ in want], signals)
     assert counters["memo_hits"] > 0
+
+
+# every word: the walk's deepest levels hold up to 2^T_LP prefixes
+ANY_WORD = Automaton([1], [(1, 1, "0"), (1, 1, "1")], [1])
+
+
+def test_control_time_walk_across_chunks_equals_its_oracle(plant, monkeypatch):
+    # a level with more than _CHUNK prefixes to decide is decided in chunks
+    stacks, peak_rows = [], worstcase._peak_rows
+
+    def record(Cs, *args):
+        stacks.append(Cs.shape)
+        return peak_rows(Cs, *args)
+
+    monkeypatch.setattr(worstcase, "_peak_rows", record)
+    x0 = 0.1 * np.ones(plant.n)
+    signals = list(candidate_signals(ANY_WORD, T_LP, EXHAUSTIVE))
+    report = worst_control_time(plant, ANY_WORD, T_LP, x0, mode=EXHAUSTIVE)
+    want, counters = control_time_walk_oracle(plant, signals, x0)
+    assert [(e.value, e.status) for e in report.per_signal] == want
+    assert report.info["counters"] == counters
+    assert report.argmax_signal == first_argmax([v for v, _ in want], signals)
+    assert sum(N for N, _, _ in stacks) == counters["prefixes"]
+    # some level (one width q of C) takes a full chunk and then more
+    widths = [q for N, _, q in stacks]
+    assert any(N == worstcase._CHUNK and widths.count(q) > 1 for N, _, q in stacks)
+
+
+def test_stacked_factor_is_an_svd(plant):
+    # V_r = Q W_r has orthonormal columns and C V_r = U_r diag(s_r), to rounding
+    rows = some_signals(65).to_array()
+    Cs = _ctrb_stack(_ctrb_blocks(plant, T), rows)
+    eps = np.finfo(float).eps
+    seen = 0
+    for idx, U, s, V, coeff, reached in solvers._factors(Cs, np.ones(plant.n)):
+        r = U.shape[2]
+        assert np.abs(V.swapaxes(1, 2) @ V - np.eye(r)).max(initial=0.0) <= 100 * eps
+        error = np.abs(Cs[idx] @ V - U * s[:, None, :]).max(axis=(1, 2), initial=0.0)
+        assert (error <= 100 * eps * np.linalg.norm(Cs[idx], axis=(1, 2))).all()
+        seen += len(U)
+    assert seen == len(rows)

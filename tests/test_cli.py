@@ -252,6 +252,24 @@ def test_lqr_commands(capsys, scalar_system, tmp_path):
     assert code == 0 and "worst value: 5" in out
 
 
+def test_lqr_overflow_is_reported_without_warnings(capsys, tmp_path):
+    # A'PA overflows to inf - inf: the costs are inf or NaN, and the report,
+    # not numpy's warnings on stderr, says so
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"A": [[1e30, 0.0], [0.0, 1e30]], "B": [[1.0], [0.0]], "C": [[1.0, 0.0]]}))
+    words = ["010101", "010110", "011010", "101010", "101101"]
+    common = ("--system", str(path), "--k", "1", "--T", "6", "--out", "json")
+    code, out, err = run_cli(capsys, "lqr-maxmin", *common)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["info"]["failed_signals"] == words
+    assert doc["feasible"] is False
+    code, out, err = run_cli(capsys, "lqr-fixed", *common)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert [e["signal"] for e in doc["per_signal"]] == words
+    assert {e["value"] for e in doc["per_signal"]} == {"inf"}
+
 
 @pytest.mark.parametrize("command", ["lqr-maxmin", "lqr-fixed"])
 def test_lqr_weights_horizon_must_match_T(capsys, scalar_system, tmp_path, command):

@@ -173,8 +173,7 @@ def test_screen_bounds_bracket_the_certified_lp_value(sample):
     sys = study_plant(7, sample)
     checked = 0
     for key, C, b in prefix_targets(sys, 12, 0.3 * np.ones(sys.n)):
-        U, s, V = solvers._factor(C)
-        coeff, reached = solvers._range_test(U, b)
+        [(_, [U], [s], [V], [coeff], [reached])] = solvers._factors(C[None], b)
         res = min_inf_norm(C, b)
         if not reached:
             assert res.status == INFEASIBLE

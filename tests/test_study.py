@@ -136,19 +136,18 @@ def test_study_timings_recorded():
                      id="max_iterations-solver_failure"),
         pytest.param("III", "_min_fuel_rows", INFEASIBLE, "nominal_input_design_infeasible",
                      id="infeasible-nominal_input_design_infeasible"),
-        pytest.param("II", "peak_within", MAX_ITERATIONS, "solver_failure",
+        pytest.param("II", "_peak_rows", MAX_ITERATIONS, "solver_failure",
                      id="II-max_iterations-solver_failure"),
-        pytest.param("II", "peak_within", INFEASIBLE, "nominal_transfer_infeasible",
+        pytest.param("II", "_peak_rows", INFEASIBLE, "nominal_transfer_infeasible",
                      id="II-infeasible-nominal_transfer_infeasible"),
     ],
 )
 def test_study_nominal_fuel_discard_reason(monkeypatch, problem, solver, status, reason):
     # a nominal solve that fails is a solver failure, not an infeasible target
     result = SolveResult(status)
-    if solver == "peak_within":  # II's decision also names the test that decided
-        monkeypatch.setattr(worstcase, solver, lambda *a, **kw: ("lp_solves", result))
-    else:  # III-fuel decides a stack of rows at a time
-        monkeypatch.setattr(worstcase, solver, lambda Cs, *a, **kw: [result] * len(Cs))
+    # both decide a stack of rows at a time; II's decision also names the test that decided
+    verdict = ("lp_solves", result) if solver == "_peak_rows" else result
+    monkeypatch.setattr(worstcase, solver, lambda Cs, *a, **kw: [verdict] * len(Cs))
     res = run_study(StudyConfig(problem=problem, k=1, n=3, m=2, samples=3, T=6, seed=5))
     for row, rep in zip(res.rows, res.reports):
         assert row.status == f"discarded:{reason}"

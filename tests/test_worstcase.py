@@ -211,8 +211,7 @@ def test_nan_cost_is_a_solver_failure():
     # A'PA overflows to inf - inf: every cost is NaN, which is no verdict
     sys = SwitchedLinearSystem(np.diag([1e30, 1e30]), [[1.0], [0.0]], np.eye(2))
     w = LqrWeights.identity(2, 1, 6)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = worst_lqr(sys, 1, w, np.ones(2))
+    rep = worst_lqr(sys, 1, w, np.ones(2))
     words = ["010101", "010110", "011010", "101010", "101101"]
     assert [(str(e.signal), e.value, e.status) for e in rep.per_signal] == [
         (word, math.inf, MAX_ITERATIONS) for word in words
