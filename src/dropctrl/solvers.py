@@ -23,8 +23,14 @@ interior-point iteration, in which each ends as it would alone, so
 peak_within and min_fuel are the one-matrix case.  The least-norm value
 needs only U_r and s_r, which C's zero columns (dropped steps, inputs
 with a zero column of B) do not change, so III-energy and IV factor C's
-nonzero columns alone and form no Q (_factor_stack); min_energy takes
-its value from that code and its input from Q W on those columns.
+nonzero columns C_+ alone and form no Q.  Nor do they need the SVD of a
+triangle certified full rank: s_min >= 1 / ||R^-1||_F and
+s_max <= ||R||_F, so a margin of 2 between the two against the rank cut
+(_full_rank_screen) puts s_min above the cut, and then C_+^+ = Q R'^-1
+gives the least norm ||R'^-1 x_f||.  The triangles of a stack are
+inverted in one call and only those the screen leaves take the SVD call
+(_least_norm_groups); min_energy is its one-matrix case, with its input
+Q R'^-1 x_f or Q W_r (U_r'x_f / s_r) on those columns.
 """
 
 from __future__ import annotations
@@ -100,20 +106,6 @@ def _prep(Cmat, rhs):
     return C, v
 
 
-def _factor_stack(
-    Ct: np.ndarray, shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin U and s of each matrix C of `shape` (n, q), and its rank r, from a stack Ct of their C'.
-
-    Ct has shape (N, q', n): each matrix's transpose C', less any zero rows,
-    which change neither U nor s.  This is _factors without Q, so without
-    V: the rank r counts the leading singular values above the rank cut
-    of C's own shape, and U_r and s_r are the first r columns.
-    """
-    U, s, _, rank = _triangle_svd(np.linalg.qr(Ct, mode="r"), shape)
-    return U, s, rank
-
-
 def _triangle_svd(
     R: np.ndarray, shape: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -164,47 +156,84 @@ def _range_test(U: np.ndarray, v: np.ndarray):
 def min_energy(Cmat, x_f) -> SolveResult:
     """Minimum 2-norm u with C u = x_f; the residual is a report.
 
-    Status and value are the one-matrix case of _least_norm, which the
-    worst-case scan runs on a stack of controllability matrices.  Like the
-    scan, it factors C's nonzero columns only: their reduced C_+' = Q R
-    has the triangle R of _factor_stack, bit for bit, and the rank cut is
-    that of C's own shape.  The input is u = Q W_r (U_r' x_f / s_r) on
-    those columns, from the SVD R' = U S W' (C_+ = U S (Q W)', so Q W holds
-    C_+'s right singular vectors), and zero on the others.
+    Status and value are the one-matrix case of _least_norm_groups, which
+    the worst-case scan runs on a stack of controllability matrices.  Like
+    the scan, it factors C's nonzero columns only, C_+' = Q R, with the
+    rank cut of C's own shape.  A triangle that the screen certifies full
+    rank gives u = Q R'^-1 x_f on those columns (C_+ = R'Q', so
+    C_+^+ = Q R'^-1); any other gives u = Q W_r (U_r' x_f / s_r) from the
+    SVD R' = U S W' (C_+ = U S (Q W)', so Q W holds C_+'s right singular
+    vectors).  u is zero on the other columns.
     """
     C, xf = _prep(Cmat, x_f)
     live = C.any(axis=0)
     Q, R = np.linalg.qr(C[:, live].T)
-    U, s, Wt, rank = _triangle_svd(R[None], C.shape)
-    value, reached = _least_norm(U, s, rank, xf)
-    r = rank[0]
+    [(_, Y, reached, Wt)] = _least_norm_groups(R[None], C.shape, xf[None])  # the one matrix
+    y = Y[0, 0]
     u = np.zeros(C.shape[1])
-    u[live] = Q @ (Wt[0, :r].T @ (xf @ U[0, :, :r] / s[0, :r]))
+    u[live] = Q @ (y if Wt is None else Wt[0].T @ y)
     residual = float(np.linalg.norm(C @ u - xf))
-    if reached[0]:
-        return SolveResult(OPTIMAL, u=u, value=float(value[0]), residual=residual)
+    if reached[0, 0]:
+        return SolveResult(OPTIMAL, u=u, value=float(_norms(Y[:, 0])[0]), residual=residual)
     return SolveResult(INFEASIBLE, residual=residual)
 
 
-def _least_norm(
-    U: np.ndarray, s: np.ndarray, rank: np.ndarray, xf: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least input norms ||U_r' x_f / s_r|| of a stack's factor, and whether each matrix reaches x_f.
+def _full_rank_screen(R: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Which triangles R of a stack certify their C of `shape` full rank, and those triangles' inverses.
 
-    U, s and rank are _factor_stack's.  The least-norm input
-    V_r (U_r' x_f / s_r) has that norm because V_r has orthonormal columns,
-    so V_r is never formed.  Each norm is a stacked vector-vector product,
-    the dot that np.linalg.norm takes of one vector.
+    R is the stack (N, p, n) of triangles of C_+' = Q R.  A square R with
+    1 / ||R^-1||_F > 2 max(shape) eps ||R||_F has rank n under
+    _triangle_svd's cut max(shape) eps s_max, since s_min >= 1 / ||R^-1||_F
+    and s_max <= ||R||_F.  The factor 2 covers the rounding of the
+    computed inverse: at the margin cond(R) <= 1 / (2 max(shape) eps), so
+    its norm errs by at most about n eps cond(R) <= 1/2 relative (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 8 and
+    14), and s_min still lies above the cut.  A wide R (p < n), a zero on
+    R's diagonal and an inverse that overflows or is not finite certify
+    nothing; the inverses are one batched call.
     """
-    norms = np.empty(len(U))
-    reached = np.empty(len(U), dtype=bool)
-    for r, idx in _ranks(rank):
-        # x_f as a one-row matrix, so that each matrix of the stack sees the 1-D product
-        coeff, ok = _range_test(U[idx, :, :r], xf[None])
-        reached[idx] = ok[:, 0]
-        y = coeff[:, 0] / s[idx, :r]
-        norms[idx] = np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0])
-    return norms, reached
+    N, p, n = R.shape
+    full = np.zeros(N, dtype=bool)
+    if p < n:
+        return full, np.empty((0, n, n))
+    invertible = np.diagonal(R, axis1=1, axis2=2).all(axis=1)
+    Ri = R[invertible]
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = np.linalg.inv(Ri)
+        cut = _rank_cut(shape, np.linalg.norm(Ri, axis=(1, 2))[:, None])[:, 0]
+        certified = 1.0 / np.linalg.norm(inv, axis=(1, 2)) > 2.0 * cut
+    full[invertible] = certified
+    return full, inv[certified]
+
+
+def _least_norm_groups(R: np.ndarray, shape: tuple[int, ...], targets: np.ndarray):
+    """Least-norm coordinates of the targets for each triangle R of C_+' = Q R, by group.
+
+    Yields (idx, Y, reached, Wt): idx picks the group's triangles of the
+    stack R, Y (len(idx), k, w) holds each triangle's coordinates of the k
+    rows of targets, reached (len(idx), k) whether each target is on C's
+    range, and ||Y[i, j]|| is the least input norm of target j.  The
+    triangles that _full_rank_screen certifies come first, as one group
+    with Y = targets R^-1 (the rows of R'^-1 v), every target reached and
+    Wt None: the least-norm input is Q Y[i, j].  The others take one
+    _triangle_svd call and come in groups of one rank r, with
+    Y = U_r'v / s_r, reached from _range_test and Wt the first r rows of
+    W': the input is Q Wt[i]' Y[i, j].
+    """
+    full, inv = _full_rank_screen(R, shape)
+    if full.any():
+        yield np.flatnonzero(full), targets @ inv, np.ones((len(inv), len(targets)), bool), None
+    rest = np.flatnonzero(~full)
+    if rest.size:
+        U, s, Wt, rank = _triangle_svd(R[rest], shape)
+        for r, idx in _ranks(rank):
+            coeff, reached = _range_test(U[idx, :, :r], targets)
+            yield rest[idx], coeff / s[idx, None, :r], reached, Wt[idx, :r]
+
+
+def _norms(Y: np.ndarray) -> np.ndarray:
+    """The 2-norms of the rows of Y (N, w), each the dot that np.linalg.norm takes of one vector."""
+    return np.sqrt((Y[:, None, :] @ Y[:, :, None])[:, 0, 0])
 
 
 def _zero_input(q: int) -> SolveResult:

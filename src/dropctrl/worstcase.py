@@ -5,7 +5,8 @@ candidate set: either the minimal signals (fast mode, justified by the
 antitone behaviour of each measure in the support order) or the full
 admissible language (exhaustive mode, the ground truth).  Infeasible
 per-signal outcomes count as +infinity; signals whose solver failed
-(MAX_ITERATIONS, as a NaN value counts) are listed in info["failed_signals"].
+(MAX_ITERATIONS, as a NaN value and an overflowed cost count) are listed
+in info["failed_signals"].
 Reports are deterministic: the candidate set is iterated in lexicographic
 order and the first attaining signal (the lexicographically smallest) is
 reported as the argmax.
@@ -28,13 +29,15 @@ rank at a time: II's screens (a least-norm witness inside the unit box,
 a weak-duality bound above it) leave few prefixes to an LP, III-fuel's
 LPs of one rank share a stacked interior-point iteration, and III-energy
 and IV, grouping the rows by their count of successful steps, factor C'
-without the zero rows of dropped steps and form no Q.  Fuel+energy runs
-its splitting iteration per row.  info["counters"] says how much work
-was shared: distinct prefixes and memo hits for I and II (and how II
-decided each prefix, and its LPs' interior-point iterations), trie
-nodes against row-steps for V and VI, chunks factored and matrices of
-rank below n for III-energy and IV, and LPs solved, their
-interior-point iterations and the stacked solver calls for III-fuel.
+without the zero rows of dropped steps, form no Q, and read a triangle
+certified full rank through its inverse, so that only the others take
+the SVD call.  Fuel+energy runs its splitting iteration per row.
+info["counters"] says how much work was shared: distinct prefixes and
+memo hits for I and II (and how II decided each prefix, and its LPs'
+interior-point iterations), trie nodes against row-steps for V and VI,
+chunks factored, matrices of rank below n and matrices that took the
+SVD for III-energy and IV, and LPs solved, their interior-point
+iterations and the stacked solver calls for III-fuel.
 
 PROBLEMS is the one table of analyses: a row per command of the command
 line, giving its problem label, entry point, the arguments it takes
@@ -66,13 +69,11 @@ from .solvers import (
     INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
-    _factor_stack,
-    _least_norm,
+    _least_norm_groups,
     _lp_counters,
     _min_fuel_rows,
+    _norms,
     _peak_rows,
-    _range_test,
-    _ranks,
     min_fuel_energy,
 )
 from .systems import (
@@ -202,13 +203,15 @@ def _scan(
     `signals` is the entry point's candidate_signals(constraint, T, mode,
     cap), resolved before the wallclock starts.  `evaluate` maps the packed
     (N, T) bool candidate array to an (N,) float array of values and a
-    list of N statuses.  A NaN value is no verdict: its row scores +inf
-    as MAX_ITERATIONS.
+    list of N statuses.  A NaN value, and an infinite one said OPTIMAL
+    (a cost that overflowed), is no verdict: its row scores +inf as
+    MAX_ITERATIONS.
     """
     start = time.perf_counter()
     values, statuses = evaluate(signals.to_array())
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        statuses[i] = MAX_ITERATIONS
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        if math.isnan(values[i]) or statuses[i] == OPTIMAL:
+            statuses[i] = MAX_ITERATIONS
     values = np.where(np.isnan(values), math.inf, values)
     per_signal = list(map(PerSignal, signals, values.tolist(), statuses))
     # lexicographic order: np.argmax returns the first attainer of a tie
@@ -393,19 +396,22 @@ def _score(res) -> tuple[float, str]:
 def _factored(
     sys: SwitchedLinearSystem,
     T: int,
-    decide: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    targets: np.ndarray,
+    reduce: Callable[[np.ndarray], np.ndarray],
     unreached: str,
     counters: dict,
 ) -> Callable[[np.ndarray], tuple[np.ndarray, list[str]]]:
-    """A III-energy or IV evaluator over the factors of the rows' controllability matrices.
+    """A III-energy or IV evaluator over the least-norm coordinates of the rows' targets.
 
     The rows are factored _CHUNK at a time among rows of the same count of
-    successful steps, from their C' less its zero rows, with the rank cut
-    of C's own shape (n, m T); `decide(U, s, rank)` maps a chunk's factor to
-    each row's value and whether the row reached its targets, and a row
-    that did not scores +inf with status `unreached`.  The results go back
-    to row order.  counters counts the chunks and the matrices of rank
-    below n.
+    successful steps: one QR call over their C' less its zero rows, then
+    solvers._least_norm_groups with the rank cut of C's own shape (n, m T),
+    which inverts the triangles in one call and sends only those its
+    screen does not certify full rank to one SVD call.  `reduce(Y)` maps a
+    group's coordinates Y (rows, targets, w) to each row's value; a row
+    that did not reach every target scores +inf with status `unreached`.
+    The results go back to row order.  counters counts the chunks, the
+    matrices of rank below n and the matrices that took the SVD.
     """
     blocks = _ctrb_blocks(sys, T)
     shape = (sys.n, T * sys.m)
@@ -414,10 +420,12 @@ def _factored(
         values = np.empty(len(mask))
         reached = np.empty(len(mask), dtype=bool)
         for rows, stack in _active_stacks(blocks, mask, _CHUNK):
-            U, s, rank = _factor_stack(stack, shape)
             counters["chunks"] += 1
-            counters["rank_deficient"] += int(np.count_nonzero(rank < sys.n))
-            values[rows], reached[rows] = decide(U, s, rank)
+            R = np.linalg.qr(stack, mode="r")
+            for idx, Y, ok, Wt in _least_norm_groups(R, shape, targets):
+                counters["svd_rows"] += 0 if Wt is None else len(idx)
+                counters["rank_deficient"] += len(idx) if Y.shape[2] < sys.n else 0
+                values[rows[idx]], reached[rows[idx]] = reduce(Y), ok.all(axis=1)
         return np.where(reached, values, math.inf), np.where(reached, OPTIMAL, unreached).tolist()
 
     return evaluate
@@ -469,15 +477,13 @@ def worst_energy(
 ) -> WorstCaseReport:
     """Problem III with a pure 2-norm objective: least input norms, one factor per chunk.
 
-    info["counters"] counts the chunks factored and the matrices of rank
-    below n among them.
+    info["counters"] counts the chunks factored, and the matrices of rank
+    below n and those that took the SVD among them (_factored).
     """
     signals = candidate_signals(constraint, T, mode, cap)
     x_f = np.asarray(x_f, dtype=float).ravel()
-    counters = {"chunks": 0, "rank_deficient": 0}
-    evaluate = _factored(
-        sys, T, lambda U, s, rank: _least_norm(U, s, rank, x_f), INFEASIBLE, counters
-    )
+    counters = {"chunks": 0, "rank_deficient": 0, "svd_rows": 0}
+    evaluate = _factored(sys, T, x_f[None], lambda Y: _norms(Y[:, 0]), INFEASIBLE, counters)
     return _scan("III", signals, mode, evaluate, {"objective": "energy", "counters": counters})
 
 
@@ -515,29 +521,24 @@ def polytope_reachable(
     """Problem IV: is every vertex inside every unit-energy reachable ellipsoid?
 
     The per-signal value is the largest least input energy over the
-    vertices, v' W^+ v = ||s_r^-1 U_r' v||^2, read from the factor of the
-    controllability matrix C rather than from W = CC', whose condition
-    number is cond(C)^2; a vertex off C's range is unreachable and scores
-    +infinity.  Containment holds when the worst value is at most 1 + FEAS_TOL.
-    info["counters"] counts the chunks factored and the matrices of rank
-    below n among them.
+    vertices, v' W^+ v = ||s_r^-1 U_r' v||^2, or ||R'^-1 v||^2 when the
+    triangle R of C_+' = Q R is certified full rank, read from the factor
+    of the controllability matrix C rather than from W = CC', whose
+    condition number is cond(C)^2; a vertex off C's range is unreachable
+    and scores +infinity.  Containment holds when the worst value is at most 1 + FEAS_TOL.
+    info["counters"] counts the chunks factored, and the matrices of rank
+    below n and those that took the SVD among them (_factored).
     """
     V = poly.vertices
     if V.shape[1] != sys.n:
         raise ValueError(f"vertices must have dimension {sys.n}")
     signals = candidate_signals(constraint, T, mode, cap)
-    counters = {"chunks": 0, "rank_deficient": 0}
+    counters = {"chunks": 0, "rank_deficient": 0, "svd_rows": 0}
 
-    def decide(U: np.ndarray, sv: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.empty(len(U))
-        all_reached = np.empty(len(U), dtype=bool)
-        for r, idx in _ranks(rank):
-            coeff, reached = _range_test(U[idx, :, :r], V)
-            values[idx] = np.max(np.sum((coeff / sv[idx, None, :r]) ** 2, axis=2), axis=1)
-            all_reached[idx] = reached.all(axis=1)
-        return values, all_reached
+    def reduce(Y: np.ndarray) -> np.ndarray:
+        return np.max(np.sum(Y**2, axis=2), axis=1)
 
-    evaluate = _factored(sys, T, decide, "unreachable_vertex", counters)
+    evaluate = _factored(sys, T, V, reduce, "unreachable_vertex", counters)
     info = {"tolerance": FEAS_TOL, "counters": counters}
     report = _scan("IV", signals, mode, evaluate, info)
     reachable = report.worst_value <= 1.0 + FEAS_TOL

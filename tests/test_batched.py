@@ -9,12 +9,14 @@ loops in plain numpy or over the public solvers, the arithmetic the scan
 did one signal at a time.  Plants are drawn as `run_study` draws them, one
 per recipe, the ill-conditioned `gaussian_x10` included; the candidate
 counts sit on both sides of the chunk boundaries.  III-energy and IV
-factor the triangle of C' = Q R, and their oracles do the same one matrix
-at a time; C's own SVD is a second oracle, which their values match to
-within 100 eps cond(C).
+factor the triangle of C' = Q R, read a triangle certified full rank
+through its inverse and the others through its SVD, and their oracles do
+the same one matrix at a time; C's own SVD is a second oracle, which
+their values match to within 100 eps cond(C).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,7 +52,7 @@ from dropctrl import (
     worst_lqr,
 )
 from dropctrl import solvers, systems, worstcase
-from dropctrl.solvers import FEAS_TOL, _factor_stack
+from dropctrl.solvers import FEAS_TOL, _full_rank_screen, _least_norm_groups, _triangle_svd
 from dropctrl.study import GENERATION_METHODS, _sample_rng, random_system
 from dropctrl.systems import _active_stacks, _ctrb_blocks, _ctrb_stack, _full_rank
 
@@ -61,6 +63,7 @@ COUNTS = [1, 63, 64, 65, 130]
 # run at a shorter horizon and at the counts around one chunk boundary
 T_LP = 8
 LP_COUNTS = [1, 64, 65]
+EPS = float(np.finfo(float).eps)
 
 
 def study_plant(sample):
@@ -96,15 +99,37 @@ def rank_cut(C, sv):
     return int(np.count_nonzero(sv > max(C.shape) * np.finfo(float).eps * sv[:1]))
 
 
-def factor_oracle(C):
-    """U_r and s_r of C from the triangle of C_+' = Q R, C_+ being C's nonzero columns.
+def screen_oracle(C, R):
+    """R^-1 when the triangle R of C_+' certifies C full rank, else None.
 
-    C_+ = R'Q' has C's U and s; the rank cut is that of C's own shape.
+    The certificate is 1 / ||R^-1||_F > 2 max(C.shape) eps ||R||_F: it
+    needs a square R with no zero on its diagonal, and an inverse that
+    overflows certifies nothing.
+    """
+    if R.shape[0] < C.shape[0] or not np.diag(R).all():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = np.linalg.inv(R)
+        full = 1.0 / np.linalg.norm(inv) > 2.0 * max(C.shape) * EPS * np.linalg.norm(R)
+    return inv if full else None
+
+
+def factor_oracle(C, targets):
+    """Least-norm coordinates Y of the rows of targets, and which of them C reaches.
+
+    C_+ = R'Q' (C_+ being C's nonzero columns) has C's U and s; the rank
+    cut is that of C's own shape.  A triangle the screen certifies gives
+    Y = targets R^-1 and reaches every target; any other gives U_r'v / s_r
+    from the SVD of R'.
     """
     R = np.linalg.qr(C[:, C.any(axis=0)].T, mode="r")
+    inv = screen_oracle(C, R)
+    if inv is not None:
+        return targets @ inv, np.ones(len(targets), dtype=bool)
     U, sv, _ = np.linalg.svd(R.T, full_matrices=False)
     r = rank_cut(C, sv)
-    return U[:, :r], sv[:r]
+    c, ok = reached(U[:, :r], targets)
+    return c / sv[:r], ok
 
 
 def svd_oracle(C):
@@ -120,20 +145,18 @@ def reached(U, v):
 
 
 def energy_oracle(sys, s, xf):
-    # the least-norm input V_r (c / s_r) has the norm of c / s_r
-    U, sv = factor_oracle(ctrb_oracle(sys, s))
-    c, ok = reached(U, xf)
-    if not ok:
+    # the least-norm input has the norm of its coordinates
+    Y, ok = factor_oracle(ctrb_oracle(sys, s), xf[None])
+    if not ok[0]:
         return math.inf, INFEASIBLE
-    return float(np.linalg.norm(c / sv)), OPTIMAL
+    return float(np.linalg.norm(Y[0])), OPTIMAL
 
 
 def polytope_oracle(sys, s, vertices):
-    U, sv = factor_oracle(ctrb_oracle(sys, s))
-    c, ok = reached(U, vertices)
+    Y, ok = factor_oracle(ctrb_oracle(sys, s), vertices)
     if not ok.all():
         return math.inf, "unreachable_vertex"
-    return float(np.max(np.sum((c / sv) ** 2, axis=1))), OPTIMAL
+    return float(np.max(np.sum(Y**2, axis=1))), OPTIMAL
 
 
 def cross_vertices(n):
@@ -347,8 +370,6 @@ def test_minimal_candidates_of_the_channel(plant):
 
 # --- III-energy's and IV's factor against C's own SVD -----------------------
 
-EPS = float(np.finfo(float).eps)
-
 
 def direct_oracles(C, xf, vertices):
     """(rank, III-energy pair, IV pair) of C from np.linalg.svd(C), and cond(C) over its rank."""
@@ -373,11 +394,17 @@ def assert_within_backward_error(got, want, kappa, label):
 
 
 def factor_ranks(sys, T, rows):
-    """Each row's rank from the scan's factor: C' less its zero rows, stacked by count."""
-    rank = np.full(len(rows), -1)
+    """Each row's rank from its triangle's SVD, and whether the screen certifies the triangle.
+
+    The triangles are the scan's: of C' less its zero rows, stacked by count.
+    """
+    rank, certified = np.full(len(rows), -1), np.zeros(len(rows), dtype=bool)
+    shape = (sys.n, T * sys.m)
     for idx, stack in _active_stacks(_ctrb_blocks(sys, T), rows, worstcase._CHUNK):
-        rank[idx] = _factor_stack(stack, (sys.n, T * sys.m))[2]
-    return rank
+        R = np.linalg.qr(stack, mode="r")
+        rank[idx] = _triangle_svd(R, shape)[3]
+        certified[idx] = _full_rank_screen(R, shape)[0]
+    return rank, certified
 
 
 def chunks_by_count(rows):
@@ -397,13 +424,15 @@ def test_factor_matches_the_direct_svd_at_the_wide_horizon(sample):
     energy = worst_energy(sys, k, T_wide, ones)
     poly = polytope_reachable(sys, k, T_wide, Polytope(vertices))[1]
     blocks, rows = _ctrb_blocks(sys, T_wide), signals.to_array()
-    rank = factor_ranks(sys, T_wide, rows)
+    rank, certified = factor_ranks(sys, T_wide, rows)
     want_energy, want_poly, deficient = [], [], 0
     for i, s in enumerate(signals):
         # C's own SVD, zero columns and all
         r, e, p, kappa = direct_oracles(_ctrb_stack(blocks, rows[i : i + 1])[0], ones, vertices)
         label = (method, str(s))
         assert rank[i] == r, label
+        # the screen certifies no matrix that C's own SVD finds rank deficient
+        assert r == sys.n or not certified[i], label
         deficient += r < sys.n
         for report, want, name in ((energy, e, "III-energy"), (poly, p, "IV")):
             entry = report.per_signal[i]
@@ -416,9 +445,124 @@ def test_factor_matches_the_direct_svd_at_the_wide_horizon(sample):
     assert poly.info["reachable"] == (max(want_poly) <= 1.0 + FEAS_TOL)
     # 8 to 12 successes of 24: five counts, 43 chunks where 2,640 rows in order make 42
     assert chunks_by_count(rows) == 43
-    counters = {"chunks": chunks_by_count(rows), "rank_deficient": deficient}
+    counters = {
+        "chunks": chunks_by_count(rows),
+        "rank_deficient": deficient,
+        "svd_rows": int(np.count_nonzero(~certified)),
+    }
     assert energy.info["counters"] == poly.info["counters"] == counters
     assert (deficient > 0) == (sample == 4)
+    # every rank-deficient matrix takes the SVD, and the screen spares most full-rank ones
+    assert deficient <= counters["svd_rows"] < len(rows) - deficient
+
+
+def triangle_svd_route(R, shape, targets):
+    """Each triangle's least-norm coordinates and range verdicts from its SVD alone, with its rank."""
+    U, sv, _, rank = _triangle_svd(R, shape)
+    out = []
+    for i, r in enumerate(rank.tolist()):
+        c, ok = reached(U[i, :, :r], targets)
+        out.append((c / sv[i, :r], ok, sv[i, :r]))
+    return rank, out
+
+
+def assert_groups_match_the_svd(R, shape, targets, C=None):
+    """_least_norm_groups against the triangles' SVD route, and against C's own SVD where C is given.
+
+    Rank decisions and range verdicts are equal on every triangle; least
+    norms are within 100 eps cond of the SVD's.  Returns the certified rows.
+    """
+    rank, want = triangle_svd_route(R, shape, targets)
+    certified = np.zeros(len(R), dtype=bool)
+    seen = []
+    for idx, Y, ok, Wt in _least_norm_groups(R, shape, targets):
+        certified[idx] = Wt is None
+        seen.extend(idx.tolist())
+        for j, i in enumerate(idx.tolist()):
+            # a certified triangle has full rank by its own SVD
+            assert Wt is not None or rank[i] == shape[0], i
+            assert Y.shape[2] == (shape[0] if Wt is None else rank[i]), i
+            want_Y, want_ok, sv = want[i]
+            assert ok[j].tolist() == want_ok.tolist(), i
+            kappa = sv[0] / sv[-1] if len(sv) else 1.0
+            for y, w in zip(Y[j][ok[j]], want_Y[ok[j]]):
+                assert_within_backward_error(np.linalg.norm(y), np.linalg.norm(w), kappa, i)
+            if C is not None:
+                r, want_C = len(svd_oracle(C[i])[1]), direct_oracles(C[i], targets[0], targets)
+                if r == rank[i]:  # C's own SVD draws the same rank: the same verdicts and values
+                    assert bool(ok[j, 0]) == (want_C[1][1] == OPTIMAL), i
+                    if ok[j, 0]:
+                        assert_within_backward_error(
+                            float(np.linalg.norm(Y[j, 0])), want_C[1][0], want_C[3], i
+                        )
+    assert sorted(seen) == list(range(len(R)))
+    return certified
+
+
+CUT_FACTORS = [0.5, 1.0, 1.5, 2.0, 3.0, 10.0]
+
+
+@pytest.mark.parametrize("factor", CUT_FACTORS)
+def test_screen_agrees_with_the_triangle_svd_near_the_cut(factor):
+    # 64 matrices C = U diag(s) V_i' of shape 6 x 40 with s from 1 down to
+    # s_min = factor * the rank cut 40 eps s_max: below the cut rank 5, and
+    # the screen certifies none below twice the cut
+    n, q = 6, 40
+    rng = np.random.default_rng(int(10 * factor))
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    sv = np.geomspace(1.0, factor * q * EPS, n)
+    C = np.array([(U * sv) @ np.linalg.qr(rng.standard_normal((q, n)))[0].T for _ in range(64)])
+    R = np.linalg.qr(C.swapaxes(1, 2), mode="r")
+    # a target on the span of the first five left singular vectors, the
+    # last of them, and a generic one
+    targets = np.vstack([U[:, :5] @ rng.standard_normal(5), U[:, 5], np.ones(n)])
+    certified = assert_groups_match_the_svd(R, (n, q), targets, C)
+    assert np.array_equal(certified, _full_rank_screen(R, (n, q))[0])
+    if factor <= 1.5:
+        assert not certified.any()
+    if factor >= 3.0:
+        assert certified.all()
+
+
+@pytest.mark.parametrize("sample", [0, 1, 2], ids=GENERATION_METHODS)
+def test_screen_agrees_with_the_triangle_svd_on_the_study_recipes(sample):
+    plant = study_plant(sample)
+    rows = some_signals(130).to_array()
+    shape = (plant.n, T * plant.m)
+    targets = np.vstack([np.ones(plant.n), cross_vertices(plant.n)])
+    blocks = _ctrb_blocks(plant, T)
+    certified = 0
+    for idx, stack in _active_stacks(blocks, rows, worstcase._CHUNK):
+        R = np.linalg.qr(stack, mode="r")
+        C = _ctrb_stack(blocks, rows[idx])
+        certified += int(assert_groups_match_the_svd(R, shape, targets, C).sum())
+    assert 0 < certified < len(rows)
+
+
+def test_screen_sends_edge_triangles_to_the_svd_quietly():
+    # no LinAlgError and no RuntimeWarning on a zero diagonal, an inverse
+    # that overflows, a wide stack or an all-dropout row; only the plain
+    # triangle is certified
+    n, shape = 4, (4, 12)
+    rng = np.random.default_rng(5)
+    plain = np.triu(rng.standard_normal((n, n))) + 3.0 * np.eye(n)
+    zero = plain.copy()
+    zero[2, 2] = 0.0
+    # 1e-200 on the diagonal and ones above it: R^-1 holds 1e600 -> inf
+    overflow = np.triu(np.ones((n, n)), 1) + 1e-200 * np.eye(n)
+    targets = np.vstack([np.ones(n), np.eye(n)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R = np.stack([plain, zero, overflow])
+        assert _full_rank_screen(R, shape)[0].tolist() == [True, False, False]
+        assert assert_groups_match_the_svd(R, shape, targets).tolist() == [True, False, False]
+        for stack in (R[:, :2], np.zeros((1, 0, n))):
+            assert not _full_rank_screen(stack, shape)[0].any()
+            assert not assert_groups_match_the_svd(stack, shape, targets).any()
+        for C in (plain.T, zero.T, overflow.T, np.zeros((n, 3))):
+            res = min_energy(C, np.ones(n))
+            want = direct_oracles(C, np.ones(n), targets)[1]
+            assert res.status == want[1]
 
 
 def test_short_horizon_factor_is_short_and_wide(monkeypatch):
@@ -433,10 +577,13 @@ def test_short_horizon_factor_is_short_and_wide(monkeypatch):
         c = int(rows[idx[0]].sum())
         assert (rows[idx].sum(axis=1) == c).all()
         assert stack.shape == (len(idx), c, 6)
-        assert np.linalg.qr(stack, mode="r").shape == (len(idx), c, 6)
-        U, sv, _ = _factor_stack(stack, (6, T_short))
+        R = np.linalg.qr(stack, mode="r")
+        assert R.shape == (len(idx), c, 6)
+        U, sv, _, _ = _triangle_svd(R, (6, T_short))
         assert U.shape == (len(idx), 6, c) and sv.shape == (len(idx), c)
-    rank = factor_ranks(sys, T_short, rows)
+    rank, certified = factor_ranks(sys, T_short, rows)
+    # a wide triangle certifies nothing: every row takes the SVD
+    assert not certified.any()
     # targets on the range of the all-ones matrix, which no other signal spans
     full = controllability_matrix(sys, Signal.ones(T_short))
     xf = full @ np.array([1.0, -1.0, 2.0, 0.5])
@@ -474,7 +621,9 @@ def test_all_dropout_row_has_rank_zero(monkeypatch):
     assert [(idx.tolist(), stack.shape) for idx, stack in stacks] == [
         ([0], (1, 0, plant.n)), ([1], (1, T * plant.m, plant.n)),
     ]
-    assert factor_ranks(plant, T, rows).tolist() == [0, plant.n]
+    rank, certified = factor_ranks(plant, T, rows)
+    assert rank.tolist() == [0, plant.n]
+    assert certified.tolist() == [False, True]
     ones = np.ones(plant.n)
     energy = worst_energy(plant, K, T, ones)
     poly = polytope_reachable(plant, K, T, Polytope(cross_vertices(plant.n)))[1]
@@ -483,7 +632,8 @@ def test_all_dropout_row_has_rank_zero(monkeypatch):
         math.inf, "unreachable_vertex",
     )
     assert energy.argmax_signal == poly.argmax_signal == Signal.zeros(T)
-    assert energy.info["counters"] == poly.info["counters"] == {"chunks": 2, "rank_deficient": 1}
+    counters = {"chunks": 2, "rank_deficient": 1, "svd_rows": 1}
+    assert energy.info["counters"] == poly.info["counters"] == counters
     res = min_energy(zero, ones)
     assert res.status == INFEASIBLE and res.value is None
     assert res.residual == np.linalg.norm(ones)
@@ -517,6 +667,8 @@ def test_count_groups_come_back_in_row_order(monkeypatch, with_zeros):
     monkeypatch.setattr(worstcase, "candidate_signals", lambda *args, **kwargs: signals)
     rows = signals.to_array()
     counts = rows.sum(axis=1)
+    certified = factor_ranks(sys, T, rows)[1]
+    assert not certified[counts < sys.n].any()
     # the groups in increasing count, each in row order and cut at _CHUNK rows:
     # the 70 rows of 8 successes take two chunks, and c m < n below 6 successes
     chunks = [
@@ -540,7 +692,9 @@ def test_count_groups_come_back_in_row_order(monkeypatch, with_zeros):
         assert [e.signal for e in report.per_signal] == list(signals)
         assert [(e.value, e.status) for e in report.per_signal] == [oracle(s) for s in signals]
         assert report.info["counters"] == {
-            "chunks": len(groups), "rank_deficient": int(np.count_nonzero(counts < sys.n)),
+            "chunks": len(groups),
+            "rank_deficient": int(np.count_nonzero(counts < sys.n)),
+            "svd_rows": int(np.count_nonzero(~certified)),
         }
         # ties at +inf go to the first attainer in row order
         first = Signal("0" * T) if with_zeros else Signal("00000000000111")

@@ -191,13 +191,13 @@ def test_trie_counters_in_json_and_text(capsys, scalar_system):
 
 def test_factor_counters_in_json_and_text(capsys, scalar_system, tmp_path):
     # k=2, T=2 admits 00, 01, 10 and 11: a chunk for each count of
-    # successful steps, and 00 has rank 0
+    # successful steps, and 00 has rank 0, the one matrix that takes the SVD
     xf = tmp_path / "xf.json"
     xf.write_text(json.dumps([1.0]))
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({"vertices": [[0.5], [-0.5]]}))
     common = ("--system", scalar_system, "--k", "2", "--T", "2", "--mode", "exhaustive")
-    counters = {"chunks": 3, "rank_deficient": 1}
+    counters = {"chunks": 3, "rank_deficient": 1, "svd_rows": 1}
     for command, target in (("energy", ("--xf", str(xf))), ("reach", ("--polytope", str(poly)))):
         code, out, _ = run_cli(capsys, command, *common, *target, "--out", "json")
         assert code == 0
@@ -269,6 +269,9 @@ def test_lqr_overflow_is_reported_without_warnings(capsys, tmp_path):
     doc = json.loads(out)
     assert [e["signal"] for e in doc["per_signal"]] == words
     assert {e["value"] for e in doc["per_signal"]} == {"inf"}
+    # an overflowed cost is no certified value
+    assert {e["status"] for e in doc["per_signal"]} == {"max_iterations"}
+    assert doc["info"]["failed_signals"] == words
 
 
 @pytest.mark.parametrize("command", ["lqr-maxmin", "lqr-fixed"])

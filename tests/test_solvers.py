@@ -372,7 +372,9 @@ def test_one_svd_per_solve(monkeypatch, solve, reachable):
     counts = count_decompositions(monkeypatch)
     res = solve(C, xf)
     assert res.status == (OPTIMAL if reachable else INFEASIBLE)
-    assert counts == {"svd": 1, "pinv": 0, "eigh": 0, "eigvalsh": 0}
+    # min_energy's screen certifies the full-rank C from its triangle's inverse
+    svd = 0 if solve is min_energy and reachable else 1
+    assert counts == {"svd": svd, "pinv": 0, "eigh": 0, "eigvalsh": 0}
 
 
 @pytest.mark.parametrize("bound, by", [(1.05, "lp_solves"), (5.0, "upper_screen")])
@@ -388,16 +390,24 @@ def test_bounded_min_fuel_takes_one_svd(monkeypatch, bound, by):
 
 # the scan factors _CHUNK rows at a time among the rows of one count of
 # successes: the 5 minimal signals at T=6 have 3 or 4 (two chunks), the
-# 89 admissible ones at T=9 have 4 to 9 (six chunks)
+# 89 admissible ones at T=9 have 4 to 9 (six chunks).  A chunk takes one
+# SVD call for the matrices its screen does not certify full rank: none of
+# the controllable plant's, and all of the plant whose third state no
+# input reaches (a zero on each triangle's diagonal)
 @pytest.mark.parametrize("mode, T, chunks", [(MINIMAL, 6, 2), (EXHAUSTIVE, 9, 6)])
 def test_polytope_one_svd_per_chunk(monkeypatch, mode, T, chunks):
-    rng = np.random.default_rng(67)
-    sys = SwitchedLinearSystem(
-        rng.standard_normal((3, 3)), rng.standard_normal((3, 1)), np.eye(3)
-    )
-    poly = Polytope(rng.standard_normal((4, 3)))
-    counts = count_decompositions(monkeypatch)
-    _, rep = polytope_reachable(sys, 1, T, poly, mode=mode)
-    sizes = np.bincount([e.signal.count_ones() for e in rep.per_signal])
-    assert chunks == sum(-(-size // _CHUNK) for size in sizes) == rep.info["counters"]["chunks"]
-    assert counts == {"svd": chunks, "pinv": 0, "eigh": 0, "eigvalsh": 0}
+    for deficient in (False, True):
+        rng = np.random.default_rng(67)
+        A, B = rng.standard_normal((3, 3)), rng.standard_normal((3, 1))
+        if deficient:
+            A[2, :2] = B[2] = 0.0
+        sys = SwitchedLinearSystem(A, B, np.eye(3))
+        poly = Polytope(rng.standard_normal((4, 3)))
+        counts = count_decompositions(monkeypatch)
+        _, rep = polytope_reachable(sys, 1, T, poly, mode=mode)
+        sizes = np.bincount([e.signal.count_ones() for e in rep.per_signal])
+        counters = rep.info["counters"]
+        assert chunks == sum(-(-size // _CHUNK) for size in sizes) == counters["chunks"]
+        svd_rows = len(rep.per_signal) if deficient else 0
+        assert counters["svd_rows"] == counters["rank_deficient"] == svd_rows
+        assert counts == {"svd": chunks if svd_rows else 0, "pinv": 0, "eigh": 0, "eigvalsh": 0}
