@@ -15,8 +15,6 @@ res = run_study(cfg)
 print(f"problem I, k=1, n=10, m=7, {cfg.samples} samples "
       f"(generator {res.generator}):")
 print(f"  avg RPD {res.avg_rpd:.1f}%  retained {res.retained}  discarded {res.discarded_samples}")
-print(f"  minimal-signal generation: direct {res.avg_time_fast*1e3:.2f} ms, "
-      f"filter {res.avg_time_filter*1e3:.2f} ms")
 
 print("\nper-sample rows (id, recipe, nominal steps, worst steps, worst pattern):")
 for row in res.rows[:6]:

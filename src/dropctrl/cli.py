@@ -236,8 +236,6 @@ def _print_study(result, out: str) -> None:
             "generator": result.generator,
             "problem": result.config.problem,
             "avg_rpd_percent": result.avg_rpd,
-            "avg_time_fast": result.avg_time_fast,
-            "avg_time_filter": result.avg_time_filter,
             "discarded_samples": result.discarded_samples,
             "retained_samples": result.retained,
             "rows": [asdict(r) for r in result.rows],
@@ -257,11 +255,6 @@ def _print_study(result, out: str) -> None:
               f"{result.discarded_samples} discarded (generator {result.generator})")
         if result.avg_rpd is not None:
             print(f"avg RPD: {result.avg_rpd:.6g}%")
-        print(f"avg minimal-signal time (candidates): {result.avg_time_fast:.6f}s")
-        if result.avg_time_filter is None:
-            print("avg minimal-signal time (filter): skipped, the language exceeds --exhaustive-cap")
-        else:
-            print(f"avg minimal-signal time (filter): {result.avg_time_filter:.6f}s")
 
 
 def main(argv=None) -> int:
@@ -272,10 +265,7 @@ def main(argv=None) -> int:
         # parsed later, win; argparse checks both alike
         ns = parser.parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
         return _run_command(ns)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError, CapExceeded) as exc:
+    except (CliError, ValueError, OSError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

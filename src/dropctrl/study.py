@@ -23,19 +23,13 @@ row's infeasible task; I and II are valued in steps, t + 1.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lqr import LqrWeights
-from .automata import (
-    Automaton,
-    CapExceeded,
-    build_k_constraint_automaton,
-    enumerate_admissible,
-)
-from .signals import Signal, minimal_filter
+from .automata import Automaton
+from .signals import Signal
 from .solvers import check_weights
 from .systems import (
     SwitchedLinearSystem,
@@ -50,7 +44,6 @@ from .worstcase import (
     PROBLEMS,
     Problem,
     WorstCaseReport,
-    candidate_signals,
     check_cap,
 )
 
@@ -200,13 +193,6 @@ class SampleRow:
 class StudyResult:
     config: StudyConfig
     generator: str
-    avg_rpd: float | None
-    # wall time of one run of each candidate generator at the study's (k, T):
-    # candidate_signals(k, T), the minimal words the analyses scan, and the
-    # enumerate-then-filter oracle, None when the language exceeds exhaustive_cap
-    avg_time_fast: float
-    avg_time_filter: float | None
-    discarded_samples: int
     rows: list[SampleRow] = field(default_factory=list)
     reject_reasons: list[str] = field(default_factory=list)
     # full worst-case report per sample (None where the sample never got one)
@@ -215,6 +201,16 @@ class StudyResult:
     @property
     def retained(self) -> int:
         return sum(1 for r in self.rows if r.status == "ok")
+
+    @property
+    def discarded_samples(self) -> int:
+        return len(self.rows) - self.retained
+
+    @property
+    def avg_rpd(self) -> float | None:
+        """Mean RPD over the retained rows, None when none is retained."""
+        rpds = [r.rpd_percent for r in self.rows if r.status == "ok"]
+        return sum(rpds) / len(rpds) if rpds else None
 
 
 def _sample_rng(seed: int, sample_index: int) -> np.random.Generator:
@@ -268,63 +264,32 @@ def _evaluate_sample(cfg: StudyConfig, sys: SwitchedLinearSystem):
 def run_study(cfg: StudyConfig) -> StudyResult:
     """Run the per-sample pipeline; failures are logged rows, never aborts.
 
-    avg_time_fast times candidate_signals(k, T), the minimal-word
-    generation every minimal-mode analysis runs; avg_time_filter times
-    minimal_filter over the enumerated language, the oracle it replaces.
+    Each sample gives one row and one report (None where the sample never
+    got one): a plant draw or an analysis that raises is discarded as
+    error:<exception>, a nominal too small for an RPD as nominal_nonpositive.
     """
     rows: list[SampleRow] = []
     reports: list = []
     reject_reasons: list[str] = []
-    rpds: list[float] = []
-    discarded = 0
-    # candidate generation depends only on (k, T), so it is timed once
-    t0 = time.perf_counter()
-    candidate_signals(cfg.k, cfg.T)
-    time_fast = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    try:
-        words = enumerate_admissible(
-            build_k_constraint_automaton(cfg.k), cfg.T, cap=cfg.exhaustive_cap
-        )
-        minimal_filter(words)
-        time_filter = time.perf_counter() - t0
-    except CapExceeded:  # the filter is quadratic in the language, which no analysis here uses
-        time_filter = None
     for i in range(cfg.samples):
         method = GENERATION_METHODS[i % len(GENERATION_METHODS)]
-        rng = _sample_rng(cfg.seed, i)
+        nominal = worst = argmax = report = value = None
         try:
             sys = random_system(
-                cfg.n, cfg.m, cfg.p, method, rng,
+                cfg.n, cfg.m, cfg.p, method, _sample_rng(cfg.seed, i),
                 screen_horizon=max(cfg.n, cfg.T), reject_log=reject_reasons,
             )
             nominal, worst, argmax, reason, report = _evaluate_sample(cfg, sys)
-            reports.append(report)
-            if reason is None:
-                try:
-                    value = rpd(worst, nominal)
-                except ValueError:
-                    reason = "nominal_nonpositive"
-            if reason is not None:
-                discarded += 1
-                rows.append(SampleRow(i, method, None, nominal, worst, argmax, f"discarded:{reason}"))
-                continue
-            rpds.append(value)
-            rows.append(SampleRow(i, method, value, nominal, worst, argmax, "ok"))
         except Exception as exc:  # per-sample failures never abort the study
-            discarded += 1
-            reports.append(None)
-            rows.append(
-                SampleRow(i, method, None, None, None, None, f"discarded:error:{type(exc).__name__}")
-            )
+            reason = f"error:{type(exc).__name__}"
+        if reason is None:
+            try:
+                value = rpd(worst, nominal)
+            except ValueError:
+                reason = "nominal_nonpositive"
+        status = "ok" if reason is None else f"discarded:{reason}"
+        rows.append(SampleRow(i, method, value, nominal, worst, argmax, status))
+        reports.append(report)
     return StudyResult(
-        config=cfg,
-        generator=GENERATOR_NAME,
-        avg_rpd=(sum(rpds) / len(rpds)) if rpds else None,
-        avg_time_fast=time_fast,
-        avg_time_filter=time_filter,
-        discarded_samples=discarded,
-        rows=rows,
-        reject_reasons=reject_reasons,
-        reports=reports,
+        config=cfg, generator=GENERATOR_NAME, rows=rows, reject_reasons=reject_reasons, reports=reports,
     )

@@ -393,16 +393,6 @@ def test_listings_refuse_mode(capsys, tmp_path, command):
     assert "unrecognized arguments" in err
 
 
-def test_study_text_says_filter_skipped(capsys):
-    code, out, _ = run_cli(
-        capsys, "study", "--problem", "I", "--states", "3", "--inputs", "2",
-        "--samples", "2", "--seed", "4", "--exhaustive-cap", "100",
-    )
-    assert code == 0
-    assert "(filter): skipped" in out
-
-
-
 @pytest.mark.parametrize("frac", ["-1", "1.5", "nan"])
 def test_study_refuses_discard_frac_outside_unit_interval(capsys, frac):
     code, out, err = run_cli(

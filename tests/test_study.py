@@ -122,13 +122,6 @@ def test_study_exhaustive_mode_vi():
             assert row.rpd_percent >= 0.0
 
 
-def test_study_timings_recorded():
-    cfg = StudyConfig(problem="V", k=2, n=2, m=1, samples=3, T=8, seed=1)
-    res = run_study(cfg)
-    assert res.avg_time_fast > 0.0
-    assert res.avg_time_filter > 0.0
-
-
 @pytest.mark.parametrize(
     "problem, solver, status, reason",
     [
@@ -154,12 +147,21 @@ def test_study_nominal_fuel_discard_reason(monkeypatch, problem, solver, status,
         assert (row.nominal, row.worst, row.argmax_signal, rep) == (None, None, None, None)
 
 
-def test_study_skips_filter_timing_beyond_the_cap():
-    # k=1, T=12 admits 377 words; the filter oracle is timed only under the cap
+def test_minimal_study_rows_ignore_the_cap():
+    # k=1, T=12 admits 377 words; a minimal-mode study never enumerates them
     cfg = dict(problem="I", k=1, n=3, m=2, samples=3, T=12, seed=4)
     capped = run_study(StudyConfig(**cfg, exhaustive_cap=100))
-    assert capped.avg_time_filter is None
     assert capped.rows == run_study(StudyConfig(**cfg)).rows
+
+
+def test_study_never_runs_the_filter_oracle(monkeypatch):
+    # the quadratic enumerate-then-filter oracle buys a study nothing
+    def oracle(*args, **kwargs):
+        pytest.fail("run_study ran minimal_filter")
+
+    monkeypatch.setattr(study, "minimal_filter", oracle, raising=False)
+    res = run_study(StudyConfig(problem="I", k=1, n=3, m=2, samples=3, T=12, seed=4))
+    assert res.retained == 3
 
 
 def test_study_keeps_full_reports():
