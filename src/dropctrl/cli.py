@@ -14,7 +14,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import MISSING, asdict, astuple, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .automata import (
 )
 from .lqr import LqrWeights
 from .study import PROBLEM_LABELS, SampleRow, StudyConfig, run_study
-from .worstcase import DEFAULT_EXHAUSTIVE_CAP, PROBLEMS
+from .worstcase import DEFAULT_EXHAUSTIVE_CAP, EXHAUSTIVE, MINIMAL, PROBLEMS
 
 
 class CliError(Exception):
@@ -84,6 +85,7 @@ _ARGUMENTS = {
 
 def build_parser() -> _Parser:
     root = _Parser(prog="dropctrl", description=__doc__)
+    modes = [MINIMAL, EXHAUSTIVE]
     sub = root.add_subparsers(dest="command", required=True)
 
     def cmd(name, **kw):
@@ -100,7 +102,7 @@ def build_parser() -> _Parser:
     for command, problem in PROBLEMS.items():
         p = cmd(command, help=problem.summary)
         _constraint_flags(p, T_required="T" in problem.args)
-        p.add_argument("--mode", choices=["minimal", "exhaustive"], default="minimal")
+        p.add_argument("--mode", choices=modes, default=MINIMAL)
         p.add_argument("--system", required=True)
         for name in problem.args:
             flag, options, _ = _ARGUMENTS[name]
@@ -108,16 +110,16 @@ def build_parser() -> _Parser:
                 p.add_argument(flag, **options)
 
     p = cmd("study", help="randomized validation study")
-    p.add_argument("--problem", choices=PROBLEM_LABELS, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--states", type=int, default=10)
-    p.add_argument("--inputs", type=int, default=7)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--T", type=int, default=12)
-    p.add_argument("--mode", choices=["minimal", "exhaustive"], default="minimal")
-    p.add_argument("--gamma1", type=float, default=1.0)
-    p.add_argument("--gamma2", type=float, default=0.0)
+    # one flag per StudyConfig field, of its type and default; the global
+    # --exhaustive-cap sets exhaustive_cap
+    types = get_type_hints(StudyConfig)
+    for f in fields(StudyConfig):
+        if f.name != "exhaustive_cap":
+            p.add_argument(
+                {"n": "--states", "m": "--inputs"}.get(f.name, f"--{f.name}"), dest=f.name,
+                type=types[f.name], choices={"problem": PROBLEM_LABELS, "mode": modes}.get(f.name),
+                default=f.default, required=f.default is MISSING,
+            )
     p.add_argument("--max-discard-frac", type=float, default=0.5)
     return root
 
@@ -191,29 +193,14 @@ def _signal_strings(ns: argparse.Namespace) -> tuple[str, ...]:
 
 def _run_command(ns: argparse.Namespace) -> int:
     command = ns.command
-    cap = ns.exhaustive_cap
-
     if command in ("admissible", "minimal"):
         _print_signals(_signal_strings(ns), ns.out, ns.T)
         return 0
-    mode = ns.mode
 
     if command == "study":
         if not 0.0 <= ns.max_discard_frac <= 1.0:
             raise CliError(f"--max-discard-frac must lie in [0, 1], got {ns.max_discard_frac}")
-        cfg = StudyConfig(
-            problem=ns.problem,
-            k=ns.k,
-            n=ns.states,
-            m=ns.inputs,
-            samples=ns.samples,
-            T=ns.T,
-            seed=ns.seed,
-            mode=mode,
-            gamma1=ns.gamma1,
-            gamma2=ns.gamma2,
-            exhaustive_cap=cap,
-        )
+        cfg = StudyConfig(**{f.name: getattr(ns, f.name) for f in fields(StudyConfig)})
         result = run_study(cfg)
         _print_study(result, ns.out)
         if result.discarded_samples > ns.max_discard_frac * cfg.samples:
@@ -225,7 +212,7 @@ def _run_command(ns: argparse.Namespace) -> int:
 
     problem = PROBLEMS[command]
     values = {name: _ARGUMENTS[name][2](ns, sys_model) for name in problem.args}
-    report = problem.run(sys_model, constraint, mode=mode, cap=cap, **values)
+    report = problem.run(sys_model, constraint, mode=ns.mode, cap=ns.exhaustive_cap, **values)
     _print_report(report, ns.out)
     return 0
 
@@ -235,6 +222,7 @@ def _print_study(result, out: str) -> None:
         doc = {
             "generator": result.generator,
             "problem": result.config.problem,
+            "config": asdict(result.config),
             "avg_rpd_percent": result.avg_rpd,
             "discarded_samples": result.discarded_samples,
             "retained_samples": result.retained,

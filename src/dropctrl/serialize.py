@@ -67,11 +67,11 @@ def matrix_to_dict(M) -> dict:
 def matrix_from_dict(d: dict) -> np.ndarray:
     try:
         rows, cols, data = int(d["rows"]), int(d["cols"]), d["data"]
+        if len(data) != rows * cols:
+            raise ValueError(f"matrix data has {len(data)} entries, expected {rows * cols}")
+        return np.array(data, dtype=float).reshape(rows, cols)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"matrix object needs rows/cols/data fields: {exc}") from exc
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix data has {len(data)} entries, expected {rows * cols}")
-    return np.array(data, dtype=float).reshape(rows, cols)
 
 
 def matrix_to_csv(M) -> str:
@@ -125,7 +125,10 @@ def vector_from_any(obj) -> np.ndarray:
     """Accept the matrix dict, a nested list, or a flat list; return 1-D."""
     if isinstance(obj, dict):
         return matrix_from_dict(obj).ravel()
-    return np.asarray(obj, dtype=float).ravel()
+    try:
+        return np.asarray(obj, dtype=float).ravel()
+    except TypeError as exc:
+        raise ValueError(f"vector must be numbers or a rows/cols/data object: {exc}") from exc
 
 
 def load_vector(path: str) -> np.ndarray:
@@ -146,12 +149,10 @@ def automaton_to_dict(a: Automaton) -> dict:
 
 def automaton_from_dict(d: dict) -> Automaton:
     try:
-        nodes = d["nodes"]
-        start = d["start"]
         edges = [Edge(int(e["from"]), int(e["to"]), str(e["label"])) for e in d["edges"]]
+        return Automaton(d["nodes"], edges, d["start"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"automaton object needs nodes/start/edges fields: {exc}") from exc
-    return Automaton(nodes, edges, start)
 
 
 def load_automaton(path: str) -> Automaton:
@@ -165,11 +166,10 @@ def save_automaton(a: Automaton, path: str) -> None:
 
 
 def polytope_from_dict(d: dict) -> Polytope:
-    if isinstance(d, dict):
-        if "vertices" not in d:
-            raise ValueError("polytope object needs a 'vertices' field")
-        return Polytope(vertices=np.array(d["vertices"], dtype=float))
-    return Polytope(vertices=np.array(d, dtype=float))
+    try:
+        return Polytope(vertices=np.array(d["vertices"] if isinstance(d, dict) else d, dtype=float))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"polytope needs vertex rows or a 'vertices' field: {exc}") from exc
 
 
 def load_polytope(path: str) -> Polytope:
@@ -179,12 +179,9 @@ def load_polytope(path: str) -> Polytope:
 
 def system_from_dict(d: dict) -> SwitchedLinearSystem:
     try:
-        A = _coerce_matrix(d["A"], "A")
-        B = _coerce_matrix(d["B"], "B")
-        C = _coerce_matrix(d["C"], "C")
-    except KeyError as exc:
-        raise ValueError(f"system object needs A/B/C fields: missing {exc}") from exc
-    return SwitchedLinearSystem(A, B, C)
+        return SwitchedLinearSystem(*(_coerce_matrix(d[name], name) for name in "ABC"))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"system object needs A/B/C fields: {exc}") from exc
 
 
 def load_system(path: str) -> SwitchedLinearSystem:
@@ -200,8 +197,8 @@ def weights_from_dict(d: dict) -> LqrWeights:
             _coerce_matrix(d["Qf"], "Qf"),
             int(d["T"]),
         )
-    except KeyError as exc:
-        raise ValueError(f"weights object needs Q/R/Qf/T fields: missing {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"weights object needs Q/R/Qf/T fields: {exc}") from exc
 
 
 def load_weights(path: str) -> LqrWeights:

@@ -70,6 +70,9 @@ NO_DROPOUTS = Automaton([0], [(0, 0, "1")], [0])
 # the problems whose every argument the study supplies: all but IV, which takes a polytope
 PROBLEM_LABELS = tuple(dict.fromkeys(row.label for row in PROBLEMS.values() if "poly" not in row.args))
 
+# the rejected draws random_system allows before it gives up
+_MAX_REJECTS = 100
+
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed orthogonal matrix: QR of a Gaussian, signs fixed."""
@@ -104,15 +107,15 @@ def random_system(
     p: int,
     method: str,
     rng: np.random.Generator,
-    max_rejects: int = 100,
     screen_horizon: int | None = None,
     reject_log: list | None = None,
 ) -> SwitchedLinearSystem:
     """Draw a controllable and observable system with an invertible A.
 
-    B and C are standard normal; A follows the chosen recipe.  Draws
-    failing the invertibility or the all-ones-signal rank screens are
-    rejected and redrawn, up to max_rejects.
+    B and C are standard normal; A follows the chosen recipe.  Draws failing
+    the invertibility or the all-ones-signal rank screens (over screen_horizon
+    steps, default n) are logged in reject_log and redrawn; the
+    _MAX_REJECTS-th rejection raises RuntimeError.
     """
     horizon = screen_horizon if screen_horizon is not None else n
     ones = Signal.ones(horizon)
@@ -135,7 +138,7 @@ def random_system(
         rejects += 1
         if reject_log is not None:
             reject_log.append(reason)
-        if rejects >= max_rejects:
+        if rejects >= _MAX_REJECTS:
             raise RuntimeError(
                 f"gave up after {rejects} rejected draws (last reason: {reason})"
             )
@@ -150,11 +153,15 @@ def rpd(worst: float, nominal: float) -> float:
 
 @dataclass
 class StudyConfig:
+    """A study's settings, one `dropctrl study` flag each.
+
+    Every plant has n states, m inputs and m outputs: C is drawn like B.
+    """
+
     problem: str
     k: int = 1
     n: int = 10
     m: int = 7
-    p: int | None = None  # defaults to m (inputs/outputs drawn alike)
     samples: int = 50
     T: int = 12
     seed: int = 0
@@ -172,9 +179,7 @@ class StudyConfig:
             raise ValueError("samples must be >= 1")
         check_weights(self.gamma1, self.gamma2)
         check_cap(self.exhaustive_cap)
-        if self.p is None:
-            self.p = self.m
-        if min(self.n, self.m, self.p, self.k, self.T) < 1:
+        if min(self.n, self.m, self.k, self.T) < 1:
             raise ValueError("dimensions, k and T must be positive")
 
 
@@ -276,7 +281,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         nominal = worst = argmax = report = value = None
         try:
             sys = random_system(
-                cfg.n, cfg.m, cfg.p, method, _sample_rng(cfg.seed, i),
+                cfg.n, cfg.m, cfg.m, method, _sample_rng(cfg.seed, i),
                 screen_horizon=max(cfg.n, cfg.T), reject_log=reject_reasons,
             )
             nominal, worst, argmax, reason, report = _evaluate_sample(cfg, sys)

@@ -214,22 +214,20 @@ def reachability_gramian(sys: SwitchedLinearSystem, s: Signal) -> Gramian:
 
 
 def _rank_cut(shape: tuple[int, ...], sv: np.ndarray) -> np.ndarray:
-    """The default rank cut max(dim) * eps * s_max for descending singular values sv.
+    """The rank cut max(dim) * eps * s_max for descending singular values sv.
 
     sv may be a stack (N, k) of them; the result has shape (..., 1).
     """
     return max(shape) * np.finfo(float).eps * sv[..., :1]
 
 
-def numerical_rank(M, tol: float | None = None) -> int:
-    """Count of singular values above tol (default max(dim) * eps * s_max)."""
+def numerical_rank(M) -> int:
+    """Count of singular values above the fixed cut _rank_cut, max(dim) * eps * s_max."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
-    if tol is None:
-        tol = _rank_cut(M.shape, sv)
-    return int(np.count_nonzero(sv > tol))
+    return int(np.count_nonzero(sv > _rank_cut(M.shape, sv)))
 
 
 def first_full_rank_time(sys: SwitchedLinearSystem, s: Signal) -> int | None:

@@ -1,5 +1,6 @@
 import argparse
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from dropctrl import (
     worst_fuel_energy,
     worst_lqr,
 )
+from dropctrl import cli
 from dropctrl.cli import build_parser, main
-from dropctrl.study import StudyConfig
+from dropctrl.study import PROBLEM_LABELS, StudyConfig, run_study
 from dropctrl.worstcase import PROBLEMS
 
 
@@ -129,6 +131,51 @@ def test_malformed_matrix_exit_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "estimate-time", "--system", str(bad), "--k", "1", "--T", "3")
     assert code == 1
     assert "entries" in err
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        pytest.param(["minimal", "--T", "3", "--automaton"], {"nodes": 5, "start": [0], "edges": []},
+                     id="automaton-nodes-number"),
+        pytest.param(["minimal", "--T", "3", "--automaton"], {"nodes": [0], "start": 0, "edges": []},
+                     id="automaton-start-number"),
+        pytest.param(["estimate-time", "--k", "1", "--T", "3", "--system"], [[2.0]], id="system-list"),
+        pytest.param(["estimate-time", "--k", "1", "--T", "3", "--system"],
+                     {"A": {"rows": 1, "cols": 1, "data": 2.0}, "B": [[1.0]], "C": [[1.0]]},
+                     id="system-matrix-data-number"),
+        pytest.param(["lqr-maxmin", "--k", "1", "--system", "SYS", "--weights"], [[1.0]],
+                     id="weights-list"),
+        pytest.param(["lqr-maxmin", "--k", "1", "--system", "SYS", "--weights"],
+                     {"Q": [[1.0]], "R": [[1.0]], "Qf": [[1.0]], "T": [3]}, id="weights-T-list"),
+        pytest.param(["energy", "--k", "1", "--T", "3", "--system", "SYS", "--xf"],
+                     {"rows": 1, "cols": 1, "data": 1.0}, id="xf-matrix-data-number"),
+        pytest.param(["energy", "--k", "1", "--T", "3", "--system", "SYS", "--xf"], [{}],
+                     id="xf-object-entry"),
+        pytest.param(["reach", "--k", "1", "--T", "3", "--system", "SYS", "--polytope"],
+                     {"vertices": {"x": 1.0}}, id="polytope-vertices-object"),
+    ],
+)
+def test_malformed_documents_exit_1(capsys, scalar_system, tmp_path, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [scalar_system if a == "SYS" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_malformed_arguments_exit_1(capsys, scalar_system, tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps([["k", 1]]))
+    code, _, err = run_cli(capsys, "minimal", "--T", "3", "--config", str(config))
+    assert code == 1 and "must hold a JSON object" in err
+    xf = tmp_path / "xf.json"
+    xf.write_text(json.dumps([1.0, 2.0]))
+    code, _, err = run_cli(capsys, "energy", "--system", scalar_system, "--k", "1", "--T", "3", "--xf", str(xf))
+    assert code == 1 and "has dimension 2, expected 1" in err
+    code, _, err = run_cli(capsys, "lqr-maxmin", "--system", scalar_system, "--k", "1")
+    assert code == 1 and "--T is required without --weights" in err
 
 
 def test_estimate_time(capsys, scalar_system):
@@ -314,6 +361,31 @@ def test_study_json_deterministic(capsys):
     a, b = json.loads(out1), json.loads(out2)
     assert a["rows"] == b["rows"]
     assert a["generator"] == "numpy-pcg64/seedseq-spawn-per-sample"
+
+
+@pytest.mark.parametrize("label", PROBLEM_LABELS)
+def test_study_flags_default_to_the_config_fields(label):
+    ns = build_parser().parse_args(["study", "--problem", label])
+    parsed = {f.name: getattr(ns, f.name) for f in fields(StudyConfig)}
+    expected = asdict(StudyConfig(problem=label))
+    assert parsed == expected
+    assert list(map(type, parsed.values())) == list(map(type, expected.values()))
+
+
+def test_study_json_carries_its_config(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "run_study", lambda cfg: built.append(cfg) or run_study(cfg))
+    code, out, _ = run_cli(
+        capsys, "study", "--problem", "III", "--k", "2", "--states", "3", "--inputs", "2",
+        "--samples", "2", "--seed", "4", "--T", "5", "--mode", "exhaustive", "--gamma1", "0",
+        "--gamma2", "2", "--exhaustive-cap", "1000", "--max-discard-frac", "1", "--out", "json",
+    )
+    assert code == 0
+    config = StudyConfig(**json.loads(out)["config"])
+    assert config == built[0] == StudyConfig(
+        problem="III", k=2, n=3, m=2, samples=2, T=5, seed=4, mode="exhaustive",
+        gamma1=0.0, gamma2=2.0, exhaustive_cap=1000,
+    )
 
 
 def test_config_file_supplies_flags(capsys, tmp_path):

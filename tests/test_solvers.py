@@ -20,6 +20,7 @@ from dropctrl import (
     min_inf_norm,
     peak_within,
     polytope_reachable,
+    worst_fuel_energy,
 )
 from dropctrl.worstcase import _CHUNK
 
@@ -337,6 +338,22 @@ def test_min_fuel_energy_feasibility_and_residual():
         min_fuel_energy(C, xf, 0.0, 0.0)
     with pytest.raises(ValueError):
         min_fuel_energy(C, xf, -1.0, 1.0)
+
+
+def test_min_fuel_energy_iteration_cap(monkeypatch):
+    # one splitting step certifies nothing: the exactly feasible iterate is max_iterations
+    monkeypatch.setattr(solvers, "_ADMM_MAX_ITER", 1)
+    rng = np.random.default_rng(47)
+    C = rng.standard_normal((3, 8))
+    xf = C @ rng.standard_normal(8)
+    res = min_fuel_energy(C, xf, 1.0, 1.0)
+    assert (res.status, res.iterations) == (MAX_ITERATIONS, 1)
+    assert res.residual <= 1e-9 * np.linalg.norm(xf)
+    # every k=1, T=4 word drives the scalar plant with at least two inputs
+    sys = SwitchedLinearSystem([[2.0]], [[1.0]], [[1.0]])
+    report = worst_fuel_energy(sys, 1, 4, [1.0], 1.0, 1.0, EXHAUSTIVE)
+    assert [e.status for e in report.per_signal] == [MAX_ITERATIONS] * 8
+    assert report.info["failed_signals"] == [str(e.signal) for e in report.per_signal]
 
 
 def count_decompositions(monkeypatch):

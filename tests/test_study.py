@@ -14,7 +14,7 @@ from dropctrl import (
 )
 from dropctrl import study, worstcase
 from dropctrl.solvers import INFEASIBLE, MAX_ITERATIONS, SolveResult
-from dropctrl.study import _sample_rng, haar_orthogonal
+from dropctrl.study import SampleRow, _sample_rng, haar_orthogonal
 
 
 def test_rpd_examples():
@@ -54,13 +54,23 @@ def test_random_system_screens_and_determinism():
         assert numerical_rank(observability_matrix(a, ones)) == 4
 
 
-def test_random_system_reject_bound():
+def test_random_system_reject_bound(monkeypatch):
+    monkeypatch.setattr(study, "_MAX_REJECTS", 5)
     rng = np.random.default_rng(3)
     log = []
     with pytest.raises(RuntimeError):
         # impossible screen: 1 input/output cannot excite 4 states in 1 step
-        random_system(4, 1, 1, "gaussian", rng, screen_horizon=1, max_rejects=5, reject_log=log)
+        random_system(4, 1, 1, "gaussian", rng, screen_horizon=1, reject_log=log)
     assert len(log) == 5
+
+
+def test_random_system_rejects_unobservable(monkeypatch):
+    # 4 inputs reach 4 states in 1 step, but 1 output sees only one direction of them
+    monkeypatch.setattr(study, "_MAX_REJECTS", 3)
+    log = []
+    with pytest.raises(RuntimeError, match="last reason: unobservable"):
+        random_system(4, 4, 1, "gaussian", np.random.default_rng(3), screen_horizon=1, reject_log=log)
+    assert log == ["unobservable"] * 3
 
 
 def test_random_system_rejects_singular_A(monkeypatch):
@@ -147,6 +157,45 @@ def test_study_nominal_fuel_discard_reason(monkeypatch, problem, solver, status,
         assert (row.nominal, row.worst, row.argmax_signal, rep) == (None, None, None, None)
 
 
+def test_study_discards_a_raising_sample(monkeypatch):
+    cfg = StudyConfig(problem="I", k=1, n=3, m=2, samples=3, T=6, seed=5)
+    clean = run_study(cfg)
+    draw, calls = study.random_system, []
+
+    def second_draw_raises(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("no plant")
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(study, "random_system", second_draw_raises)
+    res = run_study(cfg)
+    status = "discarded:error:LinAlgError"
+    assert res.rows[1] == SampleRow(1, GENERATION_METHODS[1], None, None, None, None, status)
+    assert res.reports[1] is None
+    # the other samples keep their own streams and rows
+    assert [res.rows[0], res.rows[2]] == [clean.rows[0], clean.rows[2]]
+    assert (res.retained, res.discarded_samples) == (2, 1)
+
+
+def test_study_discards_a_nonpositive_nominal(monkeypatch):
+    cfg = StudyConfig(problem="I", k=1, n=3, m=2, samples=3, T=6, seed=5)
+    clean = run_study(cfg)
+    evaluate = study._evaluate_sample
+
+    def zero_nominal(cfg, sys):
+        _, worst, argmax, reason, report = evaluate(cfg, sys)
+        return 0.0, worst, argmax, reason, report
+
+    monkeypatch.setattr(study, "_evaluate_sample", zero_nominal)
+    res = run_study(cfg)
+    assert res.avg_rpd is None and res.retained == 0
+    for row, kept, report in zip(res.rows, clean.rows, res.reports):
+        assert (row.status, row.rpd_percent, row.nominal) == ("discarded:nominal_nonpositive", None, 0.0)
+        assert (row.worst, row.argmax_signal) == (kept.worst, kept.argmax_signal)
+        assert report is not None
+
+
 def test_minimal_study_rows_ignore_the_cap():
     # k=1, T=12 admits 377 words; a minimal-mode study never enumerates them
     cfg = dict(problem="I", k=1, n=3, m=2, samples=3, T=12, seed=4)
@@ -181,8 +230,6 @@ def test_study_config_validation():
         StudyConfig(problem="I", samples=0)
     with pytest.raises(ValueError):
         StudyConfig(problem="I", n=0)
-    with pytest.raises(ValueError, match="positive"):
-        StudyConfig(problem="I", n=3, m=2, p=0, samples=2, T=4, seed=1)
     with pytest.raises(ValueError, match="mode"):
         StudyConfig(problem="I", mode="bogus")
     with pytest.raises(ValueError, match="gamma"):
@@ -193,5 +240,3 @@ def test_study_config_validation():
     for cap in (0, -1):
         with pytest.raises(ValueError, match="cap must be >= 1"):
             StudyConfig(problem="I", n=3, m=2, samples=3, T=6, seed=7, exhaustive_cap=cap)
-    cfg = StudyConfig(problem="I")
-    assert cfg.p == cfg.m

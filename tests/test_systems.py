@@ -134,7 +134,6 @@ def test_numerical_rank():
     assert numerical_rank(np.eye(4)) == 4
     assert numerical_rank(np.zeros((3, 5))) == 0
     assert numerical_rank([[1.0, 1.0], [1.0, 1.0]]) == 1
-    assert numerical_rank(np.array([[1.0, 0.0], [0.0, 1e-10]]), tol=1e-6) == 1
 
 
 def test_first_full_rank_time_examples():
