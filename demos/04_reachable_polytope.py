@@ -12,19 +12,20 @@ import numpy as np
 from dropctrl import (
     Automaton,
     Polytope,
-    Signal,
     SwitchedLinearSystem,
-    minimal_signals_bfs,
+    build_k_constraint_automaton,
+    controllability_matrix,
+    minimal_admissible,
     polytope_reachable,
-    reachability_gramian,
 )
 
 sys = SwitchedLinearSystem(np.eye(2), np.eye(2), np.eye(2))
 T = 3
 
 print("Gramians for the k=1 minimal signals (identity plant):")
-for s in minimal_signals_bfs(1, T):
-    W = reachability_gramian(sys, s).W
+for s in minimal_admissible(build_k_constraint_automaton(1), T):
+    C = controllability_matrix(sys, s)
+    W = C @ C.T
     print(f"  {s}: W = diag({W[0,0]:.0f}, {W[1,1]:.0f})")
 
 square = Polytope(0.7 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float))

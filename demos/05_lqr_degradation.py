@@ -15,7 +15,6 @@ from dropctrl import (
     Signal,
     SwitchedLinearSystem,
     degraded_cost,
-    lqr_cost,
     lti_gains,
     riccati_backward,
     worst_fixed_input_lqr,
@@ -29,7 +28,7 @@ sys = SwitchedLinearSystem(A, rng.standard_normal((n, m)), np.eye(n))
 weights = LqrWeights.identity(n, m, T)
 x0 = np.ones(n)
 
-nominal = lqr_cost(riccati_backward(sys, Signal.ones(T), weights), x0)
+nominal = float(x0 @ riccati_backward(sys, Signal.ones(T), weights).P[0] @ x0)
 print(f"nominal (no dropouts) optimal cost: {nominal:.4f}")
 
 rep = worst_lqr(sys, 1, weights, x0, mode="minimal")

@@ -16,7 +16,6 @@ from .automata import (
     build_k_constraint_automaton,
     build_k_minimal_automaton,
     enumerate_admissible,
-    is_admissible,
     minimal_admissible,
     minimal_signals_bfs,
 )
@@ -25,11 +24,10 @@ from .lqr import (
     LqrWeights,
     RiccatiSolution,
     degraded_cost,
-    lqr_cost,
     lti_gains,
     riccati_backward,
 )
-from .signals import Signal, SignalSet, dominates, is_minimal_k, minimal_filter
+from .signals import Signal, SignalSet
 from .solvers import (
     INFEASIBLE,
     MAX_ITERATIONS,
@@ -52,15 +50,11 @@ from .study import (
     run_study,
 )
 from .systems import (
-    Gramian,
     SwitchedLinearSystem,
-    Trajectory,
     controllability_matrix,
     first_full_rank_time,
     numerical_rank,
     observability_matrix,
-    reachability_gramian,
-    simulate,
 )
 from .worstcase import (
     DEFAULT_EXHAUSTIVE_CAP,

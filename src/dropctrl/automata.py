@@ -22,13 +22,12 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from .signals import Signal, SignalSet
+from .signals import SignalSet
 
 __all__ = [
     "Edge",
     "Automaton",
     "CapExceeded",
-    "is_admissible",
     "enumerate_admissible",
     "minimal_admissible",
     "build_k_constraint_automaton",
@@ -89,26 +88,6 @@ class Automaton:
             f"Automaton(nodes={sorted(self.nodes)}, edges={len(self.edges)}, "
             f"start={sorted(self.start_nodes)})"
         )
-
-
-def is_admissible(a: Automaton, s: Signal) -> bool:
-    """True iff some walk from a start node spells the signal exactly."""
-    word = str(s)
-    T = len(word)
-    seen = {(v, 0) for v in a.start_nodes}
-    stack = list(seen)
-    while stack:
-        node, pos = stack.pop()
-        if pos == T:
-            return True
-        for dst, label in a.out_edges(node):
-            end = pos + len(label)
-            if end <= T and word.startswith(label, pos):
-                state = (dst, end)
-                if state not in seen:
-                    seen.add(state)
-                    stack.append(state)
-    return False
 
 
 def _unit_steps(a: Automaton) -> Callable[[frozenset, str], frozenset]:
@@ -265,7 +244,8 @@ def minimal_admissible(a: Automaton, T: int) -> SignalSet:
     L) are cut, and the words are walked out of it level by level as bit
     arrays, in lexicographic order, so the work follows the size of the
     output and T is not bounded by the recursion limit.
-    Equals minimal_filter(enumerate_admissible(a, T)).
+    Equals the dominance filter over enumerate_admissible(a, T), the
+    tests' oracle in tests/oracles.py.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -312,6 +292,8 @@ def minimal_signals_bfs(k: int, T: int) -> SignalSet:
 
     The language of the compact automaton, whose words are exactly the
     minimal signals, generated by enumerate_admissible's level walk.
-    Equals minimal_filter over the full admissible language.
+    Equals the dominance filter over the full admissible language, the
+    tests' oracle in tests/oracles.py, and minimal_admissible of the
+    counter automaton, which the analyses use instead.
     """
     return enumerate_admissible(build_k_minimal_automaton(k), T)

@@ -29,7 +29,6 @@ __all__ = [
     "RiccatiSolution",
     "GainSchedule",
     "riccati_backward",
-    "lqr_cost",
     "lti_gains",
     "degraded_cost",
 ]
@@ -154,11 +153,6 @@ def _riccati(
                 step[on] -= (A.T @ Pon @ B) @ gain
             P = (step + step.swapaxes(1, 2)) / 2.0
         yield P, node
-
-
-def lqr_cost(sol: RiccatiSolution, x0) -> float:
-    x0 = np.asarray(x0, dtype=float).ravel()
-    return float(x0 @ sol.P[0] @ x0)
 
 
 def lti_gains(sys: SwitchedLinearSystem, w: LqrWeights) -> GainSchedule:

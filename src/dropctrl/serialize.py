@@ -1,7 +1,8 @@
-"""File formats: matrices, automata, polytopes, systems, weights, reports.
+"""File formats: matrices, automata, polytopes, systems and weights in; reports out.
 
-Matrices travel as JSON {"rows": n, "cols": m, "data": [...]} (row major)
-or as plain CSV.  Floats are written with repr, the shortest decimal that
+Matrices are read as JSON {"rows": n, "cols": m, "data": [...]} (row
+major), as nested lists of rows, or as plain CSV, and every entry must be
+finite.  Report floats are written with repr, the shortest decimal that
 round-trips binary64 exactly.  Non-finite worst-case values appear as the
 strings "inf" / "-inf" / "nan" in JSON and CSV so the documents stay standard.
 """
@@ -22,18 +23,12 @@ from .systems import SwitchedLinearSystem
 from .worstcase import Polytope, WorstCaseReport
 
 __all__ = [
-    "matrix_to_dict",
     "matrix_from_dict",
-    "matrix_to_csv",
     "matrix_from_csv",
-    "load_matrix",
-    "save_matrix",
     "vector_from_any",
     "load_vector",
-    "automaton_to_dict",
     "automaton_from_dict",
     "load_automaton",
-    "save_automaton",
     "polytope_from_dict",
     "load_polytope",
     "system_from_dict",
@@ -59,9 +54,11 @@ def _json_value(x: float | None) -> Any:
     return float(x) if math.isfinite(x) else str(float(x))
 
 
-def matrix_to_dict(M) -> dict:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return {"rows": M.shape[0], "cols": M.shape[1], "data": [float(v) for v in M.ravel()]}
+def _finite(arr: np.ndarray, name: str) -> np.ndarray:
+    # JSON null reads as NaN
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite entry (NaN, inf or null)")
+    return arr
 
 
 def matrix_from_dict(d: dict) -> np.ndarray:
@@ -69,14 +66,9 @@ def matrix_from_dict(d: dict) -> np.ndarray:
         rows, cols, data = int(d["rows"]), int(d["cols"]), d["data"]
         if len(data) != rows * cols:
             raise ValueError(f"matrix data has {len(data)} entries, expected {rows * cols}")
-        return np.array(data, dtype=float).reshape(rows, cols)
+        return _finite(np.array(data, dtype=float).reshape(rows, cols), "matrix data")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"matrix object needs rows/cols/data fields: {exc}") from exc
-
-
-def matrix_to_csv(M) -> str:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return "\n".join(",".join(_float_cell(v) for v in row) for row in M) + "\n"
 
 
 def matrix_from_csv(text: str) -> np.ndarray:
@@ -85,29 +77,13 @@ def matrix_from_csv(text: str) -> np.ndarray:
         if not line.strip():
             continue
         try:
-            rows.append([float(cell) for cell in line.split(",")])
+            row = [float(cell) for cell in line.split(",")]
         except ValueError as exc:
             raise ValueError(f"CSV line {lineno}: {exc}") from exc
+        rows.append(_finite(np.array(row), f"CSV line {lineno}"))
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("CSV matrix must be rectangular and nonempty")
     return np.array(rows, dtype=float)
-
-
-def save_matrix(M, path: str) -> None:
-    if str(path).endswith(".csv"):
-        with open(path, "w") as fh:
-            fh.write(matrix_to_csv(M))
-    else:
-        with open(path, "w") as fh:
-            json.dump(matrix_to_dict(M), fh)
-
-
-def load_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        text = fh.read()
-    if str(path).endswith(".csv"):
-        return matrix_from_csv(text)
-    return matrix_from_dict(json.loads(text))
 
 
 def _coerce_matrix(obj, name: str) -> np.ndarray:
@@ -118,7 +94,7 @@ def _coerce_matrix(obj, name: str) -> np.ndarray:
         raise ValueError(
             f"{name} must be a nested list of rows or a rows/cols/data object"
         )
-    return arr
+    return _finite(arr, name)
 
 
 def vector_from_any(obj) -> np.ndarray:
@@ -126,7 +102,7 @@ def vector_from_any(obj) -> np.ndarray:
     if isinstance(obj, dict):
         return matrix_from_dict(obj).ravel()
     try:
-        return np.asarray(obj, dtype=float).ravel()
+        return _finite(np.asarray(obj, dtype=float).ravel(), "vector")
     except TypeError as exc:
         raise ValueError(f"vector must be numbers or a rows/cols/data object: {exc}") from exc
 
@@ -137,14 +113,6 @@ def load_vector(path: str) -> np.ndarray:
     if str(path).endswith(".csv"):
         return matrix_from_csv(text).ravel()
     return vector_from_any(json.loads(text))
-
-
-def automaton_to_dict(a: Automaton) -> dict:
-    return {
-        "nodes": sorted(a.nodes),
-        "start": sorted(a.start_nodes),
-        "edges": [{"from": e.src, "to": e.dst, "label": e.label} for e in a.edges],
-    }
 
 
 def automaton_from_dict(d: dict) -> Automaton:
@@ -160,14 +128,10 @@ def load_automaton(path: str) -> Automaton:
         return automaton_from_dict(json.load(fh))
 
 
-def save_automaton(a: Automaton, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(automaton_to_dict(a), fh, indent=2)
-
-
 def polytope_from_dict(d: dict) -> Polytope:
     try:
-        return Polytope(vertices=np.array(d["vertices"] if isinstance(d, dict) else d, dtype=float))
+        vertices = np.array(d["vertices"] if isinstance(d, dict) else d, dtype=float)
+        return Polytope(vertices=_finite(vertices, "polytope vertices"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"polytope needs vertex rows or a 'vertices' field: {exc}") from exc
 

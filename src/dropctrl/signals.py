@@ -1,12 +1,12 @@
-"""Binary dropout signals and the support partial order.
+"""Binary dropout signals and sets of them.
 
 A signal is a fixed-length word over {0, 1}: bit 1 marks a successful
 transmission, bit 0 a packet dropout.  Signals of equal length are
-partially ordered by support inclusion; the minimal elements of the
-admissible set are the worst-case candidates for every monotone
-performance measure.  A set of signals is one read-only (N, T) bool
-array, and this module alone converts between words and bits: Signals
-and strings are decoded from the array's rows.
+partially ordered by support inclusion, and automata.minimal_admissible
+generates the minimal admissible ones, the worst-case candidates for
+every monotone performance measure.  A set of signals is one read-only
+(N, T) bool array, and this module alone converts between words and
+bits: Signals and strings are decoded from the array's rows.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = [
-    "Signal",
-    "SignalSet",
-    "dominates",
-    "minimal_filter",
-    "is_minimal_k",
-]
+__all__ = ["Signal", "SignalSet"]
 
 _BIT = {"0": 0, "1": 1}
 
@@ -59,10 +53,6 @@ class Signal:
     @classmethod
     def zeros(cls, length: int) -> "Signal":
         return cls((0,) * length)
-
-    def support(self) -> tuple[int, ...]:
-        """Indices of successful transmissions."""
-        return tuple(i for i, b in enumerate(self._text) if b == "1")
 
     def count_ones(self) -> int:
         return self._text.count("1")
@@ -177,63 +167,3 @@ def _keep(ss: SignalSet, bits: np.ndarray) -> None:
     bits = bits.view()
     bits.flags.writeable = False
     object.__setattr__(ss, "_bits", bits)
-
-
-def dominates(s1: Signal, s2: Signal) -> bool:
-    """True iff s1 precedes s2 in the support order (s1's 1s are s2's 1s)."""
-    if len(s1) != len(s2):
-        raise ValueError(f"length mismatch: {len(s1)} vs {len(s2)}")
-    return all(b1 <= b2 for b1, b2 in zip(s1.bits, s2.bits))
-
-
-def minimal_filter(ss: SignalSet) -> SignalSet:
-    """Minimal elements of ss under the support order (brute-force filter).
-
-    Keeps s iff no other member's support is strictly contained in s's.
-    Relative to the given set only; pass the full admissible set to get
-    the worst-case candidates.  Each row is packed into as many 64-bit
-    words as its horizon needs.
-    """
-    bits = ss.to_array()
-    packed = np.packbits(bits, axis=1)
-    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
-    # a row is minimal when every other row has a 1 outside its support
-    keep = [np.count_nonzero((words & ~w).any(axis=1)) == len(words) - 1 for w in words]
-    # a subset of distinct sorted rows is still distinct and sorted
-    return SignalSet._from_array(bits[np.array(keep, dtype=bool)])
-
-
-def is_minimal_k(s: Signal, k: int) -> bool:
-    """Minimality test for the at-most-k-consecutive-dropouts constraint.
-
-    A signal is minimal iff it is admissible (no k+1 consecutive zeros)
-    and each 1 bit is surrounded by at least k zeros, counting p zeros
-    immediately before and q immediately after.  Positions beyond the
-    horizon contribute nothing, so a trailing 1 needs its k zeros inside
-    the signal.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    bits = s.bits
-    T = len(bits)
-    run = 0
-    for b in bits:
-        run = run + 1 if b == 0 else 0
-        if run > k:
-            return False
-    for i, b in enumerate(bits):
-        if b != 1:
-            continue
-        p = 0
-        j = i - 1
-        while j >= 0 and bits[j] == 0:
-            p += 1
-            j -= 1
-        q = 0
-        j = i + 1
-        while j < T and bits[j] == 0:
-            q += 1
-            j += 1
-        if p + q < k:
-            return False
-    return True

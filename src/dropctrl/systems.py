@@ -14,20 +14,14 @@ gathered, transposed, into stacks of rows with the same count of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .signals import Signal, SignalSet
 
 __all__ = [
     "SwitchedLinearSystem",
-    "Trajectory",
-    "Gramian",
-    "simulate",
     "controllability_matrix",
     "observability_matrix",
-    "reachability_gramian",
     "numerical_rank",
     "first_full_rank_time",
 ]
@@ -83,55 +77,6 @@ class SwitchedLinearSystem:
 
     def __repr__(self):
         return f"SwitchedLinearSystem(n={self.n}, m={self.m}, p={self.p})"
-
-
-@dataclass
-class Trajectory:
-    """States x(0..T) and outputs y(0..T-1); outputs are None at dropouts."""
-
-    states: np.ndarray  # (T+1, n)
-    outputs: list  # length T, entries (p,) arrays or None
-
-
-@dataclass
-class Gramian:
-    """Finite-horizon reachability Gramian for one dropout signal."""
-
-    W: np.ndarray
-    horizon: int
-
-    def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
-        scale = max(1.0, float(np.abs(W).max(initial=0.0)))
-        if np.abs(W - W.T).max(initial=0.0) > 1e-9 * scale:
-            raise ValueError("Gramian must be symmetric")
-        eigs = np.linalg.eigvalsh((W + W.T) / 2.0)
-        if eigs.size and eigs[0] < -1e-9 * scale:
-            raise ValueError("Gramian must be positive semidefinite")
-        self.W = (W + W.T) / 2.0
-
-
-def simulate(sys: SwitchedLinearSystem, s: Signal, x0, u) -> Trajectory:
-    """Roll the dropout-masked dynamics forward over the signal."""
-    row = SignalSet([s]).to_array()[0]
-    T = len(row)
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u.reshape(-1, sys.m)
-    if u.shape != (T, sys.m):
-        raise ValueError(f"expected {T} inputs of dimension {sys.m}, got {u.shape}")
-    states = np.empty((T + 1, sys.n))
-    states[0] = x0
-    outputs: list = []
-    for t in range(T):
-        if row[t]:
-            outputs.append(sys.C @ states[t])
-            states[t + 1] = sys.A @ states[t] + sys.B @ u[t]
-        else:
-            outputs.append(None)
-            states[t + 1] = sys.A @ states[t]
-    return Trajectory(states=states, outputs=outputs)
 
 
 def _ctrb_blocks(sys: SwitchedLinearSystem, T: int) -> np.ndarray:
@@ -204,13 +149,6 @@ def observability_matrix(sys: SwitchedLinearSystem, s: Signal) -> np.ndarray:
     """Stacked rows s(i) C A^i for i = 0..T-1, shape (p T) x n."""
     row = SignalSet([s]).to_array()[0]
     return np.vstack([b * M for b, M in zip(row, _obsv_blocks(sys, len(row)))])
-
-
-def reachability_gramian(sys: SwitchedLinearSystem, s: Signal) -> Gramian:
-    """W = sum over successful steps of A^{T-1-i} B B' (A^{T-1-i})'."""
-    Cm = controllability_matrix(sys, s)
-    W = Cm @ Cm.T
-    return Gramian(W=(W + W.T) / 2.0, horizon=len(s))
 
 
 def _rank_cut(shape: tuple[int, ...], sv: np.ndarray) -> np.ndarray:

@@ -24,18 +24,14 @@ from dropctrl import (
     SwitchedLinearSystem,
     build_k_constraint_automaton,
     controllability_matrix,
-    dominates,
     enumerate_admissible,
     first_full_rank_time,
-    is_minimal_k,
     min_energy,
     min_fuel,
     min_fuel_energy,
     min_inf_norm,
     minimal_admissible,
-    minimal_filter,
     minimal_signals_bfs,
-    reachability_gramian,
     riccati_backward,
     run_study,
     worst_control_time,
@@ -46,6 +42,7 @@ from dropctrl import (
 )
 from dropctrl.cli import main as cli_main
 from dropctrl.solvers import OPTIMAL
+from oracles import dominates, is_minimal_k, minimal_filter, reachability_gramian
 
 
 def announce(cid, ok, detail):
@@ -189,7 +186,7 @@ def test_criterion_3_monotonicity_suite(capsys):
             assert w1 >= w2 - 1e-6 * max(1.0, abs(w2))
         checked["combined"] += 1
 
-        D = reachability_gramian(sys, s2).W - reachability_gramian(sys, s1).W
+        D = reachability_gramian(sys, s2) - reachability_gramian(sys, s1)
         assert np.linalg.eigvalsh(D)[0] >= -1e-9 * max(1.0, np.abs(D).max())
         checked["gramian"] += 1
 

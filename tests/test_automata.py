@@ -12,13 +12,11 @@ from dropctrl import (
     build_k_constraint_automaton,
     build_k_minimal_automaton,
     enumerate_admissible,
-    is_admissible,
-    is_minimal_k,
     minimal_admissible,
-    minimal_filter,
     minimal_signals_bfs,
 )
 from dropctrl.automata import _minimal_table, _walk
+from oracles import is_admissible, is_minimal_k, minimal_filter
 
 
 def brute_force_language(k, T):

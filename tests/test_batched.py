@@ -36,7 +36,6 @@ from dropctrl import (
     controllability_matrix,
     degraded_cost,
     first_full_rank_time,
-    lqr_cost,
     lti_gains,
     min_energy,
     min_fuel,
@@ -55,6 +54,7 @@ from dropctrl import solvers, systems, worstcase
 from dropctrl.solvers import FEAS_TOL, _full_rank_screen, _least_norm_groups, _triangle_svd
 from dropctrl.study import GENERATION_METHODS, _sample_rng, random_system
 from dropctrl.systems import _active_stacks, _ctrb_blocks, _ctrb_stack, _full_rank
+from oracles import lqr_cost
 
 N_STATES, N_INPUTS, K, T = 6, 3, 2, 14
 SEED = 7

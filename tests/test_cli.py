@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -154,6 +155,20 @@ def test_malformed_matrix_exit_1(capsys, tmp_path):
                      id="xf-object-entry"),
         pytest.param(["reach", "--k", "1", "--T", "3", "--system", "SYS", "--polytope"],
                      {"vertices": {"x": 1.0}}, id="polytope-vertices-object"),
+        # non-finite entries, JSON null reading as NaN
+        pytest.param(["energy", "--k", "1", "--T", "3", "--system", "SYS", "--xf"], None, id="xf-null"),
+        pytest.param(["energy", "--k", "1", "--T", "3", "--system", "SYS", "--xf"], [math.nan],
+                     id="xf-nan"),
+        pytest.param(["energy", "--k", "1", "--T", "3", "--system", "SYS", "--xf"],
+                     {"rows": 1, "cols": 1, "data": [None]}, id="xf-matrix-data-null"),
+        pytest.param(["energy", "--k", "1", "--T", "3", "--system"],
+                     {"A": [[math.nan]], "B": [[1.0]], "C": [[1.0]]}, id="system-A-nan"),
+        pytest.param(["energy", "--k", "1", "--T", "3", "--system"],
+                     {"A": [[2.0]], "B": [[math.inf]], "C": [[1.0]]}, id="system-B-inf"),
+        pytest.param(["lqr-maxmin", "--k", "1", "--system", "SYS", "--weights"],
+                     {"Q": [[None]], "R": [[1.0]], "Qf": [[1.0]], "T": 3}, id="weights-Q-null"),
+        pytest.param(["reach", "--k", "1", "--T", "3", "--system", "SYS", "--polytope"],
+                     {"vertices": [[math.nan]]}, id="polytope-vertex-nan"),
     ],
 )
 def test_malformed_documents_exit_1(capsys, scalar_system, tmp_path, argv, doc):

@@ -7,14 +7,12 @@ from dropctrl import (
     SwitchedLinearSystem,
     controllability_matrix,
     degraded_cost,
-    dominates,
     first_full_rank_time,
-    lqr_cost,
     lti_gains,
     observability_matrix,
     riccati_backward,
-    simulate,
 )
+from oracles import dominates, lqr_cost, simulate
 
 
 def scalar_setup():
@@ -185,8 +183,8 @@ def test_one_signal_functions_read_bit_strings():
         lambda s: first_full_rank_time(sys, s),
         lambda s: riccati_backward(sys, s, w).P,
         lambda s: degraded_cost(sys, gains, s, w, x0),
-        lambda s: simulate(sys, s, x0, u).states,
-        lambda s: [y is None for y in simulate(sys, s, x0, u).outputs],
+        lambda s: simulate(sys, s, x0, u)[0],
+        lambda s: [y is None for y in simulate(sys, s, x0, u)[1]],
     ]
     for call in calls:
         assert np.array_equal(call("0101"), call(Signal("0101")))

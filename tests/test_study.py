@@ -203,16 +203,6 @@ def test_minimal_study_rows_ignore_the_cap():
     assert capped.rows == run_study(StudyConfig(**cfg)).rows
 
 
-def test_study_never_runs_the_filter_oracle(monkeypatch):
-    # the quadratic enumerate-then-filter oracle buys a study nothing
-    def oracle(*args, **kwargs):
-        pytest.fail("run_study ran minimal_filter")
-
-    monkeypatch.setattr(study, "minimal_filter", oracle, raising=False)
-    res = run_study(StudyConfig(problem="I", k=1, n=3, m=2, samples=3, T=12, seed=4))
-    assert res.retained == 3
-
-
 def test_study_keeps_full_reports():
     cfg = StudyConfig(problem="V", k=1, n=2, m=1, samples=3, T=5, seed=2)
     res = run_study(cfg)

