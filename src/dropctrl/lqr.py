@@ -37,6 +37,8 @@ _SYM_TOL = 1e-10
 
 
 def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} has a non-finite entry")
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     if np.abs(M - M.T).max(initial=0.0) > _SYM_TOL * scale:
         raise ValueError(f"{name} must be symmetric")

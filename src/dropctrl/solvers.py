@@ -4,39 +4,27 @@ Each routine targets   C u = x_f   for a signal-masked controllability
 matrix C and returns a SolveResult rather than raising on unreachable
 targets.  Every U, s and V of C comes from one factorization (Chan, ACM
 TOMS 8, 1982): C' = Q R, then the SVD R' = U S W' of the small triangle,
-so C = U S (Q W)'; a stack of matrices takes one QR call and one SVD
-call, and the rank cut is numerical_rank's for C's own shape.  The range
-test accepts x_f when its part off C's range is at most FEAS_TOL *
-||x_f||.  The 1-norm and infinity-norm problems are linear programs in
-the rows U_r'C, which have full rank, so past the range test every
-program is feasible and bounded; the interior-point solver in simplex.py
-certifies them, and a result without its certificate is MAX_ITERATIONS.
-peak_within asks only whether the least peak input is within a bound:
-the least-norm input V_r (U_r'x_f / s_r) is a witness, or a
-weak-duality bound, counted against its own rounding, rules the bound
-out; the LP runs only in between, and stops as soon as the same bound at
-its dual iterate rules the bound out.  The combined 1-norm + 2-norm
-objective is an operator-splitting iteration that projects with V_r.
-The scans decide stacks: II's screens and III-fuel's range tests are
-array code per rank group, and the fuel LPs of one rank share a stacked
-interior-point iteration, in which each ends as it would alone, so
-peak_within and min_fuel are the one-matrix case.  The least-norm value
-needs only U_r and s_r, which C's zero columns (dropped steps, inputs
-with a zero column of B) do not change, so III-energy and IV factor C's
-nonzero columns C_+ alone and form no Q.  Nor do they need the SVD of a
-triangle certified full rank: s_min >= 1 / ||R^-1||_F and
-s_max <= ||R||_F, so a margin of 2 between the two against the rank cut
-(_full_rank_screen) puts s_min above the cut, and then C_+^+ = Q R'^-1
-gives the least norm ||R'^-1 x_f||.  The triangles of a stack are
-inverted in one call and only those the screen leaves take the SVD call
-(_least_norm_groups); min_energy is its one-matrix case, with its input
-Q R'^-1 x_f or Q W_r (U_r'x_f / s_r) on those columns.
+so C = U S (Q W)'; the rank cut is numerical_rank's for C's own shape,
+and the range test accepts x_f when its part off C's range is at most
+FEAS_TOL * ||x_f||.  Past it every problem is feasible and bounded, and
+a result is OPTIMAL only with a certificate (primal residual, dual
+feasible point and gap, each within FEAS_TOL), else MAX_ITERATIONS: the
+1-norm and infinity-norm problems are LPs in the full-rank rows U_r'C
+for simplex.py, and the weighted 1-norm + 2-norm mix takes a barrier
+method on its dual and a closed-form polish of the support that
+suggests.  peak_within tries a least-norm witness and a weak-duality
+bound before its LP.  The scans decide stacks, one rank group at a time
+in array code, and the one-matrix functions are their case: III-fuel's
+LPs of one rank share a stacked iteration in which each ends as it
+would alone, and III-energy and IV factor C's nonzero columns alone and
+read a triangle certified full rank (_full_rank_screen) through its
+inverse, so that only the others take the SVD call (_least_norm_groups).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -67,20 +55,16 @@ MAX_ITERATIONS = "max_iterations"
 FEAS_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
-# operator-splitting iteration cap and scaled stopping tolerance
-_ADMM_MAX_ITER = 200_000
-_ADMM_TOL = 1e-9
+# fuel+energy's dual barrier solve: the Newton steps a row may take, the
+# squared Newton decrement that ends a centring, and what its counters count
+_NEWTON_STEPS = 500
+_CENTRED = 1e-10
+_FE_COUNTERS = ("rows", "newton_steps", "polishes")
 
 # constraint-matrix entries per stacked interior-point solve in III-fuel, so
-# that a stack's memory does not grow with its programs' size.  At study-lp's
-# shape (n=10, m=7, T=12, k=1: 10 x 168 programs; bench/run.py --seconds 10,
-# medians of five and four alternating rounds in two sessions), stacks of 7
-# programs read run_s 0.310 and 0.286 s, of 14 0.308 and 0.238 s and of 28
-# 0.298 and 0.253 s, and peak_rss_mb 41.6, 41.9 and 43.0 MB in the second
-# session (41.45 MB solving one program at a time): 14 is as fast as 28 at a
-# third of its memory.  A program with input_bound's box rows (94 x 252 there)
-# is solved alone: a bounded call took 325 ms alone against 273-282 ms in
-# stacks of 2 to 14, whose traced peaks grew from 1.1 to 12.5 MB
+# that a stack's memory does not grow with its programs' size: 14 of
+# study-lp's 10 x 168 programs, as fast as 28 at a third of the memory; a
+# program with input_bound's box rows is solved alone (ROADMAP, set aside)
 _LP_STACK_ENTRIES = 14 * 10 * 168
 
 
@@ -92,10 +76,6 @@ class SolveResult:
     residual: float | None = None
     duality_gap: float | None = None
     iterations: int = 0
-
-    @property
-    def feasible(self) -> bool:
-        return self.status != INFEASIBLE
 
 
 def _prep(Cmat, rhs):
@@ -483,94 +463,125 @@ def _peak_group(Cs, rhs, bound, U, s, V, coeff, reached) -> Iterator[tuple[str, 
             yield "lp_solves", res
 
 
-def _shrink(v: np.ndarray, l1: float, l2: float) -> np.ndarray:
-    # prox of l1*||.||_1 + l2*||.||_2: soft threshold, then radial shrink
-    if l1 > 0.0:
-        v = np.sign(v) * np.maximum(np.abs(v) - l1, 0.0)
-    if l2 > 0.0:
-        nv = np.linalg.norm(v)
-        if nv <= l2:
-            return np.zeros_like(v)
-        v = (1.0 - l2 / nv) * v
-    return v
-
-
 def check_weights(gamma1: float, gamma2: float) -> None:
     """Reject fuel+energy weights unless gamma1, gamma2 >= 0 and gamma1 + gamma2 > 0."""
     if gamma1 < 0 or gamma2 < 0 or gamma1 + gamma2 <= 0:
         raise ValueError("need gamma1, gamma2 >= 0 with gamma1 + gamma2 > 0")
 
 
+
+
 def min_fuel_energy(Cmat, x_f, gamma1: float, gamma2: float) -> SolveResult:
     """Minimize gamma1*||u||_1 + gamma2*||u||_2 subject to C u = x_f.
 
-    Operator splitting between the affine constraint set (projection with
-    C's right singular vectors V_r) and the norm objective (proximal shrink),
-    with over-relaxation and residual-balanced penalty adaptation.  The
-    reported u is the projected, exactly feasible iterate.
+    gamma2 = 0 gives min_fuel's result and gamma1 = 0 min_energy's, the value
+    times the other weight; else it is _min_fuel_energy_rows' one-matrix case.
     """
     check_weights(gamma1, gamma2)
     C, xf = _prep(Cmat, x_f)
-    q = C.shape[1]
-    scale = float(np.linalg.norm(xf))
-    if scale == 0.0:
-        return SolveResult(OPTIMAL, u=np.zeros(q), value=0.0, residual=0.0)
-    [(_, _, [s], [V], [coeff], [reached])] = _factors(C[None], xf / scale)  # the one matrix
-    if not reached:
-        return SolveResult(INFEASIBLE)
-    u_part = V @ (coeff / s)
+    if gamma1 == 0.0 or gamma2 == 0.0:
+        res = min_energy(C, xf) if gamma1 == 0.0 else min_fuel(C, xf)
+        return replace(res, value=None if res.value is None else res.value * (gamma1 + gamma2))
+    return _min_fuel_energy_rows(C[None], xf, gamma1, gamma2, dict.fromkeys(_FE_COUNTERS, 0))[0]
 
-    def project(v):
-        return v - V @ (V.T @ v) + u_part
 
-    def objective(v):
-        return gamma1 * float(np.abs(v).sum()) + gamma2 * float(np.linalg.norm(v))
+def _min_fuel_energy_rows(Cs, xf, gamma1: float, gamma2: float, counters: dict) -> list[SolveResult]:
+    """min_fuel_energy, both weights positive, of each matrix of the stack Cs, from one factor."""
+    results: list = [None] * len(Cs)
+    for idx, U, s, V, coeff, reached in _factors(Cs, xf):
+        for j, i in enumerate(np.arange(len(Cs))[idx].tolist()):
+            if not reached[j]:
+                results[i] = SolveResult(INFEASIBLE)
+            elif not xf.any():  # a zero target takes the zero input
+                results[i] = _zero_input(Cs.shape[2])
+            else:
+                results[i] = _fuel_energy_row(Cs[i], xf, U[j], s[j], V[j], gamma1, gamma2, counters)
+    return results
 
-    rho = 1.0
-    alpha = 1.6
-    z = u_part.copy()
-    w = np.zeros(q)
-    obj_window: list[float] = []
-    u = u_part
-    for it in range(1, _ADMM_MAX_ITER + 1):
-        u = project(z - w)
-        u_relaxed = alpha * u + (1.0 - alpha) * z
-        z_new = _shrink(u_relaxed + w, gamma1 / rho, gamma2 / rho)
-        w = w + u_relaxed - z_new
-        primal = float(np.linalg.norm(u - z_new))
-        dual = rho * float(np.linalg.norm(z_new - z))
-        z = z_new
-        obj = objective(u)
-        obj_window.append(obj)
-        if len(obj_window) > 25:
-            obj_window.pop(0)
-        ref = max(1.0, float(np.linalg.norm(u)))
-        if primal <= _ADMM_TOL * ref and dual <= _ADMM_TOL * ref:
-            stable = max(obj_window) - min(obj_window) <= 1e-7 * max(1.0, obj)
-            if stable:
+
+def _fuel_energy_row(C, xf, U, s, V, g1, g2, counters) -> SolveResult:
+    """The certified fuel+energy design for x_f on the range of C = U_r S_r V_r'.
+
+    C u = x_f is V_r'u = c = U_r'x_f / s_r, with the dual max c'y over
+    V_r y = z + w, |z_i| <= g1, ||w|| <= g2.  Newton steps (Boyd and
+    Vandenberghe, Convex Optimization, 2004, ch. 11) centre the
+    self-concordant barrier -t c'y - sum log(g1^2 - z_i^2) - log(g2^2 - ||w||^2)
+    from y = z = 0, damped to 1 / (1 + lam) until the decrement lam is 1/4,
+    where full steps converge quadratically (Nesterov, Introductory Lectures
+    on Convex Optimization, 2004, sec. 4.1) or else stall.  A centre's
+    u = 2w / (t (g2^2 - ||w||^2)) has V_r'u = c and a value at most
+    (q + 1) / t above c'y, so t starts at (q + 1) over V_r c's value and
+    grows tenfold per centring.  Each centre is polished; the row ends
+    OPTIMAL at the first certified design, or MAX_ITERATIONS once it
+    stalls, takes _NEWTON_STEPS steps or (q + 1) / t is below c'y's rounding.
+    """
+    q, r = V.shape
+    c = (xf @ U) / s
+    J = np.hstack([V, -np.eye(q)])  # (y, z) -> w = V_r y - z
+    JJ, box, x = J.T @ J, np.arange(r, r + q), np.zeros(r + q)
+    t = (q + 1) / (g1 * np.abs(V @ c).sum() + g2 * np.linalg.norm(c))
+    steps, counters["rows"] = 0, counters["rows"] + 1
+    while True:
+        last, stalled = math.inf, False
+        while True:  # one centring
+            z, w = x[r:], J @ x
+            d, e = g1 * g1 - z * z, g2 * g2 - w @ w
+            Jw = J.T @ w
+            grad = (2.0 / e) * Jw + np.concatenate([-t * c, 2.0 * z / d])
+            H = (2.0 / e) * JJ + (4.0 / e**2) * np.outer(Jw, Jw)
+            H[box, box] += 2.0 * (g1 * g1 + z * z) / d**2
+            try:
+                step = np.linalg.solve(H, -grad)
+            except np.linalg.LinAlgError:  # singular in floating point: a stall
+                step = np.full(r + q, math.nan)
+            lam2 = -float(grad @ step)
+            if 0.0 <= lam2 <= _CENTRED:
                 break
-        if it % 50 == 0:
-            if primal > 10.0 * dual:
-                rho *= 2.0
-                w /= 2.0
-            elif dual > 10.0 * primal:
-                rho /= 2.0
-                w *= 2.0
-    else:
-        u_final = scale * project(z)
-        return SolveResult(
-            MAX_ITERATIONS,
-            u=u_final,
-            value=objective(u_final),
-            residual=float(np.linalg.norm(C @ u_final - xf)),
-            iterations=_ADMM_MAX_ITER,
-        )
+            lam = math.sqrt(max(lam2, 0.0))
+            x_new = x + (step if lam <= 0.25 else step / (1.0 + lam))
+            feasible = np.abs(x_new[r:]).max() < g1 and np.sum((J @ x_new) ** 2) < g2 * g2
+            if stalled := not (0.0 < lam2 < last and steps < _NEWTON_STEPS and feasible):
+                break
+            x, last, steps = x_new, (lam2 if lam <= 0.25 else math.inf), steps + 1
+            counters["newton_steps"] += 1
+        counters["polishes"] += 1
+        res = _polish(C, xf, U, s, V, c, 2.0 * w / (t * e), x[:r], z, g1, g2)
+        if res is not None or stalled or (q + 1) / t <= _EPS * float(c @ x[:r]):
+            return replace(res or SolveResult(MAX_ITERATIONS), iterations=steps)
+        t *= 10.0
 
-    u_final = scale * u
-    return SolveResult(
-        OPTIMAL,
-        u=u_final,
-        value=objective(u_final),
-        residual=float(np.linalg.norm(C @ u_final - xf)),
-        iterations=it,
-    )
+
+def _polish(C, xf, U, s, V, c, u, y, z, g1, g2) -> SolveResult | None:
+    """The design of the support and signs that a centre suggests, OPTIMAL if it certifies.
+
+    i is in B, the support, when |u_i| / max |u| exceeds its box's slack
+    1 - |z_i| / g1.  With M = V_r', sigma the signs of u_B
+    and P_B the projector onto M_B's row space, M_B u_B = c and
+    M_B'y = g1 sigma + u_B / a give u_B = M_B^+ c - a g1 (I - P_B) sigma,
+    a = ||u|| / g2 = ||M_B^+ c|| / sqrt(g2^2 - g1^2 ||(I - P_B) sigma||^2),
+    refined once in M's terms and once against C's residual, and y nearest
+    the barrier's.  The dual is U_r (y / s_r); with C's own entries the
+    design certifies when ||C u - x_f|| <= FEAS_TOL ||x_f||, ||S_g1(C'y)||_2
+    <= g2 (1 + FEAS_TOL) (S the soft threshold) and the gap <= FEAS_TOL value.
+    """
+    B = np.abs(u) > np.abs(u).max() * (1.0 - np.abs(z) / g1)
+    sigma, M = np.sign(u[B]), V[B].T
+    base, proj = np.linalg.lstsq(M, np.column_stack([c, M @ sigma]), rcond=None)[0].T
+    room = g2 * g2 - g1 * g1 * float((sigma - proj) @ (sigma - proj))
+    if not (room > 0.0 and base.any()):
+        return None
+    a = float(np.linalg.norm(base)) / math.sqrt(room)
+    uB = base - a * g1 * (sigma - proj)
+    uB += np.linalg.lstsq(M, c - M @ uB, rcond=None)[0]
+    uB += np.linalg.lstsq(M, (xf - C[:, B] @ uB) @ U / s, rcond=None)[0]
+    y = U @ ((y + np.linalg.lstsq(M.T, g1 * sigma + uB / a - M.T @ y, rcond=None)[0]) / s)
+    u = np.zeros(len(u))
+    u[B] = uB
+    value = g1 * float(np.abs(u).sum()) + g2 * float(np.linalg.norm(u))
+    residual = float(np.linalg.norm(C @ u - xf))
+    gap = abs(value - float(xf @ y))
+    excess = float(np.linalg.norm(np.maximum(np.abs(y @ C) - g1, 0.0)))
+    ok = residual <= FEAS_TOL * np.linalg.norm(xf) and gap <= FEAS_TOL * value
+    if ok and excess <= g2 * (1.0 + FEAS_TOL):
+        return SolveResult(OPTIMAL, u, value, residual, gap / value)
+    return None

@@ -34,6 +34,8 @@ def _as_matrix(M, name: str) -> np.ndarray:
     arr = np.array(M, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return arr
 
 

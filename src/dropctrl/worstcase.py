@@ -1,43 +1,29 @@
 """Worst-case analysis over admissible dropout signals.
 
 Every problem evaluates a per-signal measure and takes the maximum over a
-candidate set: either the minimal signals (fast mode, justified by the
-antitone behaviour of each measure in the support order) or the full
-admissible language (exhaustive mode, the ground truth).  Infeasible
-per-signal outcomes count as +infinity; signals whose solver failed
-(MAX_ITERATIONS, as a NaN value and an overflowed cost count) are listed
-in info["failed_signals"].
-Reports are deterministic: the candidate set is iterated in lexicographic
-order and the first attaining signal (the lexicographically smallest) is
-reported as the argmax.
+candidate set: the minimal signals (fast mode, justified by the antitone
+behaviour of each measure in the support order) or the full admissible
+language (exhaustive mode, the ground truth).  An infeasible outcome
+counts as +infinity; signals whose solver failed (MAX_ITERATIONS, as a
+NaN value and an overflowed cost count) are listed in
+info["failed_signals"].  Reports are deterministic: the candidates are
+scanned in lexicographic order, and the first attaining signal is the argmax.
 
-Each analysis resolves its candidates first, so that a bad T, mode or
-cap is refused before any work, builds its per-call data once and hands
-`_scan` the candidates and an evaluator; `_scan` packs them into an (N, T)
-bool array, hands over the whole array and reduces the values with
-np.argmax.  Work is shared over the signal trie (lqr._children numbers
-a level) wherever a quantity depends on a prefix or a suffix alone: V
-walks the suffix trie of rows sorted by suffix, one Riccati step per
-distinct suffix, and VI the prefix trie of rows in lexicographic order,
-one state per distinct prefix, in blocks sized by _TRIE_ENTRIES; I and
-II walk the prefix trie of the rows still undecided, deciding a level's
-distinct prefixes once, from the call's blocks C A^i and A^{T-1-i} B.
-Every controllability matrix is factored in stacks of at most 64 by the
-solvers' one factorization (a QR call over the stack's C', an SVD call
-over its n x n triangles) and decided in array code, one group of equal
-rank at a time: II's screens (a least-norm witness inside the unit box,
-a weak-duality bound above it) leave few prefixes to an LP, III-fuel's
-LPs of one rank share a stacked interior-point iteration, and III-energy
-and IV, grouping the rows by their count of successful steps, factor C'
-without the zero rows of dropped steps, form no Q, and read a triangle
-certified full rank through its inverse, so that only the others take
-the SVD call.  Fuel+energy runs its splitting iteration per row.
-info["counters"] says how much work was shared: distinct prefixes and
-memo hits for I and II (and how II decided each prefix, and its LPs'
-interior-point iterations), trie nodes against row-steps for V and VI,
-chunks factored, matrices of rank below n and matrices that took the
-SVD for III-energy and IV, and LPs solved, their interior-point
-iterations and the stacked solver calls for III-fuel.
+Each analysis refuses a bad T, mode, cap or state (x0 or x_f must be n
+finite numbers) before any work, builds its per-call data once and hands
+`_scan` the candidates and an evaluator of their packed (N, T) bool
+array.  Work is shared over the signal trie (lqr._children numbers a
+level) wherever a quantity depends on a prefix or a suffix alone: V
+steps one Riccati matrix per distinct suffix, VI one state per distinct
+prefix, and I and II decide each level's distinct prefixes once.  Every
+controllability matrix is factored in stacks of at most _CHUNK by the
+solvers' one factorization and decided in array code, one rank group at
+a time: II's screens leave few prefixes to an LP, III-fuel's LPs of one
+rank share a stacked interior-point iteration, fuel+energy solves each
+row from its factor, and III-energy and IV factor C' without its zero
+rows and take the SVD only of triangles not certified full rank.
+info["counters"] says how much work each analysis did or shared; each
+entry point's docstring names its counters.
 
 PROBLEMS is the one table of analyses: a row per command of the command
 line, giving its problem label, entry point, the arguments it takes
@@ -69,12 +55,14 @@ from .solvers import (
     INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
+    _FE_COUNTERS,
     _least_norm_groups,
     _lp_counters,
+    _min_fuel_energy_rows,
     _min_fuel_rows,
     _norms,
     _peak_rows,
-    min_fuel_energy,
+    check_weights,
 )
 from .systems import (
     SwitchedLinearSystem,
@@ -110,13 +98,8 @@ MINIMAL = "minimal"
 EXHAUSTIVE = "exhaustive"
 DEFAULT_EXHAUSTIVE_CAP = 2**20
 
-# rows per factored stack in III-energy and IV, among rows of one count:
-# at n=10, m=7, k=2, T=24, III-energy and IV on three plants take
-# 0.46-0.48 s at 64 rows, 0.44-0.50 s at 128 and 0.48-0.51 s at 256
-# (medians of twelve interleaved rounds in each of two sessions, one BLAS
-# thread), and a chunk's stack and factor take 0.9 MB at 64 rows, 1.8 MB
-# at 128 and 3.5 MB at 256 (traced peaks): no size is faster in both
-# sessions, and 64 takes the least memory
+# rows per factored stack: at n=10, m=7, k=2, T=24, III-energy and IV take
+# the same time at 64, 128 and 256 rows, and 64 the least memory (ROADMAP)
 _CHUNK = 64
 # float64 entries per trie level in V and VI: a V node holds P (n x n), a
 # VI node x (n), so at n=10 V walks 256 rows a block and VI 2,560
@@ -152,7 +135,19 @@ class Polytope:
         V = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if V.shape[0] < 1:
             raise ValueError("polytope needs at least one vertex")
+        if not np.isfinite(V).all():
+            raise ValueError("vertices must be finite")
         self.vertices = V
+
+
+def _vector(v, n: int, name: str) -> np.ndarray:
+    """An entry point's state argument as a float vector, refused unless it has n finite entries."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != n:
+        raise ValueError(f"{name} must have {n} entries, got {v.size}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return v
 
 
 def check_cap(cap: int) -> None:
@@ -230,11 +225,6 @@ def _scan(
         feasible=math.isfinite(worst),
         info=info,
     )
-
-
-def _unzip(pairs: list[tuple[float, str]]) -> tuple[np.ndarray, list[str]]:
-    """An evaluator's (value, status) pairs as its value array and status list."""
-    return np.array([v for v, _ in pairs], dtype=float), [st for _, st in pairs]
 
 
 def _with_steps(report: WorstCaseReport) -> WorstCaseReport:
@@ -352,7 +342,7 @@ def worst_control_time(
     lp_solves) and the interior-point iterations of the LPs (iterations).
     """
     signals = candidate_signals(constraint, T, mode, cap)
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = _vector(x0, sys.n, "x0")
     # targets[t] = -A^{t+1} x0
     targets = []
     v = x0.copy()
@@ -384,13 +374,6 @@ def worst_control_time(
 
     report = _scan("II", signals, mode, evaluate, {"counters": counters})
     return _with_steps(report)
-
-
-def _score(res) -> tuple[float, str]:
-    """A III row's (value, status); an infeasible target scores +inf."""
-    if res.status == INFEASIBLE or res.value is None:
-        return math.inf, res.status
-    return float(res.value), res.status
 
 
 def _factored(
@@ -431,6 +414,18 @@ def _factored(
     return evaluate
 
 
+def _stacked(blocks: np.ndarray, solve: Callable[[np.ndarray], list]) -> Callable:
+    """A III evaluator: solve the rows' controllability matrices _CHUNK at a time; no value is +inf."""
+
+    def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        chunks = (_ctrb_stack(blocks, mask[lo : lo + _CHUNK]) for lo in range(0, len(mask), _CHUNK))
+        results = [res for Cs in chunks for res in solve(Cs)]
+        values = [math.inf if res.value is None else res.value for res in results]
+        return np.array(values, dtype=float), [res.status for res in results]
+
+    return evaluate
+
+
 def worst_fuel(
     sys: SwitchedLinearSystem,
     constraint: Automaton | int,
@@ -450,19 +445,11 @@ def worst_fuel(
     interior-point iterations and the stacked solver calls.
     """
     signals = candidate_signals(constraint, T, mode, cap)
-    x_f = np.asarray(x_f, dtype=float).ravel()
-    blocks = _ctrb_blocks(sys, T)
+    x_f = _vector(x_f, sys.n, "x_f")
     counters = _lp_counters()
-
-    def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
-        return _unzip([
-            _score(res)
-            for lo in range(0, len(mask), _CHUNK)
-            for res in _min_fuel_rows(
-                _ctrb_stack(blocks, mask[lo : lo + _CHUNK]), x_f, input_bound, counters
-            )
-        ])
-
+    evaluate = _stacked(
+        _ctrb_blocks(sys, T), lambda Cs: _min_fuel_rows(Cs, x_f, input_bound, counters)
+    )
     info = {"objective": "fuel", "input_bound": input_bound, "counters": counters}
     return _scan("III", signals, mode, evaluate, info)
 
@@ -481,7 +468,7 @@ def worst_energy(
     below n and those that took the SVD among them (_factored).
     """
     signals = candidate_signals(constraint, T, mode, cap)
-    x_f = np.asarray(x_f, dtype=float).ravel()
+    x_f = _vector(x_f, sys.n, "x_f")
     counters = {"chunks": 0, "rank_deficient": 0, "svd_rows": 0}
     evaluate = _factored(sys, T, x_f[None], lambda Y: _norms(Y[:, 0]), INFEASIBLE, counters)
     return _scan("III", signals, mode, evaluate, {"objective": "energy", "counters": counters})
@@ -497,16 +484,29 @@ def worst_fuel_energy(
     mode: str = MINIMAL,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> WorstCaseReport:
-    """Problem III with the combined weighted 1-norm + 2-norm objective, one solve per row."""
-    signals = candidate_signals(constraint, T, mode, cap)
-    x_f = np.asarray(x_f, dtype=float).ravel()
-    blocks = _ctrb_blocks(sys, T)
+    """Problem III with the combined weighted 1-norm + 2-norm objective: a certified solve per signal.
 
-    def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
-        Cs = (_ctrb_stack(blocks, row[None])[0] for row in mask)
-        return _unzip([_score(min_fuel_energy(C, x_f, gamma1, gamma2)) for C in Cs])
-
+    The rows are factored _CHUNK at a time and each solved from its factor
+    (solvers._min_fuel_energy_rows); info["counters"] counts the rows solved,
+    their Newton steps and polish attempts.  A zero weight gives worst_fuel's
+    or worst_energy's report, its values times the other weight.
+    """
+    check_weights(gamma1, gamma2)
     info = {"objective": "fuel+energy", "gamma1": gamma1, "gamma2": gamma2}
+    if gamma1 == 0.0 or gamma2 == 0.0:
+        pure = worst_energy if gamma1 == 0.0 else worst_fuel
+        report = pure(sys, constraint, T, x_f, mode=mode, cap=cap)
+        for entry in report.per_signal:
+            entry.value *= gamma1 + gamma2
+        report.worst_value *= gamma1 + gamma2
+        report.info.update(info)
+        return report
+    signals = candidate_signals(constraint, T, mode, cap)
+    x_f = _vector(x_f, sys.n, "x_f")
+    info["counters"] = counters = dict.fromkeys(_FE_COUNTERS, 0)
+    evaluate = _stacked(
+        _ctrb_blocks(sys, T), lambda Cs: _min_fuel_energy_rows(Cs, x_f, gamma1, gamma2, counters)
+    )
     return _scan("III", signals, mode, evaluate, info)
 
 
@@ -563,7 +563,7 @@ def worst_lqr(
     the trie nodes stepped against the row-steps of a per-signal recursion.
     """
     signals = candidate_signals(constraint, weights.T, mode, cap)
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = _vector(x0, sys.n, "x0")
     counters = {"nodes": 0, "row_steps": 0}
 
     def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -604,7 +604,7 @@ def worst_fixed_input_lqr(
     so minimal-mode reports carry a warning.
     """
     signals = candidate_signals(constraint, weights.T, mode, cap)
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = _vector(x0, sys.n, "x0")
     gains = lti_gains(sys, weights)
 
     counters = {"nodes": 0, "row_steps": 0}

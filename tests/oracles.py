@@ -105,3 +105,22 @@ def lqr_cost(sol, x0) -> float:
     """x0' P(0) x0, the optimal cost from x0."""
     x0 = np.asarray(x0, dtype=float).ravel()
     return float(x0 @ sol.P[0] @ x0)
+
+
+def fuel_energy_row(c, x_f: float, gamma1: float, gamma2: float) -> float:
+    """min gamma1 ||u||_1 + gamma2 ||u||_2 subject to c'u = x_f, for one row c, from its dual.
+
+    The dual is max x_f y subject to ||S_gamma1(c y)||_2 <= gamma2, S the
+    soft threshold.  That norm grows with |y|, so the optimum is |x_f| y*
+    where ||S_gamma1(c y*)||_2 = gamma2, and y* is bisected on
+    [0, (gamma1 + gamma2) / max |c|], where the norm is at least gamma2.
+    """
+    c = np.abs(np.asarray(c, dtype=float).ravel())
+
+    def excess(y: float) -> float:
+        return float(np.linalg.norm(np.maximum(c * y - gamma1, 0.0)))
+
+    lo, hi = 0.0, (gamma1 + gamma2) / c.max()
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if excess(mid) < gamma2 else (lo, mid)
+    return abs(x_f) * hi

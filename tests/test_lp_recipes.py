@@ -5,6 +5,8 @@ the ill-conditioned `gaussian_x10` among them, is covered, and not only
 benign standard-normal matrices.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,13 @@ from dropctrl import (
     Signal,
     candidate_signals,
     controllability_matrix,
+    min_energy,
     min_fuel,
+    min_fuel_energy,
     min_inf_norm,
     peak_within,
     worst_control_time,
+    worst_fuel_energy,
 )
 from dropctrl.simplex import _MAX_ITER
 from dropctrl.solvers import FEAS_TOL
@@ -128,6 +133,52 @@ def test_min_fuel_on_gaussian_x10_is_certified_or_stops_early():
         else:
             assert res.status == MAX_ITERATIONS
             assert res.iterations < _MAX_ITER // 4
+
+
+# the certified worst fuel+energy values (gamma1 = gamma2 = 1) of the
+# seed-7 orthogonal_diag and gaussian plants, found by a dense dual
+# Newton solve and support polish written apart from the package's
+FUEL_ENERGY_WORST = {3: 14.486166077161588, 4: 6.784138224631159}
+
+
+@pytest.mark.parametrize("sample", [2, 3, 4], ids=["gaussian_x10", "orthogonal_diag", "gaussian"])
+def test_fuel_energy_rows_are_certified_on_study_plants(sample):
+    # on gaussian_x10 (cond(C) about 2e11) the rounding floor may leave rows
+    # uncertified, and then they stop early; the others certify every row
+    sys = study_plant(7, sample)
+    xf = np.ones(sys.n)
+    report = worst_fuel_energy(sys, 1, 12, xf, 1.0, 1.0)
+    counters = report.info["counters"]
+    assert counters["rows"] == len(report.per_signal)
+    assert counters["newton_steps"] < 200 * counters["rows"]
+    for e in report.per_signal:
+        res = min_fuel_energy(controllability_matrix(sys, e.signal), xf, 1.0, 1.0)
+        assert (res.value if res.value is not None else math.inf, res.status) == (e.value, e.status)
+        if res.status == OPTIMAL:
+            C = controllability_matrix(sys, e.signal).astype(np.longdouble)
+            residual = np.linalg.norm((C @ res.u.astype(np.longdouble) - 1).astype(float))
+            assert residual <= FEAS_TOL * np.linalg.norm(xf), str(e.signal)
+            assert res.value == np.abs(res.u).sum() + np.linalg.norm(res.u)
+            assert res.duality_gap <= FEAS_TOL
+        else:
+            assert res.status == MAX_ITERATIONS
+    if sample in FUEL_ENERGY_WORST:
+        assert "failed_signals" not in report.info
+        assert report.worst_value == pytest.approx(FUEL_ENERGY_WORST[sample], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("sample", [2, 3], ids=["gaussian_x10", "orthogonal_diag"])
+def test_fuel_energy_zero_weight_is_the_pure_solver(sample):
+    sys = study_plant(7, sample)
+    xf = np.ones(sys.n)
+    fuel = worst_fuel_energy(sys, 1, 12, xf, 1.0, 0.0).per_signal
+    energy = worst_fuel_energy(sys, 1, 12, xf, 0.0, 1.0).per_signal
+    for f, e in zip(fuel, energy):
+        C = controllability_matrix(sys, f.signal)
+        for row, res in ((f, min_fuel(C, xf)), (e, min_energy(C, xf))):
+            assert (row.value, row.status) == (
+                math.inf if res.value is None else res.value, res.status
+            ), str(f.signal)
 
 
 def test_tiny_inf_norm_optimum_on_gaussian_x10():

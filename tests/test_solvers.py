@@ -23,6 +23,7 @@ from dropctrl import (
     worst_fuel_energy,
 )
 from dropctrl.worstcase import _CHUNK
+from oracles import fuel_energy_row
 
 
 def brute_force_min_fuel(C, xf, tol=1e-9):
@@ -262,6 +263,18 @@ def test_min_fuel_energy_agrees_with_pure_solvers_random():
         assert got_energy.value == pytest.approx(energy, rel=1e-5, abs=1e-7)
 
 
+def test_min_fuel_energy_matches_the_one_row_oracle():
+    # a 1 x q row's optimum is |x_f| y*, y* bisected on the dual constraint
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        c = rng.standard_normal(int(rng.integers(1, 10)))
+        xf = float(rng.standard_normal())
+        g1, g2 = rng.uniform(0.1, 3.0, size=2)
+        res = min_fuel_energy(c[None], [xf], g1, g2)
+        assert res.status == OPTIMAL
+        assert res.value == pytest.approx(fuel_energy_row(c, xf, g1, g2), rel=1e-9, abs=0.0)
+
+
 def test_lp_solvers_match_external_reference():
     # independent route: the same programs through scipy's interior-point/
     # HiGHS solver must land on the same optimal values
@@ -341,19 +354,27 @@ def test_min_fuel_energy_feasibility_and_residual():
 
 
 def test_min_fuel_energy_iteration_cap(monkeypatch):
-    # one splitting step certifies nothing: the exactly feasible iterate is max_iterations
-    monkeypatch.setattr(solvers, "_ADMM_MAX_ITER", 1)
+    # a row stops at the cap on its Newton steps, uncertified
+    monkeypatch.setattr(solvers, "_NEWTON_STEPS", 3)
     rng = np.random.default_rng(47)
     C = rng.standard_normal((3, 8))
     xf = C @ rng.standard_normal(8)
     res = min_fuel_energy(C, xf, 1.0, 1.0)
-    assert (res.status, res.iterations) == (MAX_ITERATIONS, 1)
-    assert res.residual <= 1e-9 * np.linalg.norm(xf)
-    # every k=1, T=4 word drives the scalar plant with at least two inputs
+    assert (res.status, res.iterations, res.u) == (MAX_ITERATIONS, 3, None)
+    # no step at all: the polish of the start, u = 0, has no support
+    monkeypatch.setattr(solvers, "_NEWTON_STEPS", 0)
     sys = SwitchedLinearSystem([[2.0]], [[1.0]], [[1.0]])
     report = worst_fuel_energy(sys, 1, 4, [1.0], 1.0, 1.0, EXHAUSTIVE)
     assert [e.status for e in report.per_signal] == [MAX_ITERATIONS] * 8
     assert report.info["failed_signals"] == [str(e.signal) for e in report.per_signal]
+    assert report.info["counters"] == {"rows": 8, "newton_steps": 0, "polishes": 8}
+
+
+def test_min_fuel_energy_survives_a_singular_newton_system():
+    # at gamma2 / gamma1 = 1e-12 the barrier's Newton system is singular in
+    # floating point; the row ends like any stall instead of raising
+    res = min_fuel_energy([[1.0]], [1.0], 1.0, 1e-12)
+    assert res.status == MAX_ITERATIONS or res.value == pytest.approx(1.0, rel=1e-9)
 
 
 def count_decompositions(monkeypatch):

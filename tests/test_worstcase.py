@@ -46,6 +46,38 @@ def random_sys(rng, n, m, p):
             return SwitchedLinearSystem(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)))
 
 
+NAN, INF = math.nan, math.inf
+W3 = LqrWeights([[1.0]], [[1.0]], [[1.0]], 3)
+
+
+# a non-finite entry or a state of the wrong length is refused by name,
+# before any solve: no SVD that does not converge, no worst value of inf
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: SwitchedLinearSystem([[NAN]], [[1.0]], [[1.0]]), "A"),
+        (lambda: SwitchedLinearSystem([[INF]], [[1.0]], [[1.0]]), "A"),
+        (lambda: SwitchedLinearSystem([[2.0]], [[NAN]], [[1.0]]), "B"),
+        (lambda: SwitchedLinearSystem([[2.0]], [[1.0]], [[-INF]]), "C"),
+        (lambda: LqrWeights([[NAN]], [[1.0]], [[1.0]], 3), "Q"),
+        (lambda: LqrWeights([[1.0]], [[INF]], [[1.0]], 3), "R"),
+        (lambda: LqrWeights([[1.0]], [[1.0]], [[NAN]], 3), "Qf"),
+        (lambda: Polytope([[0.5], [NAN]]), "vertices"),
+        (lambda: worst_control_time(scalar_sys(), 1, 3, [INF]), "x0"),
+        (lambda: worst_control_time(scalar_sys(), 1, 3, [1.0, 2.0]), "x0"),
+        (lambda: worst_fuel(scalar_sys(), 1, 3, [NAN]), "x_f"),
+        (lambda: worst_energy(scalar_sys(), 1, 3, [1.0, 2.0]), "x_f"),
+        (lambda: worst_fuel_energy(scalar_sys(), 1, 3, [], 1.0, 1.0), "x_f"),
+        (lambda: worst_fuel_energy(scalar_sys(), 1, 3, [INF], 1.0, 0.0), "x_f"),
+        (lambda: worst_lqr(scalar_sys(), 1, W3, [NAN]), "x0"),
+        (lambda: worst_fixed_input_lqr(scalar_sys(), 1, W3, [1.0, 2.0]), "x0"),
+    ],
+)
+def test_non_finite_or_mis_sized_inputs_are_refused(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        call()
+
+
 def test_candidate_signals_modes():
     assert candidate_signals(1, 4, "minimal").to_strings() == ("0101", "0110", "1010")
     assert len(candidate_signals(1, 4, "exhaustive")) == 8
