@@ -20,7 +20,7 @@ import numpy as np
 from .automata import Automaton, Edge
 from .lqr import LqrWeights
 from .systems import SwitchedLinearSystem
-from .worstcase import Polytope, WorstCaseReport
+from .worstcase import Polytope, WorstCaseReport, _columns
 
 __all__ = [
     "matrix_from_dict",
@@ -171,6 +171,7 @@ def load_weights(path: str) -> LqrWeights:
 
 
 def report_to_dict(report: WorstCaseReport) -> dict:
+    words, values, statuses = _columns(report.per_signal)
     return {
         "problem": report.problem,
         "mode": report.mode,
@@ -181,9 +182,8 @@ def report_to_dict(report: WorstCaseReport) -> dict:
         "info": {k: _json_value(v) if isinstance(v, float) else v for k, v in report.info.items()},
         # _json_value inlined: a report may carry thousands of entries
         "per_signal": [
-            {"signal": str(e.signal), "value": e.value if math.isfinite(e.value) else str(e.value),
-             "status": e.status}
-            for e in report.per_signal
+            {"signal": w, "value": v if math.isfinite(v) else str(v), "status": st}
+            for w, v, st in zip(words, values, statuses)
         ],
     }
 
@@ -204,6 +204,6 @@ def report_csv(report: WorstCaseReport, per_signal: bool = False) -> str:
     if per_signal:
         writer.writerow([])
         writer.writerow(["signal", "value", "status"])
-        for e in report.per_signal:
-            writer.writerow([str(e.signal), _float_cell(e.value), e.status])
+        words, values, statuses = _columns(report.per_signal)
+        writer.writerows(zip(words, map(_float_cell, values), statuses))
     return buf.getvalue()

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -115,11 +116,19 @@ class PerSignal:
 
 @dataclass
 class WorstCaseReport:
+    """One analysis's worst case over its candidates, and each candidate's entry.
+
+    A scan's per_signal is a read-only sequence that builds its PerSignal
+    list on first read and then keeps it, so its entries are the same
+    objects on every read and an edit to one stays; len() builds nothing.
+    A caller may put any sequence of PerSignal there instead.
+    """
+
     problem: str
     mode: str
     worst_value: float
     argmax_signal: Signal | None
-    per_signal: list[PerSignal]
+    per_signal: Sequence[PerSignal]
     wallclock: float
     feasible: bool
     info: dict = field(default_factory=dict)
@@ -138,6 +147,54 @@ class Polytope:
         if not np.isfinite(V).all():
             raise ValueError("vertices must be finite")
         self.vertices = V
+
+
+class _Entries(Sequence):
+    """A scan's per-signal entries, kept as its columns until one is read.
+
+    The columns are the candidates (a SignalSet), their read-only value
+    array and their status list.  The first read of an entry builds the
+    PerSignal list, which every later read returns.
+    """
+
+    __slots__ = ("signals", "values", "statuses", "_built")
+
+    def __init__(self, signals: SignalSet, values: np.ndarray, statuses: list[str]):
+        values.flags.writeable = False
+        self.signals, self.values, self.statuses = signals, values, statuses
+        self._built: list[PerSignal] | None = None
+
+    def _list(self) -> list[PerSignal]:
+        if self._built is None:
+            self._built = list(map(PerSignal, self.signals, self.values.tolist(), self.statuses))
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self.statuses)
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other) -> bool:
+        return self._list() == other  # as the list compares
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+
+def _columns(entries: Sequence[PerSignal]) -> tuple[Sequence[str], list[float], list[str]]:
+    """A report's per_signal as (words, values, statuses) columns.
+
+    A scan's entries that nothing has read give the scan's own columns;
+    otherwise the columns are read from what per_signal holds, the built
+    list with its edits or a sequence a caller put there.
+    """
+    if isinstance(entries, _Entries) and entries._built is None:
+        return entries.signals.to_strings(), entries.values.tolist(), entries.statuses
+    return [str(e.signal) for e in entries], [e.value for e in entries], [e.status for e in entries]
 
 
 def _vector(v, n: int, name: str) -> np.ndarray:
@@ -200,27 +257,32 @@ def _scan(
     (N, T) bool candidate array to an (N,) float array of values and a
     list of N statuses.  A NaN value, and an infinite one said OPTIMAL
     (a cost that overflowed), is no verdict: its row scores +inf as
-    MAX_ITERATIONS.
+    MAX_ITERATIONS.  The report keeps the candidates, the values and the
+    statuses as its columns; worst_value, argmax_signal and
+    info["failed_signals"] are read from them, and no PerSignal is built
+    until per_signal is read.
     """
     start = time.perf_counter()
-    values, statuses = evaluate(signals.to_array())
+    bits = signals.to_array()
+    values, statuses = evaluate(bits)
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         if math.isnan(values[i]) or statuses[i] == OPTIMAL:
             statuses[i] = MAX_ITERATIONS
     values = np.where(np.isnan(values), math.inf, values)
-    per_signal = list(map(PerSignal, signals, values.tolist(), statuses))
     # lexicographic order: np.argmax returns the first attainer of a tie
     top = int(np.argmax(values))
-    worst = per_signal[top].value
+    worst = float(values[top])
     info = dict(info or {})
     if MAX_ITERATIONS in statuses:
-        info["failed_signals"] = [str(e.signal) for e in per_signal if e.status == MAX_ITERATIONS]
+        failed = [i for i, status in enumerate(statuses) if status == MAX_ITERATIONS]
+        # rows taken in order stay in lexicographic order
+        info["failed_signals"] = list(SignalSet._from_array(bits[failed]).to_strings())
     return WorstCaseReport(
         problem=problem,
         mode=mode,
         worst_value=worst,
-        argmax_signal=per_signal[top].signal if worst > -math.inf else None,
-        per_signal=per_signal,
+        argmax_signal=next(iter(SignalSet._from_array(bits[[top]]))) if worst > -math.inf else None,
+        per_signal=_Entries(signals, values, statuses),
         wallclock=time.perf_counter() - start,
         feasible=math.isfinite(worst),
         info=info,
@@ -496,8 +558,10 @@ def worst_fuel_energy(
     if gamma1 == 0.0 or gamma2 == 0.0:
         pure = worst_energy if gamma1 == 0.0 else worst_fuel
         report = pure(sys, constraint, T, x_f, mode=mode, cap=cap)
-        for entry in report.per_signal:
-            entry.value *= gamma1 + gamma2
+        entries = report.per_signal  # unread: its columns
+        report.per_signal = _Entries(
+            entries.signals, entries.values * (gamma1 + gamma2), entries.statuses
+        )
         report.worst_value *= gamma1 + gamma2
         report.info.update(info)
         return report

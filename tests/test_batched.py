@@ -51,7 +51,13 @@ from dropctrl import (
     worst_lqr,
 )
 from dropctrl import solvers, systems, worstcase
-from dropctrl.solvers import FEAS_TOL, _full_rank_screen, _least_norm_groups, _triangle_svd
+from dropctrl.solvers import (
+    FEAS_TOL,
+    _full_rank_screen,
+    _least_norm_groups,
+    _triangle_svd,
+    _triangular_inverse,
+)
 from dropctrl.study import GENERATION_METHODS, _sample_rng, random_system
 from dropctrl.systems import _active_stacks, _ctrb_blocks, _ctrb_stack, _full_rank
 from oracles import lqr_cost
@@ -99,6 +105,15 @@ def rank_cut(C, sv):
     return int(np.count_nonzero(sv > max(C.shape) * np.finfo(float).eps * sv[:1]))
 
 
+def triangular_inverse_oracle(R):
+    """R^-1 of one upper triangle by back substitution, a row of R^-1 at a time from the last."""
+    n = len(R)
+    X = np.zeros_like(R)
+    for i in reversed(range(n)):
+        X[i, i:] = (np.eye(n)[i, i:] - R[i, i + 1 :] @ X[i + 1 :, i:]) / R[i, i]
+    return X
+
+
 def screen_oracle(C, R):
     """R^-1 when the triangle R of C_+' certifies C full rank, else None.
 
@@ -109,7 +124,7 @@ def screen_oracle(C, R):
     if R.shape[0] < C.shape[0] or not np.diag(R).all():
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        inv = np.linalg.inv(R)
+        inv = triangular_inverse_oracle(R)
         full = 1.0 / np.linalg.norm(inv) > 2.0 * max(C.shape) * EPS * np.linalg.norm(R)
     return inv if full else None
 
@@ -537,6 +552,31 @@ def test_screen_agrees_with_the_triangle_svd_on_the_study_recipes(sample):
         C = _ctrb_stack(blocks, rows[idx])
         certified += int(assert_groups_match_the_svd(R, shape, targets, C).sum())
     assert 0 < certified < len(rows)
+
+
+@pytest.mark.parametrize("sample", [2, 3, 4], ids=[GENERATION_METHODS[i % 3] for i in (2, 3, 4)])
+def test_triangular_inverse_matches_lu_on_the_study_recipes(sample, monkeypatch):
+    # the wide-horizon triangles (n=10, k=2, T=24), cond(R) up to about
+    # 1e14: the back substitution solves R X = I to within 2 n eps |R| |X|
+    # (Higham, Theorem 8.5, with the check's own product), it and numpy's LU
+    # inverse agree to within 2 n eps cond(R), each erring by at most about
+    # n eps cond(R), and the screen certifies the same triangles with either
+    method = GENERATION_METHODS[sample % len(GENERATION_METHODS)]
+    sys = random_system(10, 7, 7, method, _sample_rng(SEED, sample), screen_horizon=24)
+    rows, shape = candidate_signals(2, 24).to_array(), (10, 24 * 7)
+    chunks = _active_stacks(_ctrb_blocks(sys, 24), rows, worstcase._CHUNK)
+    stacks = [np.linalg.qr(stack, mode="r") for _, stack in chunks]
+    for R in stacks:
+        Ri = R[np.diagonal(R, axis1=1, axis2=2).all(axis=1)]
+        X, want = _triangular_inverse(Ri), np.linalg.inv(Ri)
+        assert np.array_equal(X, np.triu(X))
+        assert (abs(Ri @ X - np.eye(10)) <= 2 * 10 * EPS * (abs(Ri) @ abs(X))).all()
+        err = np.linalg.norm(X - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+        assert (err <= 2 * 10 * EPS * np.linalg.cond(Ri)).all()
+    certified = [_full_rank_screen(R, shape)[0] for R in stacks]
+    monkeypatch.setattr(solvers, "_triangular_inverse", np.linalg.inv)
+    assert all(np.array_equal(c, _full_rank_screen(R, shape)[0]) for c, R in zip(certified, stacks))
+    assert sum(c.sum() for c in certified) > 0
 
 
 def test_screen_sends_edge_triangles_to_the_svd_quietly():

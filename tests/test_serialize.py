@@ -1,10 +1,12 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from dropctrl import Automaton, LqrWeights, Signal, SwitchedLinearSystem, worst_fuel
-from dropctrl.worstcase import PerSignal, WorstCaseReport
+from dropctrl import Automaton, LqrWeights, Polytope, Signal, SwitchedLinearSystem, worst_fuel
+from dropctrl.worstcase import PROBLEMS, PerSignal, WorstCaseReport
 from dropctrl import serialize as ser
 
 
@@ -128,3 +130,87 @@ def test_report_serialization_with_nan():
     lines = ser.report_csv(rep, per_signal=True).strip().splitlines()
     assert lines[1].startswith("V,minimal,nan,,")
     assert lines[-1] == "01,nan,optimal"
+
+
+# --- a scan's report is its columns until per_signal is read ----------------
+
+PLANT = SwitchedLinearSystem([[0.9, 0.3], [0.0, 1.1]], np.eye(2), np.eye(2))
+ROW_ARGS = {
+    "T": 6,
+    "weights": LqrWeights.identity(2, 2, 6),
+    "x0": np.ones(2),
+    "x_f": np.ones(2),
+    "poly": Polytope(0.5 * np.vstack([np.eye(2), -np.eye(2)])),
+    "input_bound": 1.5,
+    "gamma1": 1.0,
+    "gamma2": 1.0,
+}
+# A'PA overflows to inf - inf: every cost is NaN, a solver failure
+OVERFLOW = SwitchedLinearSystem(np.diag([1e30, 1e30]), [[1.0], [0.0]], np.eye(2))
+# every table row; fuel-energy's zero-weight branch, which scales energy's
+# report; and a report whose every signal failed
+ROWS = {command: (command, {}) for command in PROBLEMS} | {
+    "fuel-energy-pure": ("fuel-energy", {"gamma1": 0.0, "gamma2": 2.0}),
+    "lqr-maxmin-failed": ("lqr-maxmin", {"sys": OVERFLOW, "weights": LqrWeights.identity(2, 1, 6)}),
+}
+
+
+def run_row(command, overrides):
+    problem = PROBLEMS[command]
+    values = {name: overrides.get(name, ROW_ARGS[name]) for name in problem.args}
+    return problem.run(overrides.get("sys", PLANT), 1, mode="exhaustive", **values)
+
+
+def outputs(rep):
+    return json.dumps(ser.report_to_dict(rep)), ser.report_csv(rep, per_signal=True)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the PerSignal entries built from here on."""
+    count = [0]
+    init = PerSignal.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PerSignal, "__init__", counting)
+    return count
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+def test_report_serializes_its_columns_until_read(row, built):
+    rep = run_row(*ROWS[row])
+    assert len(rep.per_signal) == 21  # the k=1, T=6 language
+    before = outputs(rep)
+    assert built[0] == 0  # nothing read: the scan's result, len and both writers built no entry
+    entries = list(rep.per_signal)
+    assert built[0] == 21
+    assert outputs(rep) == before
+    assert rep.per_signal[0] is rep.per_signal[0] and rep.per_signal[-1] is entries[-1]
+    assert built[0] == 21  # built once and kept
+    # worst value, argmax and failed signals agree with the entries
+    values = [e.value for e in entries]
+    assert rep.worst_value == max(values)
+    assert rep.argmax_signal == entries[values.index(max(values))].signal
+    failed = [str(e.signal) for e in entries if e.status == "max_iterations"]
+    assert rep.info.get("failed_signals", []) == failed
+    assert (row == "lqr-maxmin-failed") == (len(failed) == 21)
+    doc = json.loads(before[0])
+    assert [(d["signal"], d["value"], d["status"]) for d in doc["per_signal"]] == [
+        (str(e.signal), e.value if math.isfinite(e.value) else str(e.value), e.status)
+        for e in entries
+    ]
+    # an edit to an entry is what the writers write
+    entries[0].value, entries[0].status = 123.5, "edited"
+    doc = ser.report_to_dict(rep)
+    edited = {"signal": str(entries[0].signal), "value": 123.5, "status": "edited"}
+    assert doc["per_signal"][0] == edited
+    assert doc["per_signal"][1:] == json.loads(before[0])["per_signal"][1:]
+    assert f"\n{entries[0].signal},123.5,edited\r\n" in ser.report_csv(rep, per_signal=True)
+    # a list a caller puts in the report is what the writers write
+    rest = dataclasses.replace(rep, per_signal=list(rep.per_signal)[1:])
+    assert ser.report_to_dict(rest)["per_signal"] == doc["per_signal"][1:]
+    table = ser.report_csv(rest, per_signal=True).split("signal,value,status\r\n")[1]
+    assert table == before[1].split("signal,value,status\r\n")[1].split("\r\n", 1)[1]
