@@ -28,14 +28,15 @@ sys = SwitchedLinearSystem(A, rng.standard_normal((n, m)), np.eye(n))
 weights = LqrWeights.identity(n, m, T)
 x0 = np.ones(n)
 
-nominal = float(x0 @ riccati_backward(sys, Signal.ones(T), weights).P[0] @ x0)
+P = riccati_backward(sys, Signal.ones(T), weights)  # P(0..T), shape (T+1, n, n)
+nominal = float(x0 @ P[0] @ x0)
 print(f"nominal (no dropouts) optimal cost: {nominal:.4f}")
 
 rep = worst_lqr(sys, 1, weights, x0, mode="minimal")
 print(f"worst re-optimized cost over k=1 patterns: {rep.worst_value:.4f} at {rep.argmax_signal}")
 print(f"  degradation factor {rep.worst_value / nominal:.2f}x")
 
-gains = lti_gains(sys, weights)
+gains = lti_gains(sys, weights)  # K(0..T-1), shape (T, m, n)
 print("\nfixed ideal-loop gains replayed through the channel:")
 for word in ("111111", "010101", "011011"):
     cost = degraded_cost(sys, gains, Signal(word), weights, x0)

@@ -20,9 +20,7 @@ from .automata import (
     minimal_signals_bfs,
 )
 from .lqr import (
-    GainSchedule,
     LqrWeights,
-    RiccatiSolution,
     degraded_cost,
     lti_gains,
     riccati_backward,

@@ -17,8 +17,8 @@ minimal signals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -51,15 +51,22 @@ class CapExceeded(RuntimeError):
     """Raised when enumeration would exceed the configured set-size cap."""
 
 
+@dataclass(frozen=True, eq=False)
 class Automaton:
-    """Directed graph with bit-string edge labels and designated start nodes."""
+    """Directed graph with bit-string edge labels and designated start nodes.
 
-    __slots__ = ("nodes", "edges", "start_nodes", "_out")
+    Edges may be given as Edge objects or as (src, dst, label) tuples.
+    """
 
-    def __init__(self, nodes: Iterable[int], edges: Iterable[Edge | tuple], start_nodes: Iterable[int]):
-        node_set = frozenset(int(n) for n in nodes)
-        edge_list = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
-        start_set = frozenset(int(n) for n in start_nodes)
+    nodes: frozenset[int]
+    edges: tuple[Edge, ...]
+    start_nodes: frozenset[int]
+    _out: dict = field(init=False)
+
+    def __post_init__(self):
+        node_set = frozenset(int(n) for n in self.nodes)
+        edge_list = tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
+        start_set = frozenset(int(n) for n in self.start_nodes)
         if not node_set:
             raise ValueError("automaton needs at least one node")
         if not start_set:
@@ -79,9 +86,6 @@ class Automaton:
 
     def out_edges(self, node: int) -> tuple[tuple[int, str], ...]:
         return self._out[node]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Automaton is immutable")
 
     def __repr__(self):
         return (

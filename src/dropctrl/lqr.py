@@ -16,18 +16,17 @@ and degraded_cost are the one-signal case, a trie with one node per level.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .signals import Signal, SignalSet
-from .systems import SwitchedLinearSystem
+from .systems import SwitchedLinearSystem, _finite
 
 __all__ = [
     "LqrWeights",
-    "RiccatiSolution",
-    "GainSchedule",
     "riccati_backward",
     "lti_gains",
     "degraded_cost",
@@ -36,24 +35,27 @@ __all__ = [
 _SYM_TOL = 1e-10
 
 
-def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
-    if not np.isfinite(M).all():
-        raise ValueError(f"{name} has a non-finite entry")
+def _check_symmetric(M, name: str) -> np.ndarray:
+    M = np.atleast_2d(_finite(M, name))
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     if np.abs(M - M.T).max(initial=0.0) > _SYM_TOL * scale:
         raise ValueError(f"{name} must be symmetric")
     return (M + M.T) / 2.0
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class LqrWeights:
-    """Stage weights Q >= 0, R > 0, terminal Q_f > 0 and horizon T."""
+    """Stage weights Q >= 0, R > 0, terminal Q_f > 0 and an integer horizon T >= 1."""
 
-    __slots__ = ("Q", "R", "Qf", "T")
+    Q: np.ndarray
+    R: np.ndarray
+    Qf: np.ndarray
+    T: int
 
-    def __init__(self, Q, R, Qf, T: int):
-        Q = _check_symmetric(np.atleast_2d(np.asarray(Q, dtype=float)), "Q")
-        R = _check_symmetric(np.atleast_2d(np.asarray(R, dtype=float)), "R")
-        Qf = _check_symmetric(np.atleast_2d(np.asarray(Qf, dtype=float)), "Qf")
+    def __post_init__(self):
+        for name in ("Q", "R", "Qf"):
+            object.__setattr__(self, name, _check_symmetric(getattr(self, name), name))
+        Q, R, Qf, T = self.Q, self.R, self.Qf, self.T
         if Q.shape != Qf.shape:
             raise ValueError("Q and Qf must have equal shape")
         tolQ = _SYM_TOL * max(1.0, float(np.abs(Q).max(initial=0.0)))
@@ -63,49 +65,24 @@ class LqrWeights:
             raise ValueError("R must be positive definite")
         if np.linalg.eigvalsh(Qf)[0] <= _SYM_TOL * max(1.0, float(np.abs(Qf).max())):
             raise ValueError("Qf must be positive definite")
-        if T < 1:
-            raise ValueError("horizon T must be >= 1")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "Qf", Qf)
+        if not isinstance(T, numbers.Integral) or T < 1:
+            raise ValueError(f"horizon T must be an integer >= 1, got {T!r}")
         object.__setattr__(self, "T", int(T))
 
     @classmethod
     def identity(cls, n: int, m: int, T: int) -> "LqrWeights":
         return cls(np.eye(n), np.eye(m), np.eye(n), T)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LqrWeights is immutable")
 
+def riccati_backward(sys: SwitchedLinearSystem, s: Signal, w: LqrWeights) -> np.ndarray:
+    """Cost-to-go matrices P(0..T), shape (T+1, n, n), with P(T) = Qf.
 
-@dataclass
-class RiccatiSolution:
-    """Cost-to-go matrices P(0..T); P(T) equals the terminal weight."""
-
-    P: np.ndarray  # (T+1, n, n)
-
-    def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=float)
-
-
-@dataclass
-class GainSchedule:
-    """Feedback gains K(0..T-1) for u(t) = K(t) x(t)."""
-
-    K: np.ndarray  # (T, m, n)
-
-    def __post_init__(self):
-        self.K = np.asarray(self.K, dtype=float)
-
-
-def riccati_backward(sys: SwitchedLinearSystem, s: Signal, w: LqrWeights) -> RiccatiSolution:
-    """Backward recursion from P(T) = Qf with the correction gated by the signal.
-
-    The one-signal case of _riccati, which the worst-case scan runs on the
-    suffix trie of a block of signals.
+    The backward recursion from P(T) = Qf with the correction gated by the
+    signal: the one-signal case of _riccati, which the worst-case scan runs
+    on the suffix trie of a block of signals.
     """
     steps = [P[0] for P, _ in _riccati(sys, SignalSet([s]).to_array(), w)]
-    return RiccatiSolution(P=np.array(steps[::-1]))
+    return np.array(steps[::-1])
 
 
 def _children(
@@ -157,33 +134,42 @@ def _riccati(
         yield P, node
 
 
-def lti_gains(sys: SwitchedLinearSystem, w: LqrWeights) -> GainSchedule:
-    """Optimal gains for the dropout-free loop, K(t) = -(R+B'PB)^{-1} B'PA."""
-    sol = riccati_backward(sys, Signal.ones(w.T), w)
+def lti_gains(sys: SwitchedLinearSystem, w: LqrWeights) -> np.ndarray:
+    """Optimal gains K(0..T-1), shape (T, m, n), of the dropout-free loop u(t) = K(t) x(t).
+
+    K(t) = -(R+B'P(t+1)B)^{-1} B'P(t+1)A.
+    """
+    P = riccati_backward(sys, Signal.ones(w.T), w)
     A, B = sys.A, sys.B
     K = np.empty((w.T, sys.m, sys.n))
     for t in range(w.T):
-        BtP = B.T @ sol.P[t + 1]
+        BtP = B.T @ P[t + 1]
         K[t] = -np.linalg.solve(w.R + BtP @ B, BtP @ A)
-    return GainSchedule(K=K)
+    return K
 
 
-def degraded_cost(
-    sys: SwitchedLinearSystem, gains: GainSchedule, s: Signal, w: LqrWeights, x0
-) -> float:
-    """Cost of replaying the ideal-loop gains through a lossy channel.
+def degraded_cost(sys: SwitchedLinearSystem, gains, s: Signal, w: LqrWeights, x0) -> float:
+    """Cost of replaying the ideal-loop gains (T, m, n) through a lossy channel.
 
     Rolls x(t+1) = (A + s(t) B K(t)) x(t) and accumulates
     x'(Q + K'RK)x at each stage plus the terminal x'Qf x; the controller
     never re-plans after a dropout.  The one-signal case of _rollout, which
     the worst-case scan runs on the prefix trie of a block of signals.
+    Gains of another shape, a signal of another length than w.T, and an x0
+    that is not n finite numbers are refused.
     """
+    gains = _finite(gains, "gains")
+    if gains.shape != (w.T, sys.m, sys.n):
+        raise ValueError(f"gains must have shape {(w.T, sys.m, sys.n)}, got {gains.shape}")
+    if len(s) != w.T:
+        raise ValueError(f"signal length {len(s)} != weight horizon {w.T}")
+    x0 = _finite(x0, "x0", size=sys.n)
     return float(_rollout(sys, gains, SignalSet([s]).to_array(), w, x0)[0][0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or NaN costs are reported
 def _rollout(
-    sys: SwitchedLinearSystem, gains: GainSchedule, mask: np.ndarray, w: LqrWeights, x0
+    sys: SwitchedLinearSystem, gains: np.ndarray, mask: np.ndarray, w: LqrWeights, x0: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """degraded_cost for each row of an (N, T) bool mask, over its prefix trie.
 
@@ -193,15 +179,13 @@ def _rollout(
     trie nodes stepped.
     """
     N, T = mask.shape
-    if T != w.T or gains.K.shape[0] != T:
-        raise ValueError("signal, weights and gain schedule horizons must match")
     A, B = sys.A, sys.B
-    x = np.asarray(x0, dtype=float).reshape(1, -1, 1)
+    x = x0.reshape(1, -1, 1)
     cost = np.zeros(1)
     node = np.zeros(N, dtype=np.intp)
     nodes = 0
     for t in range(T):
-        K = gains.K[t]
+        K = gains[t]
         cost += _quadratic(x, w.Q + K.T @ w.R @ K)
         parent, on, node = _children(node, mask[:, t], len(x))
         x, cost = x[parent], cost[parent]

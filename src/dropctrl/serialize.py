@@ -2,8 +2,8 @@
 
 Matrices are read as JSON {"rows": n, "cols": m, "data": [...]} (row
 major), as nested lists of rows, or as plain CSV, and every entry must be
-finite.  Report floats are written with repr, the shortest decimal that
-round-trips binary64 exactly.  Non-finite worst-case values appear as the
+finite: JSON null reads as NaN, which is refused.  Report floats are
+written with repr, the shortest decimal that round-trips binary64 exactly.  Non-finite worst-case values appear as the
 strings "inf" / "-inf" / "nan" in JSON and CSV so the documents stay standard.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .automata import Automaton, Edge
 from .lqr import LqrWeights
-from .systems import SwitchedLinearSystem
+from .systems import SwitchedLinearSystem, _finite
 from .worstcase import Polytope, WorstCaseReport, _columns
 
 __all__ = [
@@ -54,19 +54,12 @@ def _json_value(x: float | None) -> Any:
     return float(x) if math.isfinite(x) else str(float(x))
 
 
-def _finite(arr: np.ndarray, name: str) -> np.ndarray:
-    # JSON null reads as NaN
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has a non-finite entry (NaN, inf or null)")
-    return arr
-
-
 def matrix_from_dict(d: dict) -> np.ndarray:
     try:
         rows, cols, data = int(d["rows"]), int(d["cols"]), d["data"]
         if len(data) != rows * cols:
             raise ValueError(f"matrix data has {len(data)} entries, expected {rows * cols}")
-        return _finite(np.array(data, dtype=float).reshape(rows, cols), "matrix data")
+        return _finite(data, "matrix data").reshape(rows, cols)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"matrix object needs rows/cols/data fields: {exc}") from exc
 
@@ -80,21 +73,15 @@ def matrix_from_csv(text: str) -> np.ndarray:
             row = [float(cell) for cell in line.split(",")]
         except ValueError as exc:
             raise ValueError(f"CSV line {lineno}: {exc}") from exc
-        rows.append(_finite(np.array(row), f"CSV line {lineno}"))
+        rows.append(_finite(row, f"CSV line {lineno}"))
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("CSV matrix must be rectangular and nonempty")
     return np.array(rows, dtype=float)
 
 
 def _coerce_matrix(obj, name: str) -> np.ndarray:
-    if isinstance(obj, dict):
-        return matrix_from_dict(obj)
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(
-            f"{name} must be a nested list of rows or a rows/cols/data object"
-        )
-    return _finite(arr, name)
+    # a nested list of rows or a rows/cols/data object
+    return matrix_from_dict(obj) if isinstance(obj, dict) else _finite(obj, name, ndim=2)
 
 
 def vector_from_any(obj) -> np.ndarray:
@@ -102,7 +89,7 @@ def vector_from_any(obj) -> np.ndarray:
     if isinstance(obj, dict):
         return matrix_from_dict(obj).ravel()
     try:
-        return _finite(np.asarray(obj, dtype=float).ravel(), "vector")
+        return _finite(obj, "vector").ravel()
     except TypeError as exc:
         raise ValueError(f"vector must be numbers or a rows/cols/data object: {exc}") from exc
 
@@ -130,8 +117,7 @@ def load_automaton(path: str) -> Automaton:
 
 def polytope_from_dict(d: dict) -> Polytope:
     try:
-        vertices = np.array(d["vertices"] if isinstance(d, dict) else d, dtype=float)
-        return Polytope(vertices=_finite(vertices, "polytope vertices"))
+        return Polytope(d["vertices"] if isinstance(d, dict) else d)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"polytope needs vertex rows or a 'vertices' field: {exc}") from exc
 
@@ -159,7 +145,7 @@ def weights_from_dict(d: dict) -> LqrWeights:
             _coerce_matrix(d["Q"], "Q"),
             _coerce_matrix(d["R"], "R"),
             _coerce_matrix(d["Qf"], "Qf"),
-            int(d["T"]),
+            d["T"],
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"weights object needs Q/R/Qf/T fields: {exc}") from exc

@@ -11,6 +11,7 @@ bits: Signals and strings are decoded from the array's rows.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -20,17 +21,25 @@ __all__ = ["Signal", "SignalSet"]
 _BIT = {"0": 0, "1": 1}
 
 
+@dataclass(frozen=True, order=True)
 class Signal:
     """Immutable binary word sigma(0) ... sigma(T-1), T >= 1.
 
-    The word is kept as its string of '0' and '1', which reports write as
-    it is; the bits are read from it.  Lexicographic order on the strings
-    is the order on the bit tuples.
+    Built from a string of '0' and '1' or from an iterable of bits.  The
+    word is kept as its string, which reports write as it is; the bits are
+    read from it.  Signals compare by that string, whose lexicographic
+    order is the order on the bit tuples.
     """
 
+    # declared by hand: dataclass(slots=True) makes a second class, whose
+    # frozen __setattr__ raises TypeError, not AttributeError, on a name
+    # that is not a field, and a slotted instance keeps no __dict__ to
+    # restore when unpickled, so __reduce__ rebuilds it from its word
     __slots__ = ("_text",)
+    _text: str
 
-    def __init__(self, bits: Iterable[int] | str):
+    def __post_init__(self):
+        bits = self._text
         if isinstance(bits, str):
             if not bits or bits.strip("01"):
                 raise ValueError(f"not a bit string: {bits!r}")
@@ -41,6 +50,9 @@ class Signal:
                 raise ValueError("signal bits must be 0/1 and nonempty")
             text = "".join(map(str, vals))
         object.__setattr__(self, "_text", text)
+
+    def __reduce__(self):
+        return Signal, (self._text,)
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -72,24 +84,8 @@ class Signal:
     def __repr__(self) -> str:
         return f"Signal('{self}')"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Signal) and self._text == other._text
 
-    def __hash__(self) -> int:
-        return hash(self._text)
-
-    def __lt__(self, other: "Signal") -> bool:
-        # lexicographic; used only for canonical ordering of reports
-        return self._text < other._text
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Signal is immutable")
-
-
-# writes a Signal's slot past its validating constructor and its __setattr__
-_set_text = Signal._text.__set__
-
-
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class SignalSet:
     """Finite duplicate-free set of equal-length signals, kept as bits.
 
@@ -98,7 +94,7 @@ class SignalSet:
     are deterministic.  Signals and strings are decoded from it on demand.
     """
 
-    __slots__ = ("_bits",)
+    _bits: np.ndarray
 
     def __init__(self, signals: Iterable[Signal]):
         words = sorted({s._text if isinstance(s, Signal) else Signal(s)._text for s in signals})
@@ -106,7 +102,7 @@ class SignalSet:
         if any(len(w) != T for w in words):
             raise ValueError("signals in a set must share one length")
         codes = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
-        _keep(self, (codes == ord("1")).reshape(len(words), T))
+        self.__setstate__((codes == ord("1")).reshape(len(words), T))
 
     @classmethod
     def _from_array(cls, bits: np.ndarray) -> "SignalSet":
@@ -116,8 +112,22 @@ class SignalSet:
         automata's level walk makes them; nothing is checked or sorted.
         """
         self = object.__new__(cls)
-        _keep(self, bits)
+        self.__setstate__(bits)
         return self
+
+    def __getstate__(self) -> np.ndarray:
+        return self._bits
+
+    def __setstate__(self, bits: np.ndarray) -> None:
+        """Keep a read-only view of bits as the rows.
+
+        Construction, unpickling and copying all store the rows here, so
+        the array that pickle or deepcopy restores, which is writable,
+        is read-only again.
+        """
+        bits = bits.view()
+        bits.flags.writeable = False
+        object.__setattr__(self, "_bits", bits)
 
     @property
     def signals(self) -> tuple[Signal, ...]:
@@ -144,9 +154,10 @@ class SignalSet:
         return isinstance(s, Signal) and s._text in self.to_strings()
 
     def __iter__(self) -> Iterator[Signal]:
+        # the rows are valid words: each Signal is made past its constructor's check
         for word in self.to_strings():
             s = object.__new__(Signal)
-            _set_text(s, word)
+            object.__setattr__(s, "_text", word)
             yield s
 
     def __len__(self) -> int:
@@ -157,13 +168,3 @@ class SignalSet:
 
     def __repr__(self) -> str:
         return f"SignalSet({list(self.to_strings())})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignalSet is immutable")
-
-
-def _keep(ss: SignalSet, bits: np.ndarray) -> None:
-    """Store a read-only view of bits as the set's rows."""
-    bits = bits.view()
-    bits.flags.writeable = False
-    object.__setattr__(ss, "_bits", bits)

@@ -28,11 +28,10 @@ gemm) and every reduction runs along one program's row, so a program's
 arithmetic does not depend on the others in its stack: each ends with
 the result it gets alone, bit for bit.
 
-A caller may also pass a test on the dual iterates, stop(i, y) for the
-program at place i of the stack, y its dual in the caller's units: a
-program whose iterate the test accepts leaves the stack at that
-iteration as "stopped", with that dual, the way a certified program
-leaves it.  The test is asked only of finite programs that did not
+A caller may also pass a test on the dual iterates, stop(y), y a
+program's dual in the caller's units: a program whose iterate the test
+accepts leaves the stack at that iteration as "stopped", with that
+dual, the way a certified program leaves it.  The test is asked only of finite programs that did not
 certify at the iteration, and it changes no arithmetic, so a program it
 does not stop ends bit for bit as it does without it.  solvers' peak LP
 stops this way once its dual certifies the least peak above the box, by
@@ -120,8 +119,7 @@ def solve_standard_lp(c, A, b, stop: Callable[[np.ndarray], bool] | None = None)
     m, n = A.shape
     if c.size != n or b.size != m:
         raise ValueError("inconsistent LP dimensions")
-    test = None if stop is None else lambda i, y: stop(y)
-    return _solve_stack(c[None], A[None], b[None], test)[0]
+    return _solve_stack(c[None], A[None], b[None], stop)[0]
 
 
 # a program that divides by zero or overflows fails its certificate and
@@ -131,12 +129,12 @@ def _solve_stack(
     c: np.ndarray,
     A: np.ndarray,
     b: np.ndarray,
-    stop: Callable[[int, np.ndarray], bool] | None = None,
+    stop: Callable[[np.ndarray], bool] | None = None,
 ) -> list[LpResult]:
     """Solve min c[i]'x subject to A[i] x = b[i], x >= 0 for each program of a stack.
 
     c is (N, n), A (N, m, n) and b (N, m); one LpResult per program, in
-    order.  stop(i, y), if given, stops program i at a dual iterate y.
+    order.  stop(y), if given, stops a program at a dual iterate y.
     The programs still iterating are kept contiguous: when some leave,
     the stack is compacted once, not gathered at every iteration.
     """
@@ -241,7 +239,7 @@ def _solve_stack(
         stopped = np.zeros_like(found)
         if stop is not None:
             for i in np.flatnonzero(finite & ~found):
-                stopped[i] = stop(int(ids[i]), y_c[i])
+                stopped[i] = stop(y_c[i])
         done = found | stopped | stalled | ~finite
         for i in np.flatnonzero(done):
             if found[i]:

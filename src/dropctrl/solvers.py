@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .simplex import _solve_stack, solve_standard_lp
-from .systems import _rank_cut
+from .systems import _finite, _rank_cut
 
 __all__ = [
     "SolveResult",
@@ -78,12 +78,10 @@ class SolveResult:
     iterations: int = 0
 
 
-def _prep(Cmat, rhs):
-    C = np.atleast_2d(np.asarray(Cmat, dtype=float))
-    v = np.asarray(rhs, dtype=float).ravel()
-    if v.size != C.shape[0]:
-        raise ValueError(f"target dimension {v.size} != {C.shape[0]} rows")
-    return C, v
+def _prep(Cmat, rhs, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A one-matrix solver's C and target, refused by name unless finite and of C's row count."""
+    C = np.atleast_2d(_finite(Cmat, "Cmat"))
+    return C, _finite(rhs, name, size=C.shape[0])
 
 
 def _triangle_svd(
@@ -145,7 +143,7 @@ def min_energy(Cmat, x_f) -> SolveResult:
     SVD R' = U S W' (C_+ = U S (Q W)', so Q W holds C_+'s right singular
     vectors).  u is zero on the other columns.
     """
-    C, xf = _prep(Cmat, x_f)
+    C, xf = _prep(Cmat, x_f, "x_f")
     live = C.any(axis=0)
     Q, R = np.linalg.qr(C[:, live].T)
     [(_, Y, reached, Wt)] = _least_norm_groups(R[None], C.shape, xf[None])  # the one matrix
@@ -269,7 +267,7 @@ def min_fuel(Cmat, x_f, input_bound: float | None = None) -> SolveResult:
     range test, the screens and both LPs share one factor of C.  This is
     the one-matrix case of the worst-case scan's evaluator, _min_fuel_rows.
     """
-    C, xf = _prep(Cmat, x_f)
+    C, xf = _prep(Cmat, x_f, "x_f")
     return _min_fuel_rows(C[None], xf, input_bound, _lp_counters())[0]
 
 
@@ -355,7 +353,7 @@ def _fuel_programs(Cr: np.ndarray, boxed: bool) -> tuple[np.ndarray, np.ndarray]
 
 def min_inf_norm(Cmat, b) -> SolveResult:
     """Minimum infinity-norm u with C u = b (LP with a shared peak variable)."""
-    C, rhs = _prep(Cmat, b)
+    C, rhs = _prep(Cmat, b, "b")
     [(_, [U], _, _, [coeff], [reached])] = _factors(C[None], rhs)  # the one matrix
     if not reached:
         return SolveResult(INFEASIBLE)
@@ -432,7 +430,7 @@ def peak_within(Cmat, b, bound: float) -> tuple[str, SolveResult]:
     C's range; a NaN bound is refused.  This is the one-matrix case of
     _peak_rows, which the worst-case scan runs on a stack.
     """
-    C, rhs = _prep(Cmat, b)
+    C, rhs = _prep(Cmat, b, "b")
     return _peak_rows(C[None], rhs, bound)[0]
 
 
@@ -482,11 +480,12 @@ def _peak_group(Cs, rhs, bound, U, s, V, coeff, reached) -> Iterator[tuple[str, 
 
 
 def check_weights(gamma1: float, gamma2: float) -> None:
-    """Reject fuel+energy weights unless gamma1, gamma2 >= 0 and gamma1 + gamma2 > 0."""
-    if gamma1 < 0 or gamma2 < 0 or gamma1 + gamma2 <= 0:
-        raise ValueError("need gamma1, gamma2 >= 0 with gamma1 + gamma2 > 0")
-
-
+    """Reject fuel+energy weights unless gamma1, gamma2 are finite, >= 0 and not both 0."""
+    for name, gamma in (("gamma1", gamma1), ("gamma2", gamma2)):
+        if not (math.isfinite(gamma) and gamma >= 0):  # NaN included
+            raise ValueError(f"{name} must be finite and >= 0, got {gamma}")
+    if gamma1 + gamma2 <= 0:
+        raise ValueError("need gamma1 + gamma2 > 0")
 
 
 def min_fuel_energy(Cmat, x_f, gamma1: float, gamma2: float) -> SolveResult:
@@ -496,7 +495,7 @@ def min_fuel_energy(Cmat, x_f, gamma1: float, gamma2: float) -> SolveResult:
     times the other weight; else it is _min_fuel_energy_rows' one-matrix case.
     """
     check_weights(gamma1, gamma2)
-    C, xf = _prep(Cmat, x_f)
+    C, xf = _prep(Cmat, x_f, "x_f")
     if gamma1 == 0.0 or gamma2 == 0.0:
         res = min_energy(C, xf) if gamma1 == 0.0 else min_fuel(C, xf)
         return replace(res, value=None if res.value is None else res.value * (gamma1 + gamma2))

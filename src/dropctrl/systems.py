@@ -14,6 +14,8 @@ gathered, transposed, into stacks of rows with the same count of them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .signals import Signal, SignalSet
@@ -30,24 +32,36 @@ __all__ = [
 _INVERTIBILITY_RTOL = 1e-12
 
 
-def _as_matrix(M, name: str) -> np.ndarray:
-    arr = np.array(M, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
+def _finite(x, name: str, ndim: int | None = None, size: int | None = None) -> np.ndarray:
+    """x as a new float array, refused with a ValueError that names it.
+
+    Every entry must be finite; with ndim the array must have that many
+    dimensions, and with size x is a vector, raveled, of that many entries.
+    """
+    arr = np.array(x, dtype=float)
+    if size is not None:
+        arr = arr.ravel()
+        if arr.size != size:
+            raise ValueError(f"{name} must have {size} entries, got {arr.size}")
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must have {ndim} dimensions, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has a non-finite entry")
     return arr
 
 
+@dataclass(frozen=True, eq=False)
 class SwitchedLinearSystem:
     """Matrices (A, B, C) with A square and invertible."""
 
-    __slots__ = ("A", "B", "C")
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
 
-    def __init__(self, A, B, C):
-        A = _as_matrix(A, "A")
-        B = _as_matrix(B, "B")
-        C = _as_matrix(C, "C")
+    def __post_init__(self):
+        for name in "ABC":
+            object.__setattr__(self, name, _finite(getattr(self, name), name, ndim=2))
+        A, B, C = self.A, self.B, self.C
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError(f"A must be square, got {A.shape}")
@@ -58,9 +72,6 @@ class SwitchedLinearSystem:
         sv = np.linalg.svd(A, compute_uv=False)
         if sv[-1] <= _INVERTIBILITY_RTOL * max(sv[0], 1.0):
             raise ValueError("A is singular to working precision")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
 
     @property
     def n(self) -> int:
@@ -73,9 +84,6 @@ class SwitchedLinearSystem:
     @property
     def p(self) -> int:
         return self.C.shape[0]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SwitchedLinearSystem is immutable")
 
     def __repr__(self):
         return f"SwitchedLinearSystem(n={self.n}, m={self.m}, p={self.p})"

@@ -70,6 +70,7 @@ from .systems import (
     _active_stacks,
     _ctrb_blocks,
     _ctrb_stack,
+    _finite,
     _full_rank,
     _obsv_blocks,
 )
@@ -107,7 +108,7 @@ _CHUNK = 64
 _TRIE_ENTRIES = 25_600
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerSignal:
     signal: Signal
     value: float  # math.inf encodes an infeasible subproblem
@@ -120,8 +121,8 @@ class WorstCaseReport:
 
     A scan's per_signal is a read-only sequence that builds its PerSignal
     list on first read and then keeps it, so its entries are the same
-    objects on every read and an edit to one stays; len() builds nothing.
-    A caller may put any sequence of PerSignal there instead.
+    objects on every read; len() builds nothing.  A caller may put any
+    sequence of PerSignal there instead.
     """
 
     problem: str
@@ -134,19 +135,17 @@ class WorstCaseReport:
     info: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Polytope:
     """Convex hull of finitely many vertices, stored as rows."""
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        V = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        V = np.atleast_2d(_finite(self.vertices, "vertices"))
         if V.shape[0] < 1:
             raise ValueError("polytope needs at least one vertex")
-        if not np.isfinite(V).all():
-            raise ValueError("vertices must be finite")
-        self.vertices = V
+        object.__setattr__(self, "vertices", V)
 
 
 class _Entries(Sequence):
@@ -163,6 +162,10 @@ class _Entries(Sequence):
         values.flags.writeable = False
         self.signals, self.values, self.statuses = signals, values, statuses
         self._built: list[PerSignal] | None = None
+
+    def __reduce__(self):
+        # rebuilt from the columns, so a restored value array is read-only again
+        return _Entries, (self.signals, self.values, self.statuses)
 
     def _list(self) -> list[PerSignal]:
         if self._built is None:
@@ -188,23 +191,12 @@ class _Entries(Sequence):
 def _columns(entries: Sequence[PerSignal]) -> tuple[Sequence[str], list[float], list[str]]:
     """A report's per_signal as (words, values, statuses) columns.
 
-    A scan's entries that nothing has read give the scan's own columns;
-    otherwise the columns are read from what per_signal holds, the built
-    list with its edits or a sequence a caller put there.
+    A scan's entries give the scan's own columns, since a PerSignal cannot
+    be edited; any other sequence a caller put there is read as given.
     """
-    if isinstance(entries, _Entries) and entries._built is None:
+    if isinstance(entries, _Entries):
         return entries.signals.to_strings(), entries.values.tolist(), entries.statuses
     return [str(e.signal) for e in entries], [e.value for e in entries], [e.status for e in entries]
-
-
-def _vector(v, n: int, name: str) -> np.ndarray:
-    """An entry point's state argument as a float vector, refused unless it has n finite entries."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != n:
-        raise ValueError(f"{name} must have {n} entries, got {v.size}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} has a non-finite entry")
-    return v
 
 
 def check_cap(cap: int) -> None:
@@ -404,7 +396,7 @@ def worst_control_time(
     lp_solves) and the interior-point iterations of the LPs (iterations).
     """
     signals = candidate_signals(constraint, T, mode, cap)
-    x0 = _vector(x0, sys.n, "x0")
+    x0 = _finite(x0, "x0", size=sys.n)
     # targets[t] = -A^{t+1} x0
     targets = []
     v = x0.copy()
@@ -507,7 +499,7 @@ def worst_fuel(
     interior-point iterations and the stacked solver calls.
     """
     signals = candidate_signals(constraint, T, mode, cap)
-    x_f = _vector(x_f, sys.n, "x_f")
+    x_f = _finite(x_f, "x_f", size=sys.n)
     counters = _lp_counters()
     evaluate = _stacked(
         _ctrb_blocks(sys, T), lambda Cs: _min_fuel_rows(Cs, x_f, input_bound, counters)
@@ -530,7 +522,7 @@ def worst_energy(
     below n and those that took the SVD among them (_factored).
     """
     signals = candidate_signals(constraint, T, mode, cap)
-    x_f = _vector(x_f, sys.n, "x_f")
+    x_f = _finite(x_f, "x_f", size=sys.n)
     counters = {"chunks": 0, "rank_deficient": 0, "svd_rows": 0}
     evaluate = _factored(sys, T, x_f[None], lambda Y: _norms(Y[:, 0]), INFEASIBLE, counters)
     return _scan("III", signals, mode, evaluate, {"objective": "energy", "counters": counters})
@@ -566,7 +558,7 @@ def worst_fuel_energy(
         report.info.update(info)
         return report
     signals = candidate_signals(constraint, T, mode, cap)
-    x_f = _vector(x_f, sys.n, "x_f")
+    x_f = _finite(x_f, "x_f", size=sys.n)
     info["counters"] = counters = dict.fromkeys(_FE_COUNTERS, 0)
     evaluate = _stacked(
         _ctrb_blocks(sys, T), lambda Cs: _min_fuel_energy_rows(Cs, x_f, gamma1, gamma2, counters)
@@ -627,7 +619,7 @@ def worst_lqr(
     the trie nodes stepped against the row-steps of a per-signal recursion.
     """
     signals = candidate_signals(constraint, weights.T, mode, cap)
-    x0 = _vector(x0, sys.n, "x0")
+    x0 = _finite(x0, "x0", size=sys.n)
     counters = {"nodes": 0, "row_steps": 0}
 
     def evaluate(mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -668,7 +660,7 @@ def worst_fixed_input_lqr(
     so minimal-mode reports carry a warning.
     """
     signals = candidate_signals(constraint, weights.T, mode, cap)
-    x0 = _vector(x0, sys.n, "x0")
+    x0 = _finite(x0, "x0", size=sys.n)
     gains = lti_gains(sys, weights)
 
     counters = {"nodes": 0, "row_steps": 0}

@@ -101,10 +101,10 @@ def reachability_gramian(sys, s: Signal) -> np.ndarray:
     return (W + W.T) / 2.0
 
 
-def lqr_cost(sol, x0) -> float:
-    """x0' P(0) x0, the optimal cost from x0."""
+def lqr_cost(P, x0) -> float:
+    """x0' P(0) x0, the optimal cost from x0, for riccati_backward's P(0..T)."""
     x0 = np.asarray(x0, dtype=float).ravel()
-    return float(x0 @ sol.P[0] @ x0)
+    return float(x0 @ P[0] @ x0)
 
 
 def fuel_energy_row(c, x_f: float, gamma1: float, gamma2: float) -> float:

@@ -193,7 +193,7 @@ def test_criterion_3_monotonicity_suite(capsys):
         M = rng.standard_normal((n, n))
         Mr = rng.standard_normal((m, m))
         weights = LqrWeights(M.T @ M, Mr.T @ Mr + 0.5 * np.eye(m), M.T @ M + 0.5 * np.eye(n), T)
-        DP = riccati_backward(sys, s1, weights).P[0] - riccati_backward(sys, s2, weights).P[0]
+        DP = riccati_backward(sys, s1, weights)[0] - riccati_backward(sys, s2, weights)[0]
         assert np.linalg.eigvalsh(DP)[0] >= -1e-9 * max(1.0, np.abs(DP).max())
         checked["riccati"] += 1
     with capsys.disabled():
@@ -298,8 +298,8 @@ def test_criterion_5_solver_correctness(capsys):
 def test_criterion_6_scalar_hand_checks(capsys):
     sys = SwitchedLinearSystem([[2.0]], [[1.0]], [[1.0]])
     w = LqrWeights([[1.0]], [[1.0]], [[1.0]], 1)
-    p1 = riccati_backward(sys, Signal("1"), w).P[0, 0, 0]
-    p0 = riccati_backward(sys, Signal("0"), w).P[0, 0, 0]
+    p1 = riccati_backward(sys, Signal("1"), w)[0, 0, 0]
+    p0 = riccati_backward(sys, Signal("0"), w)[0, 0, 0]
     from dropctrl import degraded_cost, lti_gains
 
     d0 = degraded_cost(sys, lti_gains(sys, w), Signal("0"), w, [1.0])

@@ -206,7 +206,7 @@ def rollout_oracle(sys, gains, s, w, x0):
     x = x0.copy()
     cost = 0.0
     for t in range(len(s)):
-        K_t = gains.K[t]
+        K_t = gains[t]
         cost += float(x @ (w.Q + K_t.T @ w.R @ K_t) @ x)
         x = (sys.A + sys.B @ K_t) @ x if s[t] else sys.A @ x
     return cost + float(x @ w.Qf @ x), OPTIMAL

@@ -193,6 +193,16 @@ def test_malformed_arguments_exit_1(capsys, scalar_system, tmp_path):
     assert code == 1 and "--T is required without --weights" in err
 
 
+@pytest.mark.parametrize("flag", ["--gamma1", "--gamma2"])
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_non_finite_weights_exit_1(capsys, scalar_system, flag, weight):
+    # refused before any solve: no report of failed signals, no RuntimeWarning
+    argv = ["fuel-energy", "--system", scalar_system, "--k", "1", "--T", "4", flag, weight]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag[2:]} must be finite") and "Traceback" not in err
+
+
 def test_estimate_time(capsys, scalar_system):
     code, out, _ = run_cli(capsys, "estimate-time", "--system", scalar_system, "--k", "1", "--T", "4")
     assert code == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,15 +51,20 @@ def test_weights_validation():
         LqrWeights(-np.eye(2), [[1.0]], np.eye(2), 2)  # Q not PSD
     with pytest.raises(ValueError):
         LqrWeights(np.eye(2), [[1.0]], np.eye(2), 0)  # bad horizon
+    # the horizon is an integer, not truncated to one
+    for T in (3.7, 3.0, "3", [3], None):
+        with pytest.raises(ValueError, match="^horizon T must be an integer"):
+            LqrWeights(np.eye(2), [[1.0]], np.eye(2), T)
+    assert LqrWeights(np.eye(2), [[1.0]], np.eye(2), np.int64(3)).T == 3
 
 
 def test_riccati_scalar_hand_checks():
     sys, w = scalar_setup()
     sol = riccati_backward(sys, Signal("1"), w)
-    assert sol.P[0, 0, 0] == pytest.approx(3.0, abs=1e-12)
-    assert sol.P[1, 0, 0] == pytest.approx(1.0)
+    assert sol[0, 0, 0] == pytest.approx(3.0, abs=1e-12)
+    assert sol[1, 0, 0] == pytest.approx(1.0)
     sol = riccati_backward(sys, Signal("0"), w)
-    assert sol.P[0, 0, 0] == pytest.approx(5.0, abs=1e-12)
+    assert sol[0, 0, 0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_riccati_terminal_condition_and_psd():
@@ -67,8 +74,8 @@ def test_riccati_terminal_condition_and_psd():
         sys, w = random_instance(rng, T)
         bits = rng.integers(0, 2, size=T).tolist()
         sol = riccati_backward(sys, Signal(bits), w)
-        assert np.array_equal(sol.P[T], w.Qf)
-        for P in sol.P:
+        assert np.array_equal(sol[T], w.Qf)
+        for P in sol:
             assert np.allclose(P, P.T)
             scale = max(1.0, np.abs(P).max())
             assert np.linalg.eigvalsh(P)[0] >= -1e-9 * scale
@@ -87,7 +94,7 @@ def test_riccati_all_zero_signal_is_lyapunov_accumulation():
             acc += Ap.T @ w.Q @ Ap
             Ap = sys.A @ Ap
         acc += Ap.T @ w.Qf @ Ap
-        assert np.allclose(sol.P[0], acc, rtol=1e-9, atol=1e-9)
+        assert np.allclose(sol[0], acc, rtol=1e-9, atol=1e-9)
 
 
 def test_riccati_monotone_in_support_order():
@@ -99,7 +106,7 @@ def test_riccati_monotone_in_support_order():
         s1_bits = s2_bits * rng.integers(0, 2, size=T)
         s1, s2 = Signal(s1_bits.tolist()), Signal(s2_bits.tolist())
         assert dominates(s1, s2)
-        diff = riccati_backward(sys, s1, w).P[0] - riccati_backward(sys, s2, w).P[0]
+        diff = riccati_backward(sys, s1, w)[0] - riccati_backward(sys, s2, w)[0]
         assert np.linalg.eigvalsh(diff)[0] >= -1e-9 * max(1.0, np.abs(diff).max())
 
 
@@ -114,13 +121,13 @@ def test_lqr_cost_examples():
 def test_lti_gains_scalar():
     sys, w = scalar_setup()
     g = lti_gains(sys, w)
-    assert g.K[0, 0, 0] == pytest.approx(-1.0)
+    assert g[0, 0, 0] == pytest.approx(-1.0)
 
 
 def test_lti_gains_zero_b():
     sys = SwitchedLinearSystem(np.diag([0.5, 1.5]), np.zeros((2, 1)), np.eye(2))
     g = lti_gains(sys, LqrWeights.identity(2, 1, 3))
-    assert np.allclose(g.K, 0.0)
+    assert np.allclose(g, 0.0)
 
 
 def test_gain_rollout_matches_riccati_cost():
@@ -156,7 +163,7 @@ def test_degraded_cost_closed_loop_trajectory():
     x = x0.copy()
     expected = 0.0
     for t in range(4):
-        K = gains.K[t]
+        K = gains[t]
         expected += float(x @ (w.Q + K.T @ w.R @ K) @ x)
         x = (sys.A + (sys.B @ K if s[t] else 0.0)) @ x
     expected += float(x @ w.Qf @ x)
@@ -172,6 +179,23 @@ def test_horizon_mismatch_errors():
         degraded_cost(sys, gains, Signal("11"), w, [1.0])
 
 
+def test_degraded_cost_refuses_non_finite_or_mis_sized_inputs():
+    sys, w = scalar_setup()
+    gains = lti_gains(sys, w)
+    assert gains.shape == (w.T, sys.m, sys.n)
+    s = Signal("0" * w.T)
+    for bad_gains, x0, name in [
+        (gains, [1.0, 2.0], "x0"),
+        (gains, [], "x0"),
+        (gains, [math.nan], "x0"),
+        (gains, [math.inf], "x0"),
+        (gains[1:], [1.0], "gains"),
+        (np.full_like(gains, math.nan), [1.0], "gains"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            degraded_cost(sys, bad_gains, s, w, x0)
+
+
 def test_one_signal_functions_read_bit_strings():
     # a string means what Signal(str) means: each '0' is a dropout
     sys, w = random_instance(np.random.default_rng(5), 4)
@@ -181,7 +205,7 @@ def test_one_signal_functions_read_bit_strings():
         lambda s: controllability_matrix(sys, s),
         lambda s: observability_matrix(sys, s),
         lambda s: first_full_rank_time(sys, s),
-        lambda s: riccati_backward(sys, s, w).P,
+        lambda s: riccati_backward(sys, s, w),
         lambda s: degraded_cost(sys, gains, s, w, x0),
         lambda s: simulate(sys, s, x0, u)[0],
         lambda s: [y is None for y in simulate(sys, s, x0, u)[1]],

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -202,15 +204,43 @@ def test_report_serializes_its_columns_until_read(row, built):
         (str(e.signal), e.value if math.isfinite(e.value) else str(e.value), e.status)
         for e in entries
     ]
-    # an edit to an entry is what the writers write
-    entries[0].value, entries[0].status = 123.5, "edited"
-    doc = ser.report_to_dict(rep)
-    edited = {"signal": str(entries[0].signal), "value": 123.5, "status": "edited"}
-    assert doc["per_signal"][0] == edited
-    assert doc["per_signal"][1:] == json.loads(before[0])["per_signal"][1:]
-    assert f"\n{entries[0].signal},123.5,edited\r\n" in ser.report_csv(rep, per_signal=True)
+    # an entry cannot be edited, so the writers' columns stay the scan's
+    with pytest.raises(AttributeError):
+        entries[0].value = 123.5
+    with pytest.raises(AttributeError):
+        entries[0].status = "edited"
+    assert outputs(rep) == before
     # a list a caller puts in the report is what the writers write
     rest = dataclasses.replace(rep, per_signal=list(rep.per_signal)[1:])
     assert ser.report_to_dict(rest)["per_signal"] == doc["per_signal"][1:]
     table = ser.report_csv(rest, per_signal=True).split("signal,value,status\r\n")[1]
     assert table == before[1].split("signal,value,status\r\n")[1].split("\r\n", 1)[1]
+    # and so is a list of replaced entries
+    entries[0] = dataclasses.replace(entries[0], value=123.5, status="edited")
+    edited = dataclasses.replace(rep, per_signal=entries)
+    assert ser.report_to_dict(edited)["per_signal"][0] == {
+        "signal": str(entries[0].signal), "value": 123.5, "status": "edited"
+    }
+    assert f"\n{entries[0].signal},123.5,edited\r\n" in ser.report_csv(edited, per_signal=True)
+
+
+@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+@pytest.mark.parametrize("row", list(ROWS))
+def test_report_survives_pickle_and_deepcopy(row, how):
+    rep = run_row(*ROWS[row])
+    before = outputs(rep)
+    back = pickle.loads(pickle.dumps(rep)) if how == "pickle" else copy.deepcopy(rep)
+    assert outputs(back) == before  # written from the restored columns
+    entries = back.per_signal
+    assert not entries.values.flags.writeable
+    assert not entries.signals.to_array().flags.writeable
+    with pytest.raises(ValueError):
+        entries.values[0] = 0.0
+    assert back == rep
+    with pytest.raises(AttributeError):
+        entries[0].value = 0.0
+    with pytest.raises(AttributeError):
+        back.argmax_signal._text = "0"
+    # a report whose entries were read round-trips the same
+    again = pickle.loads(pickle.dumps(back)) if how == "pickle" else copy.deepcopy(back)
+    assert again == rep and outputs(again) == before

@@ -217,23 +217,26 @@ def test_stack_with_a_singular_normal_matrix_and_a_stall():
 
 
 def test_stopped_programs_end_as_if_solved_alone():
-    # the caller's test stops the even programs once b'y reaches half their
-    # optimum; stopped or not, each program ends as it does alone, and one
-    # the test does not stop as it does without a test
+    # the caller's test, one function of the dual iterate, stops a program
+    # once its dual's peak entry passes 100: the even programs, whose costs
+    # (and so duals) are scaled by 1e3, stop early and the odd ones never;
+    # stopped or not, each program ends as it does alone, and one the test
+    # does not stop as it does without a test
     rng = np.random.default_rng(127)
     programs = [random_program(rng, kind, shape=(4, 10)) for kind in ["generic", "degenerate"] * 4]
+    programs = [(c * (1e3 if i % 2 == 0 else 1.0), A, b) for i, (c, A, b) in enumerate(programs)]
     plain = [solve_standard_lp(*p) for p in programs]
     assert all(res.status == "optimal" and res.value > 0 for res in plain)
 
-    def stop(i, y):
-        return i % 2 == 0 and float(programs[i][2] @ y) >= 0.5 * plain[i].value
+    def stop(y):
+        return float(np.abs(y).max()) > 100.0
 
-    alone = [solve_standard_lp(*p, stop=lambda y, i=i: stop(i, y)) for i, p in enumerate(programs)]
+    alone = [solve_standard_lp(*p, stop=stop) for p in programs]
     for i, (res, base) in enumerate(zip(alone, plain)):
         if i % 2:
             assert_same_result(res, base)
         else:
             assert res.status == "stopped" and res.x is None and res.value is None
-            assert stop(i, res.dual) and res.iterations < base.iterations
+            assert stop(res.dual) and res.iterations < base.iterations
     for got, want in zip(solve_as_stack(programs, stop), alone):
         assert_same_result(got, want)

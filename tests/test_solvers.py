@@ -137,6 +137,43 @@ def test_nan_bound_is_refused_and_an_infinite_one_is_no_bound():
     assert np.array_equal(res.u, unbounded.u)
 
 
+NAN, INF = math.nan, math.inf
+ONE_MATRIX = {
+    "min_energy": (min_energy, "x_f"),
+    "min_fuel": (min_fuel, "x_f"),
+    "min_inf_norm": (min_inf_norm, "b"),
+    "peak_within": (lambda C, b: peak_within(C, b, 1.0), "b"),
+    "min_fuel_energy": (lambda C, x_f: min_fuel_energy(C, x_f, 1.0, 1.0), "x_f"),
+}
+
+
+@pytest.mark.parametrize("solver", list(ONE_MATRIX))
+def test_one_matrix_solvers_refuse_non_finite_or_mis_sized_inputs(solver):
+    # refused by name before any solve: no optimal NaN, no infeasible, no LinAlgError
+    solve, target = ONE_MATRIX[solver]
+    for C, b, name in [
+        ([[1.0, 2.0]], [NAN], target),
+        ([[1.0, 2.0]], [INF], target),
+        ([[1.0, 2.0]], [1.0, 2.0], target),
+        ([[1.0, 2.0]], [], target),
+        ([[NAN, 2.0]], [1.0], "Cmat"),
+        ([[1.0, -INF]], [1.0], "Cmat"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            solve(C, b)
+
+
+@pytest.mark.parametrize("gamma1, gamma2", [(NAN, 1.0), (1.0, NAN), (INF, 1.0), (1.0, INF), (-INF, 1.0)])
+def test_fuel_energy_weights_must_be_finite(gamma1, gamma2):
+    with pytest.raises(ValueError, match="gamma"):
+        solvers.check_weights(gamma1, gamma2)
+    with pytest.raises(ValueError, match="gamma"):
+        min_fuel_energy([[1.0, 2.0]], [1.0], gamma1, gamma2)
+    plant = SwitchedLinearSystem([[2.0]], [[1.0]], [[1.0]])
+    with pytest.raises(ValueError, match="gamma"):
+        worst_fuel_energy(plant, 1, 4, [1.0], gamma1, gamma2)
+
+
 def test_lp_result_off_target_is_not_optimal(monkeypatch):
     # a certified LP whose u misses C u = x_f by more than FEAS_TOL ||x_f||
     # (here, by 1e-6) is no optimal design

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,11 @@ def test_study_config_validation():
         StudyConfig(problem="III", gamma1=-1, gamma2=1)
     with pytest.raises(ValueError, match="gamma"):
         StudyConfig(problem="III", gamma1=0, gamma2=-1)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma1"):
+            StudyConfig(problem="III", gamma1=gamma)
+        with pytest.raises(ValueError, match="gamma2"):
+            StudyConfig(problem="III", gamma2=gamma)
     # the nominal's one-word language fits no cap below 1: every sample would be discarded
     for cap in (0, -1):
         with pytest.raises(ValueError, match="cap must be >= 1"):
